@@ -1,10 +1,11 @@
 """Print the rule-by-axiom violation matrix over random instance sweeps.
 
-Each cell counts violations across all universe sizes.  The baseline rule
-should show a zero row; every rival rule should be zero everywhere except
-its designated axiom column.  The witness column reports the two named
-instances per rival rule where applicable: the literal story and the
-repaired one.
+There is one row per rule in ``critrank.axioms.RULES``.  Each cell counts
+violations across all universe sizes.  The baseline rule should show a zero
+row; every rival rule should be zero everywhere except its target axiom
+column.  Rules outside the independence argument show "-" as their target.
+The witness column reports the named instances per rival rule: the literal
+story and, where there is one, the repaired instance.
 """
 
 import argparse
@@ -12,15 +13,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from critrank.aggregators import iis_rank
-from critrank.axioms import (
-    AXIOM_KINDS,
-    VARIANT_RULES,
-    VARIANT_TARGETS,
-    VARIANT_WITNESSES,
-    check_axiom,
-    sweep_axiom,
-)
+from critrank.axioms import AXIOM_KINDS, RULES, check_axiom, sweep_axiom
 
 
 def violation_row(rule, sizes, seed, trials):
@@ -30,13 +23,11 @@ def violation_row(rule, sizes, seed, trials):
     ]
 
 
-def witness_summary(variant):
-    primary, adjusted = VARIANT_WITNESSES[variant]
-    rule = VARIANT_RULES[variant]
-    parts = ["hit" if not check_axiom(rule, primary()).passed else "defused"]
-    if adjusted is not None:
-        parts.append("hit" if not check_axiom(rule, adjusted()).passed else "defused")
-    return "/".join(parts)
+def witness_summary(rule):
+    if rule.witnesses is None:
+        return "-"
+    return "/".join("hit" if not check_axiom(rule, witness()).passed else "defused"
+                    for witness in rule.witnesses if witness is not None)
 
 
 def main(argv=None):
@@ -47,16 +38,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    rules = {"iis": iis_rank, **VARIANT_RULES}
-    width = max(len(name) for name in rules) + 2
+    width = max(len(name) for name in RULES) + 2
     header = "".join(f"{kind:>8}" for kind in AXIOM_KINDS)
     print(f"{'rule':<{width}}{header}  target   witnesses")
-    for name, rule in rules.items():
+    for name, rule in RULES.items():
         row = violation_row(rule, args.sizes, args.seed, args.trials)
         cells = "".join(f"{v:>8}" for v in row)
-        target = VARIANT_TARGETS.get(name, "-")
-        witnesses = witness_summary(name) if name in VARIANT_WITNESSES else "-"
-        print(f"{name:<{width}}{cells}  {target:<8} {witnesses}")
+        print(f"{name:<{width}}{cells}  {rule.target or '-':<8} {witness_summary(rule)}")
     print(f"\n{args.trials} instances per cell per universe size, "
           f"sizes {args.sizes}, seed {args.seed}")
 

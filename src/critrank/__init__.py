@@ -26,9 +26,9 @@ from .axioms import (
     AxiomInstance,
     AxiomVerdict,
     InvalidInstanceError,
+    RULES,
+    Rule,
     SweepResult,
-    VARIANT_RULES,
-    VARIANT_TARGETS,
     axiom_independence_report,
     check_axiom,
     check_choice_equivalence,
@@ -75,7 +75,6 @@ from .model import (
     QuotientOrder,
     Ranking,
     SupportClass,
-    SupportVector,
     ValidationError,
     class_union_intersection,
     e_score,
@@ -83,7 +82,6 @@ from .model import (
     quotient_order,
     ranking_from_scores,
     support_of,
-    support_vector,
 )
 from .oracle import (
     DenseRankings,

@@ -14,6 +14,7 @@ whose counts are pairwise voter majorities.
 """
 
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .model import (
     AltSubset,
@@ -24,6 +25,7 @@ from .model import (
     ValidationError,
     iter_bits,
     ranking_from_scores,
+    score_groups,
 )
 
 
@@ -82,12 +84,7 @@ def class_count_vector(state: OpinionState, x: int) -> tuple[int, ...]:
 
 def tau_vector(state: OpinionState, x: int) -> tuple[int, ...]:
     """Running totals of the membership counts of x, class by class."""
-    total = 0
-    out = []
-    for v in class_count_vector(state, x):
-        total += v
-        out.append(total)
-    return tuple(out)
+    return tuple(accumulate(class_count_vector(state, x)))
 
 
 def iis_rank(state: OpinionState) -> Ranking[int]:
@@ -111,15 +108,6 @@ def lexcel_rank(state: OpinionState) -> Ranking[int]:
     return ranking_from_scores({x: rows[x] for x in range(state.universe)})
 
 
-def _grouped_by_e(state: OpinionState) -> list[tuple[int, list[int]]]:
-    """(e value, members in index order) pairs, highest e first."""
-    e = state.e_vector
-    groups: dict[int, list[int]] = {}
-    for x in range(state.universe):
-        groups.setdefault(e[x], []).append(x)
-    return [(v, groups[v]) for v in sorted(groups, reverse=True)]
-
-
 def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int]:
     """Excellence first, then an exogenous strict order on middling ties.
 
@@ -133,7 +121,7 @@ def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int
     rank_in_order = {x: i for i, x in enumerate(order)}
     ceiling = state.quotient.depth - 1
     classes: list[tuple[int, ...]] = []
-    for value, members in _grouped_by_e(state):
+    for value, members in score_groups(dict(enumerate(state.e_vector))):
         if 0 < value < ceiling and len(members) > 1:
             for x in sorted(members, key=rank_in_order.__getitem__):
                 classes.append((x,))
@@ -149,46 +137,26 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     score are compared lexicographically by their cumulative membership
     counts, strongest class first.
     """
-    rows = _class_count_rows(state)
-    taus: list[tuple[int, ...]] = []
-    for row in rows:
-        total = 0
-        acc = []
-        for v in row:
-            total += v
-            acc.append(total)
-        taus.append(tuple(acc))
+    taus = [tuple(accumulate(row)) for row in _class_count_rows(state)]
     classes: list[tuple[int, ...]] = []
-    for value, members in _grouped_by_e(state):
+    for value, members in score_groups(dict(enumerate(state.e_vector))):
         if value == 0 or len(members) == 1:
             classes.append(tuple(members))
             continue
-        sub: dict[tuple[int, ...], list[int]] = {}
-        for x in members:
-            sub.setdefault(taus[x], []).append(x)
-        for key in sorted(sub, reverse=True):
-            classes.append(tuple(sub[key]))
+        for _tau, tied in score_groups({x: taus[x] for x in members}):
+            classes.append(tuple(tied))
     return Ranking(tuple(classes))
 
 
 def coarse_f1(state: OpinionState) -> Ranking[int]:
     """Three bands only: score two or more, score exactly one, score zero."""
-    e = state.e_vector
-    bands = (
-        tuple(x for x in range(state.universe) if e[x] >= 2),
-        tuple(x for x in range(state.universe) if e[x] == 1),
-        tuple(x for x in range(state.universe) if e[x] == 0),
-    )
-    return Ranking(tuple(b for b in bands if b))
+    return ranking_from_scores({x: min(e, 2) for x, e in enumerate(state.e_vector)})
 
 
 def coarse_f2(state: OpinionState) -> Ranking[int]:
     """Two bands only: ceiling score against everyone else."""
-    e = state.e_vector
     ceiling = state.quotient.depth - 1
-    top = tuple(x for x in range(state.universe) if e[x] == ceiling)
-    rest = tuple(x for x in range(state.universe) if e[x] != ceiling)
-    return Ranking(tuple(b for b in (top, rest) if b))
+    return ranking_from_scores({x: e == ceiling for x, e in enumerate(state.e_vector)})
 
 
 def indifference_rule(state: OpinionState) -> Ranking[int]:

@@ -13,12 +13,14 @@ the axioms constrain, and any support assignment is realizable, so
 generators build the second state of a pair directly from a target class
 list instead of perturbing opinion entries.
 
-The module also houses the named witness instances for the five rival
-rules, the independence report that exercises them, the choice-method
-equivalence check, and the trailing-class merge sequence used to probe
+The module also houses the rule registry ``RULES``, which pairs every
+ranking rule with the axiom it is built to break and its named witness
+instances; the independence report that exercises them; the choice-method
+equivalence check; and the trailing-class merge sequence used to probe
 excellence-score clamping.
 """
 
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from random import Random
@@ -31,6 +33,7 @@ from .aggregators import (
     iis_tiebreak_tau,
     indifference_rule,
     induce_opinion,
+    lexcel_rank,
     max_of,
     support_rank,
 )
@@ -276,12 +279,27 @@ def random_state(rng: Random, universe: int, max_entries: int = 10,
     return OpinionState(universe, entries)
 
 
+def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
+    """n distinct masks drawn from 1 .. top.
+
+    ``rng.sample`` needs the range's length to fit a machine word, which
+    fails only for the full 64-alternative range; that case draws until n
+    distinct masks are found, keeping draw order.
+    """
+    if top <= sys.maxsize:
+        return rng.sample(range(1, top + 1), n)
+    drawn: dict[int, None] = {}
+    while len(drawn) < n:
+        drawn[rng.randint(1, top)] = None
+    return list(drawn)
+
+
 def random_support_state(rng: Random, universe: int, max_subsets: int = 8,
                          max_value: int = 5) -> OpinionState:
     """Random state built from a support assignment; small values force ties."""
     top = (1 << universe) - 1
     n = rng.randint(0, min(max_subsets, top))
-    masks = rng.sample(range(1, top + 1), n)
+    masks = _distinct_masks(rng, top, n)
     support = {AltSubset(m, universe): rng.randint(1, max_value) for m in masks}
     return OpinionState.from_support(universe, support)
 
@@ -559,40 +577,56 @@ def indifference_wivip_witness() -> AxiomInstance:
     return AxiomInstance("wivip", OpinionState.from_support(3, {AltSubset(0b011, 3): 1}))
 
 
-def _order_tiebreak(state: OpinionState) -> Ranking[int]:
-    return iis_tiebreak_order(state, tuple(range(state.universe)))
+# ---------------------------------------------------------------------------
+# Rule registry
 
 
-VARIANT_RULES: dict[str, Aggregator] = {
-    "iis-tb-order": _order_tiebreak,
-    "iis-tb-tau": iis_tiebreak_tau,
-    "f1": coarse_f1,
-    "f2": coarse_f2,
-    "indifferent": indifference_rule,
-}
+@dataclass(frozen=True)
+class Rule:
+    """One ranking rule, with the axiom it is built to break.
 
-VARIANT_TARGETS = {
-    "iis-tb-order": "nt",
-    "iis-tb-tau": "inui",
-    "f1": "ibs",
-    "f2": "iws",
-    "indifferent": "wivip",
-}
+    A rule is itself an aggregator: ``rule(state, order)`` calls ``rank``,
+    passing ``order`` (the identity order when None) only when
+    ``takes_order`` is set.  ``target`` is the one axiom a rival rule
+    breaks while keeping the other four, or None for rules outside the
+    independence argument.
 
-# Witness pair per rival rule: (literal story, repaired instance or None).
-# The first entry is the literal story aimed at the rule's target axiom.  For
-# the two tie-break rules it places its tie in a band the rule keeps tied
-# (the ceiling score for the order rule, score zero for the running-total
-# rule), so the rule reports no violation on it; the second entry is the
-# repaired instance with the tie moved out of that band, which does bite.
-# For the other rules the first entry bites and the second is None.
-VARIANT_WITNESSES = {
-    "iis-tb-order": (order_tiebreak_nt_witness, order_tiebreak_nt_witness_interior),
-    "iis-tb-tau": (tau_tiebreak_inui_witness, tau_tiebreak_inui_witness_scored),
-    "f1": (band_rule_ibs_witness, None),
-    "f2": (ceiling_rule_iws_witness, None),
-    "indifferent": (indifference_wivip_witness, None),
-}
+    ``witnesses`` is (literal story, repaired instance or None).  The first
+    entry is the literal story aimed at the target axiom.  For the two
+    tie-break rules it places its tie in a band the rule keeps tied (the
+    ceiling score for the order rule, score zero for the running-total
+    rule), so the rule reports no violation on it; the second entry is the
+    repaired instance with the tie moved out of that band, which does bite.
+    For the other rival rules the first entry bites and the second is None.
+    """
+
+    name: str
+    rank: Callable[..., Ranking[int]]
+    takes_order: bool = False
+    target: str | None = None
+    witnesses: tuple[Callable[[], AxiomInstance],
+                     Callable[[], AxiomInstance] | None] | None = None
+
+    def __call__(self, state: OpinionState,
+                 order: Sequence[int] | None = None) -> Ranking[int]:
+        if not self.takes_order:
+            return self.rank(state)
+        return self.rank(state, tuple(range(state.universe)) if order is None else order)
+
+
+RULES: dict[str, Rule] = {rule.name: rule for rule in (
+    Rule("iis", iis_rank),
+    Rule("support", support_rank),
+    Rule("lexcel", lexcel_rank),
+    Rule("iis-tb-order", iis_tiebreak_order, takes_order=True, target="nt",
+         witnesses=(order_tiebreak_nt_witness, order_tiebreak_nt_witness_interior)),
+    Rule("iis-tb-tau", iis_tiebreak_tau, target="inui",
+         witnesses=(tau_tiebreak_inui_witness, tau_tiebreak_inui_witness_scored)),
+    Rule("f1", coarse_f1, target="ibs", witnesses=(band_rule_ibs_witness, None)),
+    Rule("f2", coarse_f2, target="iws", witnesses=(ceiling_rule_iws_witness, None)),
+    Rule("indifferent", indifference_rule, target="wivip",
+         witnesses=(indifference_wivip_witness, None)),
+)}
 
 
 @dataclass(frozen=True)
@@ -621,18 +655,19 @@ def axiom_independence_report(universe_sizes: Sequence[int] = (3, 4, 5),
     """Exercise every rival rule: its named witness, plus clean sweeps of the
     four axioms it is supposed to satisfy."""
     variants = []
-    for name, rule in VARIANT_RULES.items():
-        target = VARIANT_TARGETS[name]
-        primary, adjusted = VARIANT_WITNESSES[name]
+    for rule in RULES.values():
+        if rule.target is None:
+            continue
+        primary, adjusted = rule.witnesses
         witness_violated = not check_axiom(rule, primary()).passed
         adjusted_violated = None
         if adjusted is not None:
             adjusted_violated = not check_axiom(rule, adjusted()).passed
         sweeps = tuple(
             sweep_axiom(rule, kind, u, seed, trials)
-            for kind in AXIOM_KINDS if kind != target
+            for kind in AXIOM_KINDS if kind != rule.target
             for u in universe_sizes)
-        variants.append(VariantReport(name, target, witness_violated,
+        variants.append(VariantReport(rule.name, rule.target, witness_violated,
                                       adjusted_violated, sweeps))
     return IndependenceReport(trials, seed, tuple(universe_sizes), tuple(variants))
 
@@ -682,7 +717,7 @@ def random_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
     top = (1 << universe) - 1
     if n_criteria > top:
         raise ValidationError("more criteria requested than distinct nonempty subsets")
-    masks = rng.sample(range(1, top + 1), n_criteria)
+    masks = _distinct_masks(rng, top, n_criteria)
     alternatives = tuple(f"x{i}" for i in range(universe))
     criteria = tuple(f"c{j + 1}" for j in range(n_criteria))
     tr = {c: AltSubset(m, universe) for c, m in zip(criteria, masks)}
@@ -701,7 +736,7 @@ def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> Crite
     """Random table where every alternative satisfies equally many criteria."""
     top = (1 << universe) - 1
     for _ in range(200):
-        masks = rng.sample(range(1, top + 1), n_criteria)
+        masks = _distinct_masks(rng, top, n_criteria)
         if _columns_constant(masks, universe):
             break
     else:

@@ -28,18 +28,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregators import (
-    coarse_f1,
-    coarse_f2,
-    indifference_rule,
     induce_opinion,
     iis_rank,
-    iis_tiebreak_order,
-    iis_tiebreak_tau,
     lexcel_rank,
     support_rank,
     class_count_vector,
 )
-from .axioms import AXIOM_KINDS, VARIANT_RULES, sweep_axiom
+from .axioms import AXIOM_KINDS, RULES, sweep_axiom
 from .choice import (
     borda_criterion_scores,
     borda_ranking,
@@ -58,21 +53,6 @@ from .model import (
     support_of,
 )
 from .oracle import differential_sweep
-
-RULE_NAMES = (
-    "iis", "support", "lexcel", "iis-tb-order", "iis-tb-tau",
-    "f1", "f2", "indifferent",
-)
-
-_PLAIN_RULES = {
-    "iis": iis_rank,
-    "support": support_rank,
-    "lexcel": lexcel_rank,
-    "iis-tb-tau": iis_tiebreak_tau,
-    "f1": coarse_f1,
-    "f2": coarse_f2,
-    "indifferent": indifference_rule,
-}
 
 
 class ParseError(Exception):
@@ -195,6 +175,8 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                 raise ParseError(f"line {lineno}: second 'alternatives:' header")
             names = tuple(body.split())
             index = {name: i for i, name in enumerate(names)}
+            if len(index) != len(names):
+                raise ValidationError(f"line {lineno}: alternative names must be distinct")
         elif line.startswith("opinion"):
             if names is None:
                 raise ParseError(
@@ -361,6 +343,9 @@ def _parse_order(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
 
 
 def _cmd_rank(config: RunConfig) -> int:
+    rule = RULES[config.rule]
+    if config.order is not None and not rule.takes_order:
+        raise ParseError(f"rule {rule.name} takes no --order")
     if config.opinions is not None:
         if config.table is not None or config.profile is not None:
             raise ParseError("rank takes --opinions or --table/--profile, not both")
@@ -370,13 +355,8 @@ def _cmd_rank(config: RunConfig) -> int:
             raise ParseError("rank needs --opinions, or both --table and --profile")
         table, profile = _load_pair(config)
         names, state = table.alternatives, induce_opinion(table, profile)
-    if config.rule == "iis-tb-order":
-        order = (tuple(range(len(names))) if config.order is None
-                 else _parse_order(config.order, names))
-        ranking = iis_tiebreak_order(state, order)
-    else:
-        ranking = _PLAIN_RULES[config.rule](state)
-    rendered = format_ranking(ranking, names)
+    order = None if config.order is None else _parse_order(config.order, names)
+    rendered = format_ranking(rule(state, order), names)
     _emit(config, [f"ranking: {rendered}"],
           [f"rule={config.rule}", f"ranking={rendered}"])
     return 0
@@ -403,27 +383,14 @@ def _cmd_induce(config: RunConfig) -> int:
 
 
 def _cmd_check(config: RunConfig) -> int:
-    rules = dict(_PLAIN_RULES)
-    rules.update(VARIANT_RULES)
-    result = sweep_axiom(rules[config.rule], config.axiom,
+    result = sweep_axiom(RULES[config.rule], config.axiom,
                          config.alternatives, config.seed, config.trials)
     status = "pass" if result.violations == 0 else "fail"
-    text = [
-        f"axiom: {config.axiom}",
-        f"rule: {config.rule}",
-        f"alternatives: {config.alternatives}",
-        f"requested: {result.requested}",
-        f"checked: {result.checked}",
-        f"violations: {result.violations}",
-    ]
-    kv = [
-        f"axiom={config.axiom}",
-        f"rule={config.rule}",
-        f"alternatives={config.alternatives}",
-        f"requested={result.requested}",
-        f"checked={result.checked}",
-        f"violations={result.violations}",
-    ]
+    fields = [("axiom", config.axiom), ("rule", config.rule),
+              ("alternatives", config.alternatives), ("requested", result.requested),
+              ("checked", result.checked), ("violations", result.violations)]
+    text = [f"{key}: {value}" for key, value in fields]
+    kv = [f"{key}={value}" for key, value in fields]
     for i, verdict in enumerate(result.examples, 1):
         x, y = verdict.witness
         text.append(f"witness: x={x} y={y}: {verdict.note}")
@@ -576,6 +543,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="critrank",
                      description="Rank alternatives from opinions on criteria.")
@@ -597,7 +574,7 @@ def _build_parser() -> _Parser:
                    help="n1: intersection cascade, n2: criterion score sums")
 
     p = add("rank", "rank alternatives with an aggregation rule")
-    p.add_argument("--rule", choices=RULE_NAMES, required=True)
+    p.add_argument("--rule", choices=tuple(RULES), required=True)
     p.add_argument("--table", help="criterion table file (with --profile)")
     p.add_argument("--profile", help="preference profile file (with --table)")
     p.add_argument("--opinions", help="raw opinion state file")
@@ -611,15 +588,15 @@ def _build_parser() -> _Parser:
 
     p = add("check", "sweep one axiom against a rule on generated states")
     p.add_argument("--axiom", choices=AXIOM_KINDS, required=True)
-    p.add_argument("--rule", choices=RULE_NAMES, default="iis")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--rule", choices=tuple(RULES), default="iis")
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--alternatives", type=int, default=4,
                    help="number of alternatives in generated states")
 
     add("demo", "run the worked example and assert its published numbers")
 
     p = add("selftest", "compare fast implementations against brute force")
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=_positive_int, default=200,
                    help="random states per universe size")
 
     return parser

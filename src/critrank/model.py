@@ -249,22 +249,6 @@ class OpinionState:
 
 
 @dataclass(frozen=True)
-class SupportVector:
-    """Total support per subset, positive entries only."""
-
-    universe: int
-    support: Mapping[AltSubset, int]
-
-    def __post_init__(self) -> None:
-        _check_universe(self.universe)
-        for s, v in self.support.items():
-            if s.universe != self.universe:
-                raise ValidationError("support subset universe does not match")
-            if not isinstance(v, int) or v <= 0:
-                raise ValidationError("stored support values must be positive integers")
-
-
-@dataclass(frozen=True)
 class SupportClass:
     """One equivalence class of equally supported subsets."""
 
@@ -278,12 +262,12 @@ class QuotientOrder:
 
     The residual class collects every subset not listed in ``classes``; it is
     last (its value is below every explicit value) and is only represented by
-    the ``residual_present`` flag, never materialized.
+    the ``residual_present`` flag, never materialized.  Its support is zero,
+    so explicit classes then carry positive values.
     """
 
     universe: int
     classes: tuple[SupportClass, ...]
-    residual_value: int = 0
     residual_present: bool = True
 
     def __post_init__(self) -> None:
@@ -308,7 +292,7 @@ class QuotientOrder:
         if self.residual_present:
             if total >= capacity:
                 raise ValidationError("residual class marked present but empty")
-            if prev is not None and self.residual_value >= prev:
+            if prev is not None and prev <= 0:
                 raise ValidationError("residual value must fall below the last explicit class")
         elif total != capacity:
             raise ValidationError("without a residual the classes must cover every subset")
@@ -335,7 +319,7 @@ def _quotient_from_support(universe: int, support: Mapping[AltSubset, int]) -> Q
     )
     explicit = sum(len(c.members) for c in classes)
     residual_present = explicit < (1 << universe) - 1
-    return QuotientOrder(universe, classes, 0, residual_present)
+    return QuotientOrder(universe, classes, residual_present)
 
 
 def support_of(state: OpinionState, subset: AltSubset) -> int:
@@ -343,10 +327,6 @@ def support_of(state: OpinionState, subset: AltSubset) -> int:
     if subset.universe != state.universe:
         raise ValidationError("subset universe does not match the state")
     return state.support_map.get(subset, 0)
-
-
-def support_vector(state: OpinionState) -> SupportVector:
-    return SupportVector(state.universe, dict(state.support_map))
 
 
 def quotient_order(state: OpinionState) -> QuotientOrder:
@@ -471,14 +451,19 @@ class Ranking(Generic[L]):
         return Ranking(tuple(tuple(get(label) for label in cls_) for cls_ in self.classes))
 
 
-def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
-    """Group labels with equal scores, highest score first.
+def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:
+    """(score, labels) pairs, one per distinct score, highest score first.
 
     Scores only need to be mutually comparable; tuples compare
     lexicographically, which several aggregation rules rely on.  Insertion
-    order of ``scores`` decides the order inside each class.
+    order of ``scores`` decides the order inside each group.
     """
     groups: dict[object, list[L]] = {}
     for label, score in scores.items():
         groups.setdefault(score, []).append(label)
-    return Ranking(tuple(tuple(groups[v]) for v in sorted(groups, reverse=True)))
+    return [(v, groups[v]) for v in sorted(groups, reverse=True)]
+
+
+def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
+    """Group labels with equal scores, highest score first."""
+    return Ranking(tuple(tuple(labels) for _v, labels in score_groups(scores)))

@@ -2,11 +2,12 @@
 
 Each test prints one summary line "acceptance <n> (<label>): PASS|FAIL"
 plus a detail line per failed sub-check.  The rival-rule criterion reads
-each rule's (literal story, repaired instance) pair from
-``VARIANT_WITNESSES``.  For the two tie-break rules it asserts that the
-literal story, whose tie sits in a band the rule keeps tied, is not a
-violation, which pins those kept bands, and that the repaired instance is
-one.  For the other rival rules the literal story must be a violation.
+each rival rule's (literal story, repaired instance) pair from its
+``Rule.witnesses`` in ``RULES``.  For the two tie-break rules it asserts
+that the literal story, whose tie sits in a band the rule keeps tied, is
+not a violation, which pins those kept bands, and that the repaired
+instance is one.  For the other rival rules the literal story must be a
+violation.
 """
 
 import time
@@ -23,9 +24,7 @@ from critrank.aggregators import (
 )
 from critrank.axioms import (
     AXIOM_KINDS,
-    VARIANT_RULES,
-    VARIANT_TARGETS,
-    VARIANT_WITNESSES,
+    RULES,
     check_axiom,
     check_choice_equivalence,
     generate_instances,
@@ -179,10 +178,10 @@ def test_baseline_rule_satisfies_all_axioms(instance_batches):
 
 def test_rival_rules_break_exactly_their_axiom(instance_batches):
     checks = []
-    for variant in sorted(VARIANT_RULES):
-        rule = VARIANT_RULES[variant]
-        target = VARIANT_TARGETS[variant]
-        primary, adjusted = VARIANT_WITNESSES[variant]
+    for variant in sorted(name for name, rule in RULES.items() if rule.target is not None):
+        rule = RULES[variant]
+        target = rule.target
+        primary, adjusted = rule.witnesses
         if adjusted is None:
             checks.append(
                 (f"{variant}: {target} witness reported as a violation",

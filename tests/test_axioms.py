@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -8,15 +10,14 @@ from critrank.aggregators import (
     coarse_f2,
     indifference_rule,
     iis_rank,
+    iis_tiebreak_order,
     iis_tiebreak_tau,
 )
 from critrank.axioms import (
     AXIOM_KINDS,
     AxiomInstance,
     InvalidInstanceError,
-    VARIANT_RULES,
-    VARIANT_TARGETS,
-    VARIANT_WITNESSES,
+    RULES,
     axiom_independence_report,
     band_rule_ibs_witness,
     ceiling_rule_iws_witness,
@@ -153,11 +154,14 @@ class TestBaselineRulePassesEverything:
             assert result.checked >= 200
 
 
+RIVALS = sorted(name for name, rule in RULES.items() if rule.target is not None)
+
+
 class TestRivalRuleDiagonal:
-    @pytest.mark.parametrize("variant", sorted(VARIANT_RULES))
+    @pytest.mark.parametrize("variant", RIVALS)
     def test_designated_axiom_breaks_and_others_hold(self, variant):
-        rule = VARIANT_RULES[variant]
-        target = VARIANT_TARGETS[variant]
+        rule = RULES[variant]
+        target = rule.target
         hits = sum(
             sweep_axiom(rule, target, u, seed=3, count=150).violations
             for u in (3, 4))
@@ -174,11 +178,11 @@ class TestNamedWitnesses:
     def test_order_rule_keeps_ceiling_ties_in_the_literal_story(self):
         # the two tied alternatives sit at the ceiling depth, where the rule
         # keeps ties, so this celebrated instance is not actually a violation
-        verdict = check_axiom(VARIANT_RULES["iis-tb-order"], order_tiebreak_nt_witness())
+        verdict = check_axiom(RULES["iis-tb-order"], order_tiebreak_nt_witness())
         assert verdict.passed
 
     def test_order_rule_breaks_relabeling_on_an_interior_tie(self):
-        verdict = check_axiom(VARIANT_RULES["iis-tb-order"],
+        verdict = check_axiom(RULES["iis-tb-order"],
                               order_tiebreak_nt_witness_interior())
         assert not verdict.passed
 
@@ -208,11 +212,11 @@ class TestIndependenceReport:
         report = axiom_independence_report(universe_sizes=(3,), trials=40, seed=1)
         assert report.trials == 40
         by_name = {v.variant: v for v in report.variants}
-        assert set(by_name) == set(VARIANT_RULES)
+        assert set(by_name) == set(RIVALS)
         for name, variant in by_name.items():
-            assert variant.target_axiom == VARIANT_TARGETS[name]
+            assert variant.target_axiom == RULES[name].target
             assert variant.other_axioms_clean, name
-            primary, adjusted = VARIANT_WITNESSES[name]
+            primary, adjusted = RULES[name].witnesses
             if adjusted is None:
                 assert variant.witness_violated
                 assert variant.adjusted_witness_violated is None
@@ -220,6 +224,28 @@ class TestIndependenceReport:
                 # the literal stories defuse; the adjusted ones bite
                 assert not variant.witness_violated
                 assert variant.adjusted_witness_violated
+
+
+class TestRuleRegistry:
+    def test_order_rules_default_to_the_identity_order(self):
+        rule = RULES["iis-tb-order"]
+        state = order_tiebreak_nt_witness_interior().o1
+        assert rule(state) == iis_tiebreak_order(state, (0, 1, 2))
+        assert rule(state, (2, 1, 0)) == iis_tiebreak_order(state, (2, 1, 0))
+
+    def test_plain_rules_ignore_an_order(self):
+        state = order_tiebreak_nt_witness_interior().o1
+        assert RULES["iis"](state, (2, 1, 0)) == iis_rank(state)
+
+    def test_axiom_matrix_prints_one_row_per_rule(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_matrix.py"
+        spec = importlib.util.spec_from_file_location("axiom_matrix", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main(["--trials", "5", "--sizes", "3"])
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] in RULES]
+        assert rows == list(RULES)
 
 
 class TestChoiceEquivalence:

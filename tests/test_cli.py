@@ -132,6 +132,17 @@ class TestOpinionParsing:
         with pytest.raises(ValidationError, match="unknown alternative"):
             parse_opinion_state("alternatives: x y\nopinion {q} >= {y} : 1\n")
 
+    def test_duplicate_alternative_names(self, tmp_path, capsys):
+        text = "alternatives: a a b\nopinion {a} >= {b} : 1\n"
+        with pytest.raises(ValidationError, match="distinct"):
+            parse_opinion_state(text)
+        opinions = tmp_path / "ops.txt"
+        opinions.write_text(text)
+        assert main(["rank", "--rule", "iis", "--opinions", str(opinions)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "distinct" in captured.err
+
     def test_empty_subset(self):
         with pytest.raises(ValidationError, match="empty subset"):
             parse_opinion_state("alternatives: x y\nopinion {} >= {y} : 1\n")
@@ -228,6 +239,15 @@ class TestMainExitCodes:
                      "--rule", "iis-tb-order", "--order", "Copeland"]) == 2
         capsys.readouterr()
 
+    def test_order_with_a_rule_that_takes_none_is_exit_1(self, demo_files, capsys):
+        table, profile = demo_files
+        order = "Borda,Approval,Copeland,Dodgson,Maximin,Kemeny,Plurality"
+        assert main(["rank", "--table", table, "--profile", profile,
+                     "--rule", "iis", "--order", order]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rule iis takes no --order" in captured.err
+
     def test_usage_errors_are_exit_1(self, capsys):
         assert main([]) == 1
         assert main(["rank"]) == 1          # missing --rule
@@ -254,6 +274,28 @@ class TestMainExitCodes:
     def test_selftest_small(self, capsys):
         assert main(["selftest", "--trials", "25"]) == 0
         assert "result: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ("0", "-5", "many"))
+    def test_check_rejects_nonpositive_trials(self, trials, capsys):
+        assert main(["check", "--axiom", "nt", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "result" not in captured.out
+        assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("trials", ("0", "-3"))
+    def test_selftest_rejects_nonpositive_trials(self, trials, capsys):
+        assert main(["selftest", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "result" not in captured.out
+        assert "--trials" in captured.err
+
+    @pytest.mark.parametrize("axiom", ("iws", "ibs", "inui"))
+    def test_check_runs_at_64_alternatives(self, axiom, capsys):
+        assert main(["check", "--axiom", axiom, "--alternatives", "64",
+                     "--trials", "5"]) == 0
+        captured = capsys.readouterr()
+        assert "result: pass" in captured.out
+        assert captured.err == ""
 
 
 class TestMachineOutput:

@@ -16,7 +16,6 @@ from critrank.model import (
     quotient_order,
     ranking_from_scores,
     support_of,
-    support_vector,
 )
 
 from conftest import opinion_states
@@ -125,7 +124,7 @@ class TestSupport:
     def test_empty_state_supports_nothing(self):
         state = OpinionState(3, {})
         assert support_of(state, subset(3, 0)) == 0
-        assert support_vector(state).support == {}
+        assert state.support_map == {}
 
     def test_rows_sum_over_all_partners(self):
         s, t, u = subset(3, 0), subset(3, 1), subset(3, 2)

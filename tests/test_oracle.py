@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 from random import Random
 
@@ -13,8 +14,10 @@ from critrank.aggregators import (
     support_rank,
     class_count_vector,
 )
+from critrank.axioms import RULES, Rule
 from critrank.model import (
     AltSubset,
+    Ranking,
     OpinionState,
     ValidationError,
     e_scores,
@@ -136,6 +139,29 @@ class TestDifferentialSweep:
         a = differential_sweep(3, 50, 9)
         b = differential_sweep(3, 50, 9)
         assert a == b
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_a_wrong_rule_is_named(self, name, monkeypatch):
+        rule = RULES[name]
+
+        def wrong(state, *order):
+            classes = rule.rank(state, *order).classes
+            if len(classes) == 1:
+                return Ranking(tuple((x,) for x in classes[0]))
+            return Ranking(classes[1:] + classes[:1])
+
+        monkeypatch.setitem(RULES, name, replace(rule, rank=wrong))
+        report = differential_sweep(3, 10, 0)
+        assert report.mismatches == 10
+        for detail in report.details:
+            named = [p for p in detail.split(": ", 1)[1].split(", ")
+                     if p.startswith("ranking-")]
+            assert named == [f"ranking-{name}"], detail
+
+    def test_a_rule_without_dense_counterpart_fails_loudly(self, monkeypatch):
+        monkeypatch.setitem(RULES, "unmatched", Rule("unmatched", iis_rank))
+        with pytest.raises(LookupError, match="unmatched"):
+            differential_sweep(3, 1, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(opinion_states())
