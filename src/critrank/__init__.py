@@ -52,20 +52,6 @@ from .choice import (
     nurmi_first,
     nurmi_second,
 )
-from .cli import (
-    ParseError,
-    RunConfig,
-    format_criterion_table,
-    format_opinion_state,
-    format_profile,
-    format_ranking,
-    format_subset,
-    main,
-    parse_criterion_table,
-    parse_opinion_state,
-    parse_profile,
-    run,
-)
 from .model import (
     AltSubset,
     CriterionTable,

@@ -23,6 +23,7 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
+    column_sums,
     iter_bits,
     ranking_from_scores,
     score_groups,
@@ -61,17 +62,15 @@ def _class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
     q = state.quotient
     n = state.universe
     rows = [[0] * q.depth for _ in range(n)]
-    explicit_containing = [0] * n
     for col, cls_ in enumerate(q.classes):
         for s in cls_.members:
             for i in iter_bits(s.mask):
                 rows[i][col] += 1
-                explicit_containing[i] += 1
     if q.residual_present:
         # Each alternative lies in 2**(n-1) subsets of the universe overall.
         half = 1 << (n - 1)
-        for i in range(n):
-            rows[i][-1] = half - explicit_containing[i]
+        for row in rows:
+            row[-1] = half - sum(row)
     return [tuple(r) for r in rows]
 
 
@@ -95,11 +94,8 @@ def iis_rank(state: OpinionState) -> Ranking[int]:
 
 def support_rank(state: OpinionState) -> Ranking[int]:
     """Rank by the summed support of every subset containing the alternative."""
-    totals = [0] * state.universe
-    for s, v in state.support_map.items():
-        for i in iter_bits(s.mask):
-            totals[i] += v
-    return ranking_from_scores({x: totals[x] for x in range(state.universe)})
+    totals = column_sums(state.universe, ((s.mask, v) for s, v in state.support_map.items()))
+    return ranking_from_scores(dict(enumerate(totals)))
 
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:

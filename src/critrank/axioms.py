@@ -23,6 +23,7 @@ excellence-score clamping.
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
 
 from .aggregators import (
@@ -46,6 +47,7 @@ from .model import (
     Ranking,
     ValidationError,
     class_union_intersection,
+    column_sums,
     iter_bits,
 )
 
@@ -104,17 +106,14 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     return OpinionState(state.universe, entries)
 
 
+def _class_mask_lists(state: OpinionState) -> list[frozenset[int]]:
+    return [frozenset(s.mask for s in c.members) for c in state.quotient.classes]
+
+
 # A quotient as a comparable list of classes: a frozenset of masks per
 # explicit class, None for the trailing residual class.
-_ClassItem = "frozenset[int] | None"
-
-
 def _full_classes(state: OpinionState) -> list:
-    q = state.quotient
-    items: list = [frozenset(s.mask for s in c.members) for c in q.classes]
-    if q.residual_present:
-        items.append(None)
-    return items
+    return _class_mask_lists(state) + ([None] if state.quotient.residual_present else [])
 
 
 def _explicit_union(state: OpinionState) -> frozenset[int]:
@@ -312,10 +311,6 @@ def _state_from_class_masks(universe: int, class_masks: Sequence[Iterable[int]])
         for m in masks:
             support[AltSubset(m, universe)] = len(blocks) - idx
     return OpinionState.from_support(universe, support)
-
-
-def _class_mask_lists(state: OpinionState) -> list[frozenset[int]]:
-    return [frozenset(s.mask for s in c.members) for c in state.quotient.classes]
 
 
 def _sample_residual_masks(rng: Random, universe: int, taken: frozenset[int],
@@ -717,19 +712,19 @@ def random_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
     top = (1 << universe) - 1
     if n_criteria > top:
         raise ValidationError("more criteria requested than distinct nonempty subsets")
-    masks = _distinct_masks(rng, top, n_criteria)
+    return _table_from_masks(universe, _distinct_masks(rng, top, n_criteria))
+
+
+def _table_from_masks(universe: int, masks: Sequence[int]) -> CriterionTable:
+    """Alternatives x0, x1, ... and criteria c1, c2, ... satisfied by ``masks``."""
     alternatives = tuple(f"x{i}" for i in range(universe))
-    criteria = tuple(f"c{j + 1}" for j in range(n_criteria))
+    criteria = tuple(f"c{j + 1}" for j in range(len(masks)))
     tr = {c: AltSubset(m, universe) for c, m in zip(criteria, masks)}
     return CriterionTable(alternatives, criteria, tr)
 
 
 def _columns_constant(masks: Iterable[int], universe: int) -> bool:
-    counts = [0] * universe
-    for m in masks:
-        for i in iter_bits(m):
-            counts[i] += 1
-    return len(set(counts)) == 1
+    return len(set(column_sums(universe, zip(masks, repeat(1))))) == 1
 
 
 def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
@@ -742,22 +737,15 @@ def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> Crite
     else:
         # fallback: complement pairs cover every alternative exactly once per
         # pair, and the full set once more when the count is odd
-        while True:
-            masks_set: set[int] = {top} if n_criteria % 2 else set()
-            while len(masks_set) < n_criteria:
-                b = rng.randint(1, top - 1)
-                if b in masks_set or (top ^ b) in masks_set:
-                    continue
-                if len(masks_set) + 2 > n_criteria:
-                    continue
-                masks_set.add(b)
-                masks_set.add(top ^ b)
-            masks = sorted(masks_set)
-            break
-    alternatives = tuple(f"x{i}" for i in range(universe))
-    criteria = tuple(f"c{j + 1}" for j in range(n_criteria))
-    tr = {c: AltSubset(m, universe) for c, m in zip(criteria, masks)}
-    return CriterionTable(alternatives, criteria, tr)
+        masks_set: set[int] = {top} if n_criteria % 2 else set()
+        while len(masks_set) < n_criteria:
+            b = rng.randint(1, top - 1)
+            if b in masks_set or (top ^ b) in masks_set:
+                continue
+            masks_set.add(b)
+            masks_set.add(top ^ b)
+        masks = sorted(masks_set)
+    return _table_from_masks(universe, masks)
 
 
 def random_profile(rng: Random, table: CriterionTable, n_voters: int) -> PreferenceProfile:
@@ -780,11 +768,5 @@ def trailing_merge_sequence(state: OpinionState) -> list[OpinionState]:
     alternatives scoring within the kept prefix are untouched.
     """
     classes = _class_mask_lists(state)
-    out = []
-    for keep in range(len(classes), -1, -1):
-        support: dict[AltSubset, int] = {}
-        for idx in range(keep):
-            for m in classes[idx]:
-                support[AltSubset(m, state.universe)] = keep - idx
-        out.append(OpinionState.from_support(state.universe, support))
-    return out
+    return [_state_from_class_masks(state.universe, classes[:keep])
+            for keep in range(len(classes), -1, -1)]

@@ -16,6 +16,7 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
+    column_sums,
     iter_bits,
     ranking_from_scores,
 )
@@ -44,10 +45,7 @@ def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) ->
     for pos in profile.positions:
         for c, p in pos.items():
             scores[c] += m - p
-    alt = [0] * table.universe
-    for c, score in scores.items():
-        for i in iter_bits(table.tr[c].mask):
-            alt[i] += score
+    alt = column_sums(table.universe, ((table.tr[c].mask, score) for c, score in scores.items()))
     return BordaTally(scores, tuple(alt))
 
 

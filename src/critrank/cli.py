@@ -76,19 +76,37 @@ def _split_directive(lineno: int, line: str) -> tuple[list[str], str]:
     return head.split(), body.strip()
 
 
+def _alternatives_header(lineno: int, body: str, previous: tuple[str, ...] | None
+                         ) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The names on an 'alternatives:' line, and each name's bit."""
+    if previous is not None:
+        raise ParseError(f"line {lineno}: second 'alternatives:' header")
+    names = tuple(body.split())
+    bits = {name: 1 << i for i, name in enumerate(names)}
+    if len(bits) != len(names):
+        raise ValidationError(f"line {lineno}: alternative names must be distinct")
+    return names, bits
+
+
+def _members_mask(bits: dict[str, int], members: list[str], where: str) -> int:
+    mask = 0
+    for name in members:
+        if name not in bits:
+            raise ValidationError(f"{where} unknown alternative '{name}'")
+        mask |= bits[name]
+    return mask
+
+
 def parse_criterion_table(text: str) -> CriterionTable:
     """Read an alternatives header plus one satisfier line per criterion."""
     alternatives: tuple[str, ...] | None = None
-    index: dict[str, int] = {}
+    bits: dict[str, int] = {}
     criteria: list[str] = []
     tr: dict[str, AltSubset] = {}
     for lineno, line in _content_lines(text):
         head, body = _split_directive(lineno, line)
         if head == ["alternatives"]:
-            if alternatives is not None:
-                raise ParseError(f"line {lineno}: second 'alternatives:' header")
-            alternatives = tuple(body.split())
-            index = {name: i for i, name in enumerate(alternatives)}
+            alternatives, bits = _alternatives_header(lineno, body, alternatives)
         elif len(head) == 2 and head[0] == "criterion":
             if alternatives is None:
                 raise ParseError(
@@ -96,16 +114,12 @@ def parse_criterion_table(text: str) -> CriterionTable:
             name = head[1]
             if name in tr:
                 raise ParseError(f"line {lineno}: criterion '{name}' listed twice")
-            members = []
-            for alt in body.split():
-                if alt not in index:
-                    raise ValidationError(
-                        f"criterion '{name}' references unknown alternative '{alt}'")
-                members.append(index[alt])
+            members = body.split()
             if not members:
                 raise ValidationError(f"criterion '{name}' is satisfied by nothing")
+            mask = _members_mask(bits, members, f"criterion '{name}' references")
             criteria.append(name)
-            tr[name] = AltSubset.from_indices(len(alternatives), members)
+            tr[name] = AltSubset(mask, len(alternatives))
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
     if alternatives is None:
@@ -153,30 +167,21 @@ _OPINION_RE = re.compile(
 def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     """Read raw opinion counts; returns the alternative names and the state."""
     names: tuple[str, ...] | None = None
-    index: dict[str, int] = {}
+    bits: dict[str, int] = {}
     entries: dict[tuple[AltSubset, AltSubset], int] = {}
 
     def subset(lineno: int, inner: str) -> AltSubset:
-        assert names is not None
         members = [part.strip() for part in inner.split(",") if part.strip()]
         if not members:
             raise ValidationError(f"line {lineno}: empty subset in opinion")
-        for m in members:
-            if m not in index:
-                raise ValidationError(f"line {lineno}: unknown alternative '{m}'")
-        return AltSubset.from_indices(len(names), (index[m] for m in members))
+        return AltSubset(_members_mask(bits, members, f"line {lineno}:"), len(bits))
 
     for lineno, line in _content_lines(text):
         if line.startswith("alternatives"):
             head, body = _split_directive(lineno, line)
             if head != ["alternatives"]:
                 raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
-            if names is not None:
-                raise ParseError(f"line {lineno}: second 'alternatives:' header")
-            names = tuple(body.split())
-            index = {name: i for i, name in enumerate(names)}
-            if len(index) != len(names):
-                raise ValidationError(f"line {lineno}: alternative names must be distinct")
+            names, bits = _alternatives_header(lineno, body, names)
         elif line.startswith("opinion"):
             if names is None:
                 raise ParseError(
@@ -338,8 +343,7 @@ def _parse_order(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
     if sorted(parts) != sorted(names):
         raise ValidationError(
             "--order must list every alternative exactly once, comma separated")
-    index = {name: i for i, name in enumerate(names)}
-    return tuple(index[p] for p in parts)
+    return tuple(names.index(p) for p in parts)
 
 
 def _cmd_rank(config: RunConfig) -> int:
@@ -611,20 +615,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    config = RunConfig(
-        command=ns.command,
-        table=getattr(ns, "table", None),
-        profile=getattr(ns, "profile", None),
-        opinions=getattr(ns, "opinions", None),
-        method=getattr(ns, "method", None),
-        rule=getattr(ns, "rule", None),
-        axiom=getattr(ns, "axiom", None),
-        order=getattr(ns, "order", None),
-        trials=getattr(ns, "trials", 1000),
-        seed=ns.seed,
-        alternatives=getattr(ns, "alternatives", 4),
-        fmt=ns.fmt,
-    )
+    config = RunConfig(**vars(ns))
     return run(config)
 
 

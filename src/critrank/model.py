@@ -18,6 +18,7 @@ functions, so values can be shared freely across threads.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Generic, Hashable, TypeVar
 
 MAX_UNIVERSE = 64
@@ -42,6 +43,18 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def column_sums(universe: int, weighted_masks: Iterable[tuple[int, int]]) -> list[int]:
+    """Per alternative, the summed weight of the masks containing it."""
+    sums = [0] * universe
+    for mask, weight in weighted_masks:
+        # iter_bits inlined: this loop is the hot path of every count
+        while mask:
+            low = mask & -mask
+            sums[low.bit_length() - 1] += weight
+            mask ^= low
+    return sums
 
 
 @dataclass(frozen=True)
@@ -141,20 +154,14 @@ class CriterionTable:
     def alt_names(self, subset: AltSubset) -> tuple[str, ...]:
         return tuple(self.alternatives[i] for i in subset.indices)
 
-    def subset_of(self, names: Iterable[str]) -> AltSubset:
-        return AltSubset.from_indices(self.universe, (self.alt_index(n) for n in names))
-
     def criterion_for(self, subset: AltSubset) -> str | None:
         """Inverse of ``tr`` where defined: the criterion with this exact set."""
         return self._by_mask.get(subset.mask)
 
     def satisfied_counts(self) -> tuple[int, ...]:
         """How many criteria each alternative satisfies."""
-        counts = [0] * self.universe
-        for c in self.criteria:
-            for i in iter_bits(self.tr[c].mask):
-                counts[i] += 1
-        return tuple(counts)
+        masks = (self.tr[c].mask for c in self.criteria)
+        return tuple(column_sums(self.universe, zip(masks, repeat(1))))
 
     def is_symmetric(self) -> bool:
         """True when every alternative satisfies the same number of criteria."""
@@ -337,37 +344,29 @@ def quotient_order(state: OpinionState) -> QuotientOrder:
 def _residual_intersection_mask(q: QuotientOrder) -> int:
     # x lies in every residual subset exactly when every subset missing x is
     # explicit.  There are 2**(universe-1) - 1 nonempty subsets missing x, so
-    # compare that to the count of explicit subsets missing x.
+    # all but that many explicit subsets must contain x.
     if not q.residual_present:
         raise ValidationError("no residual class to intersect")
-    needed = (1 << (q.universe - 1)) - 1
-    explicit = 0
-    containing = [0] * q.universe
-    for cls_ in q.classes:
-        explicit += len(cls_.members)
-        for s in cls_.members:
-            for i in iter_bits(s.mask):
-                containing[i] += 1
+    needed = sum(len(cls_.members) for cls_ in q.classes) - ((1 << (q.universe - 1)) - 1)
+    if needed < 0:  # too few explicit subsets: skip the count
+        return 0
+    masks = (s.mask for cls_ in q.classes for s in cls_.members)
     mask = 0
-    for x in range(q.universe):
-        if explicit - containing[x] == needed:
+    for x, containing in enumerate(column_sums(q.universe, zip(masks, repeat(1)))):
+        if containing == needed:
             mask |= 1 << x
     return mask
 
 
 def class_union_intersection(q: QuotientOrder, k: int) -> frozenset[int]:
-    """Alternatives lying in every subset of the top ``k`` classes."""
+    """Alternatives lying in every subset of the top ``k`` classes.
+
+    The running intersections are nested, so x lies in the top-k one
+    exactly when its excellence score reaches k.
+    """
     if not isinstance(k, int) or not 1 <= k <= q.depth:
         raise ValidationError(f"class depth {k!r} out of range [1, {q.depth}]")
-    inter = (1 << q.universe) - 1
-    for cls_ in q.classes[:k]:
-        for s in cls_.members:
-            inter &= s.mask
-        if not inter:
-            return frozenset()
-    if k == q.depth and q.residual_present:
-        inter &= _residual_intersection_mask(q)
-    return frozenset(iter_bits(inter))
+    return frozenset(x for x, e in enumerate(_e_scores_from_quotient(q)) if e >= k)
 
 
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
@@ -444,11 +443,6 @@ class Ranking(Generic[L]):
     @property
     def top(self) -> tuple[L, ...]:
         return self.classes[0]
-
-    def relabel(self, mapping) -> "Ranking":
-        """Apply a callable or mapping to every label, keeping the shape."""
-        get = mapping.__getitem__ if hasattr(mapping, "__getitem__") else mapping
-        return Ranking(tuple(tuple(get(label) for label in cls_) for cls_ in self.classes))
 
 
 def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:

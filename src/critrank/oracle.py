@@ -9,13 +9,13 @@ authority, the sparse path is the accused.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .aggregators import class_count_vector
 from .axioms import RULES, random_state, random_support_state
 from .model import (
     OpinionState,
-    Ranking,
     ValidationError,
     class_union_intersection,
 )
@@ -29,7 +29,10 @@ def _indices(mask: int, universe: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class DenseState:
-    """Support of every nonempty subset, in mask order (mask 1 first)."""
+    """Support of every nonempty subset, in mask order (mask 1 first).
+
+    The classes and top intersections are enumerated once per state.
+    """
 
     universe: int
     support: tuple[int, ...]
@@ -50,26 +53,32 @@ class DenseState:
             support[s.mask - 1] += count
         return cls(state.universe, tuple(support))
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, tuple[frozenset[int], ...]], ...]:
+        by_value: dict[int, list[frozenset[int]]] = {}
+        for mask in range(1, 1 << self.universe):
+            by_value.setdefault(self.support[mask - 1], []).append(
+                _indices(mask, self.universe))
+        return tuple((v, tuple(by_value[v])) for v in sorted(by_value, reverse=True))
+
+    @cached_property
+    def _top_intersections(self) -> tuple[frozenset[int], ...]:
+        out = []
+        union: list[frozenset[int]] = []
+        for _value, members in self._classes:
+            union += members
+            out.append(frozenset(range(self.universe)).intersection(*union))
+        return tuple(out)
+
 
 def dense_classes(d: DenseState) -> list[tuple[int, list[frozenset[int]]]]:
     """Every equal-support class, strongest first, zero-support class included."""
-    by_value: dict[int, list[frozenset[int]]] = {}
-    for mask in range(1, 1 << d.universe):
-        by_value.setdefault(d.support[mask - 1], []).append(_indices(mask, d.universe))
-    return [(v, by_value[v]) for v in sorted(by_value, reverse=True)]
+    return [(v, list(members)) for v, members in d._classes]
 
 
 def dense_top_intersections(d: DenseState) -> list[frozenset[int]]:
     """Intersection of the union of the top k classes, for every depth k."""
-    out = []
-    union: list[frozenset[int]] = []
-    for _value, members in dense_classes(d):
-        union = union + members
-        inter = frozenset(range(d.universe))
-        for subset in union:
-            inter = inter & subset
-        out.append(inter)
-    return out
+    return list(d._top_intersections)
 
 
 def dense_e_score(d: DenseState, x: int) -> int:
@@ -77,7 +86,7 @@ def dense_e_score(d: DenseState, x: int) -> int:
     if not 0 <= x < d.universe:
         raise ValidationError(f"alternative index {x!r} out of range")
     best = 0
-    for k, inter in enumerate(dense_top_intersections(d), start=1):
+    for k, inter in enumerate(d._top_intersections, start=1):
         if x in inter:
             best = k
     return best
@@ -98,7 +107,7 @@ def dense_support_totals(d: DenseState) -> tuple[int, ...]:
 
 def dense_class_counts(d: DenseState, x: int) -> tuple[int, ...]:
     return tuple(sum(1 for subset in members if x in subset)
-                 for _value, members in dense_classes(d))
+                 for _value, members in d._classes)
 
 
 def _partition_desc(scores: dict[int, object]) -> tuple[tuple[int, ...], ...]:

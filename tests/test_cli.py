@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import critrank
 from critrank.cli import (
     DEMO_PROFILE_TEXT,
     DEMO_TABLE_TEXT,
@@ -53,6 +59,10 @@ class TestTableParsing:
     def test_empty_satisfier_set_rejected(self):
         with pytest.raises(ValidationError, match="satisfied by nothing"):
             parse_criterion_table("alternatives: a b c\ncriterion k:\n")
+
+    def test_duplicate_alternative_names(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            parse_criterion_table("alternatives: a a b\ncriterion k: a\n")
 
     def test_equivalent_criteria_name_both(self):
         text = "alternatives: a b c\ncriterion j: a b\ncriterion k: b a\n"
@@ -196,6 +206,17 @@ class TestMainExitCodes:
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "demo: ok" in out
+
+    def test_module_run_prints_nothing_to_stderr(self):
+        src = str(Path(critrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "critrank.cli", "demo", "--format", "lines"],
+            capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "status=ok" in done.stdout
 
     def test_choose_both_methods(self, demo_files, capsys):
         table, profile = demo_files

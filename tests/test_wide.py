@@ -1,0 +1,99 @@
+"""Sparse identities at 60 to 64 alternatives, beyond the oracle's reach.
+
+The brute-force oracle stops at 5 alternatives, so these states are checked
+against plain per-subset formulas instead of enumeration.  Each state holds
+a few hundred explicit subsets in a handful of support classes; the subsets
+of a class are supersets of a core, and the cores are nested, so the
+running intersection survives several classes before it dies.
+"""
+
+from functools import reduce
+from operator import and_
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from critrank.aggregators import class_count_vector, support_rank
+from critrank.cli import format_opinion_state, parse_opinion_state
+from critrank.model import (
+    AltSubset,
+    OpinionState,
+    class_union_intersection,
+    column_sums,
+    iter_bits,
+    ranking_from_scores,
+)
+
+
+def nested_core_support(rng: Random, universe: int, n_subsets: int,
+                        n_values: int) -> dict[int, int]:
+    """mask -> support; class j holds supersets of the j-th nested core."""
+    top = (1 << universe) - 1
+    core = top
+    support: dict[int, int] = {}
+    for value in range(n_values, 0, -1):
+        core &= rng.getrandbits(universe) | rng.getrandbits(universe)
+        for _ in range(n_subsets // n_values):
+            mask = (core | rng.getrandbits(universe)) & top
+            support.setdefault(mask or 1, value)
+    return support
+
+
+@st.composite
+def wide_states(draw, min_universe: int = 60, max_universe: int = 64):
+    universe = draw(st.integers(min_universe, max_universe))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    support = nested_core_support(rng, universe, draw(st.integers(1, 400)),
+                                  draw(st.integers(1, 8)))
+    # the top bit alone and the full set are the mask edge cases
+    top_bit = 1 << (universe - 1)
+    for mask in (top_bit, (top_bit << 1) - 1):
+        if draw(st.booleans()):
+            support.setdefault(mask, 1)
+    return OpinionState.from_support(
+        universe, {AltSubset(m, universe): v for m, v in support.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_states())
+def test_prefix_intersection_is_a_plain_and_of_the_top_classes(state):
+    q = state.quotient
+    top = (1 << state.universe) - 1
+    for k in range(1, len(q.classes) + 1):
+        plain = reduce(and_, (s.mask for c in q.classes[:k] for s in c.members), top)
+        assert class_union_intersection(q, k) == frozenset(iter_bits(plain))
+    # a few hundred explicit subsets leave singletons in the residual
+    assert class_union_intersection(q, q.depth) == frozenset()
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_states())
+def test_support_column_sums_match_per_subset_sums(state):
+    support = state.support_map
+    sums = column_sums(state.universe, ((s.mask, v) for s, v in support.items()))
+    assert sums == [sum(v for s, v in support.items() if x in s)
+                    for x in range(state.universe)]
+    assert support_rank(state) == ranking_from_scores(dict(enumerate(sums)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_states(), st.data())
+def test_residual_column_complements_the_explicit_count(state, data):
+    n = state.universe
+    for x in (0, data.draw(st.integers(0, n - 1)), n - 1):
+        row = class_count_vector(state, x)
+        explicit = sum(1 for s in state.support_map if x in s)
+        assert sum(row[:-1]) == explicit
+        assert row[-1] == 2 ** (n - 1) - explicit
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_states(min_universe=64), st.integers(1, 5))
+def test_opinion_file_round_trip_keeps_bit_63(state, count):
+    entries = dict(state.entries)
+    high, full = AltSubset(1 << 63, 64), AltSubset((1 << 64) - 1, 64)
+    entries[(high, full)] = entries.get((high, full), 0) + count
+    state = OpinionState(64, entries)
+    names = tuple(f"a{i}" for i in range(64))
+    assert parse_opinion_state(format_opinion_state(names, state)) == (names, state)
