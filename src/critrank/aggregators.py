@@ -63,8 +63,8 @@ def _class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
     n = state.universe
     rows = [[0] * q.depth for _ in range(n)]
     for col, cls_ in enumerate(q.classes):
-        for s in cls_.members:
-            for i in iter_bits(s.mask):
+        for mask in cls_.members:
+            for i in iter_bits(mask):
                 rows[i][col] += 1
     if q.residual_present:
         # Each alternative lies in 2**(n-1) subsets of the universe overall.
@@ -94,7 +94,7 @@ def iis_rank(state: OpinionState) -> Ranking[int]:
 
 def support_rank(state: OpinionState) -> Ranking[int]:
     """Rank by the summed support of every subset containing the alternative."""
-    totals = column_sums(state.universe, ((s.mask, v) for s, v in state.support_map.items()))
+    totals = column_sums(state.universe, state.support_map.items())
     return ranking_from_scores(dict(enumerate(totals)))
 
 

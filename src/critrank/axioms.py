@@ -66,15 +66,15 @@ class AxiomInstance:
 
     ``kind`` selects the axiom; ``o2`` carries the restructured state for
     the two-state axioms, ``permutation`` the relabeling for neutrality,
-    and ``promoted`` the subfamily whose support was raised for the
-    non-unanimous-improvement axiom.
+    and ``promoted`` the subfamily (as masks) whose support was raised for
+    the non-unanimous-improvement axiom.
     """
 
     kind: str
     o1: OpinionState
     o2: OpinionState | None = None
     permutation: tuple[int, ...] | None = None
-    promoted: frozenset[AltSubset] | None = None
+    promoted: frozenset[int] | None = None
 
 
 def _check_permutation(pi: Sequence[int], universe: int) -> None:
@@ -106,33 +106,26 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     return OpinionState(state.universe, entries)
 
 
-def _class_mask_lists(state: OpinionState) -> list[frozenset[int]]:
-    return [frozenset(s.mask for s in c.members) for c in state.quotient.classes]
-
-
 # A quotient as a comparable list of classes: a frozenset of masks per
 # explicit class, None for the trailing residual class.
 def _full_classes(state: OpinionState) -> list:
-    return _class_mask_lists(state) + ([None] if state.quotient.residual_present else [])
-
-
-def _explicit_union(state: OpinionState) -> frozenset[int]:
-    return frozenset(s.mask for c in state.quotient.classes for s in c.members)
+    q = state.quotient
+    return [c.members for c in q.classes] + ([None] if q.residual_present else [])
 
 
 def _residual_equals_masks(residual_state: OpinionState, masks: frozenset[int]) -> bool:
     # The residual is the complement of the explicit subsets, so it equals a
     # given family iff the family is disjoint from the explicit subsets and
     # the sizes add up to the whole subset space.
-    union = _explicit_union(residual_state)
-    if masks & union:
+    explicit = residual_state.support_map.keys()
+    if not masks.isdisjoint(explicit):
         return False
-    return len(masks) + len(union) == (1 << residual_state.universe) - 1
+    return len(masks) + len(explicit) == (1 << residual_state.universe) - 1
 
 
 def _classes_equal(state_a: OpinionState, item_a, state_b: OpinionState, item_b) -> bool:
     if item_a is None and item_b is None:
-        return _explicit_union(state_a) == _explicit_union(state_b)
+        return state_a.support_map.keys() == state_b.support_map.keys()
     if item_a is None:
         return _residual_equals_masks(state_a, item_b)
     if item_b is None:
@@ -188,10 +181,10 @@ def validate_instance(inst: AxiomInstance) -> None:
     elif inst.kind == "wivip":
         _require(inst.o1.quotient.depth == 2, "state must have exactly two support classes")
     elif inst.kind == "inui":
-        _require(bool(inst.promoted), "promoted family must be nonempty")
-        for s in inst.promoted:
-            _require(s.universe == u, "promoted subsets must live in the state's universe")
-        masks = frozenset(s.mask for s in inst.promoted)
+        masks = inst.promoted
+        _require(bool(masks), "promoted family must be nonempty")
+        _require(all(0 < m < 1 << u for m in masks),
+                 "promoted subsets must live in the state's universe")
         f1 = _full_classes(inst.o1)
         f2 = _full_classes(inst.o2)
         at = next((i for i, item in enumerate(f1) if item is not None and masks <= item), None)
@@ -249,8 +242,8 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
         return AxiomVerdict(kind, True)
     # inui: pairs outside the promoted family's intersection must stand as before
     inter = (1 << u) - 1
-    for s in inst.promoted:
-        inter &= s.mask
+    for m in inst.promoted:
+        inter &= m
     qualifying = [z for z in range(u) if not inter >> z & 1]
     r1 = agg(inst.o1)
     r2 = agg(inst.o2)
@@ -299,17 +292,17 @@ def random_support_state(rng: Random, universe: int, max_subsets: int = 8,
     top = (1 << universe) - 1
     n = rng.randint(0, min(max_subsets, top))
     masks = _distinct_masks(rng, top, n)
-    support = {AltSubset(m, universe): rng.randint(1, max_value) for m in masks}
+    support = {m: rng.randint(1, max_value) for m in masks}
     return OpinionState.from_support(universe, support)
 
 
 def _state_from_class_masks(universe: int, class_masks: Sequence[Iterable[int]]) -> OpinionState:
     """Realize an explicit class list (strongest first) as a state."""
     blocks = [list(masks) for masks in class_masks]
-    support: dict[AltSubset, int] = {}
+    support: dict[int, int] = {}
     for idx, masks in enumerate(blocks):
         for m in masks:
-            support[AltSubset(m, universe)] = len(blocks) - idx
+            support[m] = len(blocks) - idx
     return OpinionState.from_support(universe, support)
 
 
@@ -355,14 +348,14 @@ def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
         # single class: the worst class is the whole family, so any state
         # realizes a restructuring of it
         return AxiomInstance("iws", o1, random_support_state(rng, universe))
-    classes = _class_mask_lists(o1)
+    classes = [c.members for c in o1.quotient.classes]
     if o1.quotient.residual_present:
         taken = frozenset().union(*classes) if classes else frozenset()
         extra = _sample_residual_masks(rng, universe, taken, rng.randint(0, 4))
         blocks = _chunk(rng, extra, rng.randint(1, 3)) if extra else []
         new_classes = classes + [b for b in blocks if b]
     else:
-        last = list(classes[-1])
+        last = sorted(classes[-1])
         blocks = _chunk(rng, last, rng.randint(1, min(3, len(last))))
         if len(blocks) > 1 and rng.random() < 0.3:
             blocks = blocks[:-1]  # tail block drops to support zero
@@ -376,8 +369,8 @@ def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
         if o1.quotient.depth > 1:
             o1 = OpinionState(universe, {})
         return AxiomInstance("ibs", o1, random_support_state(rng, universe))
-    classes = _class_mask_lists(o1)
-    first = list(classes[0])
+    classes = [c.members for c in o1.quotient.classes]
+    first = sorted(classes[0])
     blocks = _chunk(rng, first, rng.randint(1, min(3, len(first))))
     return AxiomInstance("ibs", o1,
                          _state_from_class_masks(universe, blocks + classes[1:]))
@@ -390,8 +383,8 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
         masks = list(range(1, top + 1))
         rng.shuffle(masks)
         cut = rng.randint(1, top - 1)
-        support = {AltSubset(m, universe): 2 for m in masks[:cut]}
-        support.update({AltSubset(m, universe): 1 for m in masks[cut:]})
+        support = {m: 2 for m in masks[:cut]}
+        support.update({m: 1 for m in masks[cut:]})
         return AxiomInstance("wivip", OpinionState.from_support(universe, support))
     if rng.random() < 0.6:
         # bias toward a nonempty intersection so the axiom has bite
@@ -402,14 +395,14 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
     value = rng.randint(1, 5)
     if len(picked) == top:
         picked.pop()  # keep the residual class nonempty
-    support = {AltSubset(m, universe): value for m in picked}
+    support = {m: value for m in picked}
     return AxiomInstance("wivip", OpinionState.from_support(universe, support))
 
 
 def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
     for _ in range(40):
         o1 = random_support_state(rng, universe)
-        classes = _class_mask_lists(o1)
+        classes = [c.members for c in o1.quotient.classes]
         last_ok = len(classes) if o1.quotient.residual_present else len(classes) - 1
         eligible = [i for i in range(last_ok) if len(classes[i]) >= 2]
         if not eligible:
@@ -428,9 +421,8 @@ def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
         if delta is None:
             continue
         new_classes = classes[:at] + [delta, classes[at] - delta] + classes[at + 1:]
-        return AxiomInstance(
-            "inui", o1, _state_from_class_masks(universe, new_classes),
-            promoted=frozenset(AltSubset(m, universe) for m in delta))
+        return AxiomInstance("inui", o1, _state_from_class_masks(universe, new_classes),
+                             promoted=delta)
     return None
 
 
@@ -499,7 +491,7 @@ def order_tiebreak_nt_witness() -> AxiomInstance:
     keeps tied, so the rule as defined reports no violation here; the
     interior-tie variant below is the one the rule actually fails.
     """
-    o1 = OpinionState.from_support(3, {AltSubset(0b011, 3): 2, AltSubset(0b111, 3): 1})
+    o1 = OpinionState.from_support(3, {0b011: 2, 0b111: 1})
     pi = (1, 0, 2)
     return AxiomInstance("nt", o1, permute_state(o1, pi), permutation=pi)
 
@@ -510,7 +502,7 @@ def order_tiebreak_nt_witness_interior() -> AxiomInstance:
     Both supported subsets are fixed by the swap, so both states rank by the
     same exogenous order while the relabeling demands the opposite pair.
     """
-    o1 = OpinionState.from_support(3, {AltSubset(0b011, 3): 2, AltSubset(0b100, 3): 1})
+    o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
     pi = (1, 0, 2)
     return AxiomInstance("nt", o1, permute_state(o1, pi), permutation=pi)
 
@@ -522,14 +514,9 @@ def tau_tiebreak_inui_witness() -> AxiomInstance:
     leaves untouched, so the rule as defined reports no violation here; the
     positively scored variant below is the one the rule actually fails.
     """
-    u = 3
-    o1 = OpinionState.from_support(
-        u, {AltSubset(m, u): 1 for m in (0b001, 0b101, 0b010, 0b110)})
-    delta = frozenset(AltSubset(m, u) for m in (0b101, 0b010, 0b110))
-    o2 = OpinionState.from_support(
-        u, {AltSubset(0b101, u): 2, AltSubset(0b010, u): 2, AltSubset(0b110, u): 2,
-            AltSubset(0b001, u): 1})
-    return AxiomInstance("inui", o1, o2, promoted=delta)
+    o1 = OpinionState.from_support(3, {0b001: 1, 0b101: 1, 0b010: 1, 0b110: 1})
+    o2 = OpinionState.from_support(3, {0b101: 2, 0b010: 2, 0b110: 2, 0b001: 1})
+    return AxiomInstance("inui", o1, o2, promoted=frozenset({0b101, 0b010, 0b110}))
 
 
 def tau_tiebreak_inui_witness_scored() -> AxiomInstance:
@@ -539,37 +526,30 @@ def tau_tiebreak_inui_witness_scored() -> AxiomInstance:
     running totals compare the other way around, flipping a strict outcome
     the promotion was not allowed to touch.
     """
-    u = 4
     o1 = OpinionState.from_support(
-        u, {AltSubset(0b0011, u): 3, AltSubset(0b0001, u): 2, AltSubset(0b0101, u): 2,
-            AltSubset(0b1001, u): 2, AltSubset(0b0010, u): 2, AltSubset(0b0110, u): 2})
-    delta = frozenset(AltSubset(m, u) for m in (0b0010, 0b0110, 0b0001))
+        4, {0b0011: 3, 0b0001: 2, 0b0101: 2, 0b1001: 2, 0b0010: 2, 0b0110: 2})
     o2 = OpinionState.from_support(
-        u, {AltSubset(0b0011, u): 3, AltSubset(0b0010, u): 2, AltSubset(0b0110, u): 2,
-            AltSubset(0b0001, u): 2, AltSubset(0b0101, u): 1, AltSubset(0b1001, u): 1})
-    return AxiomInstance("inui", o1, o2, promoted=delta)
+        4, {0b0011: 3, 0b0010: 2, 0b0110: 2, 0b0001: 2, 0b0101: 1, 0b1001: 1})
+    return AxiomInstance("inui", o1, o2, promoted=frozenset({0b0010, 0b0110, 0b0001}))
 
 
 def band_rule_ibs_witness() -> AxiomInstance:
     """Best-class split that collapses a strict pair under the three-band rule."""
-    u = 3
-    o1 = OpinionState.from_support(u, {AltSubset(m, u): 1 for m in (0b011, 0b111, 0b001)})
-    o2 = OpinionState.from_support(
-        u, {AltSubset(0b011, u): 3, AltSubset(0b111, u): 2, AltSubset(0b001, u): 1})
+    o1 = OpinionState.from_support(3, {0b011: 1, 0b111: 1, 0b001: 1})
+    o2 = OpinionState.from_support(3, {0b011: 3, 0b111: 2, 0b001: 1})
     return AxiomInstance("ibs", o1, o2)
 
 
 def ceiling_rule_iws_witness() -> AxiomInstance:
     """Worst-class split that empties the ceiling band of the two-band rule."""
-    u = 3
-    o1 = OpinionState.from_support(u, {AltSubset(0b001, u): 1})
-    o2 = OpinionState.from_support(u, {AltSubset(0b001, u): 2, AltSubset(0b010, u): 1})
+    o1 = OpinionState.from_support(3, {0b001: 1})
+    o2 = OpinionState.from_support(3, {0b001: 2, 0b010: 1})
     return AxiomInstance("iws", o1, o2)
 
 
 def indifference_wivip_witness() -> AxiomInstance:
     """Two-class state with veto elements, which total indifference ignores."""
-    return AxiomInstance("wivip", OpinionState.from_support(3, {AltSubset(0b011, 3): 1}))
+    return AxiomInstance("wivip", OpinionState.from_support(3, {0b011: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +747,6 @@ def trailing_merge_sequence(state: OpinionState) -> list[OpinionState]:
     min(original score, kept classes) for every alternative, so rankings of
     alternatives scoring within the kept prefix are untouched.
     """
-    classes = _class_mask_lists(state)
+    classes = [c.members for c in state.quotient.classes]
     return [_state_from_class_masks(state.universe, classes[:keep])
             for keep in range(len(classes), -1, -1)]

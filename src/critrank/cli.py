@@ -50,6 +50,7 @@ from .model import (
     Ranking,
     ValidationError,
     e_scores,
+    iter_bits,
     support_of,
 )
 from .oracle import differential_sweep
@@ -82,6 +83,11 @@ def _alternatives_header(lineno: int, body: str, previous: tuple[str, ...] | Non
     if previous is not None:
         raise ParseError(f"line {lineno}: second 'alternatives:' header")
     names = tuple(body.split())
+    for name in names:
+        # these characters delimit subsets in opinion files and output
+        if any(ch in name for ch in ",{}"):
+            raise ValidationError(
+                f"line {lineno}: alternative name '{name}' contains ',', '{{' or '}}'")
     bits = {name: 1 << i for i, name in enumerate(names)}
     if len(bits) != len(names):
         raise ValidationError(f"line {lineno}: alternative names must be distinct")
@@ -241,8 +247,8 @@ def format_opinion_state(names: tuple[str, ...], state: OpinionState,
     """Serialize a state so that parse_opinion_state reads it back."""
     lines = ["alternatives: " + " ".join(names)]
     if include_supports:
-        for s, value in sorted(state.support_map.items(), key=lambda kv: kv[0].mask):
-            lines.append(f"# support {format_subset(s, names)} = {value}")
+        for mask, value in sorted(state.support_map.items()):
+            lines.append(f"# support {_format_members(iter_bits(mask), names)} = {value}")
     order = sorted(state.entries.items(), key=lambda kv: (kv[0][0].mask, kv[0][1].mask))
     for (s, t), count in order:
         lines.append(
@@ -372,8 +378,8 @@ def _cmd_induce(config: RunConfig) -> int:
     names = table.alternatives
     if config.fmt == "lines":
         kv = ["alternatives=" + ",".join(names)]
-        for s, value in sorted(state.support_map.items(), key=lambda kv_: kv_[0].mask):
-            kv.append(f"support{format_subset(s, names)}={value}")
+        for mask, value in sorted(state.support_map.items()):
+            kv.append(f"support{_format_members(iter_bits(mask), names)}={value}")
         order = sorted(state.entries.items(),
                        key=lambda kv_: (kv_[0][0].mask, kv_[0][1].mask))
         for (s, t), count in order:

@@ -1,9 +1,12 @@
 """Core domain model for ranking alternatives from supported subsets.
 
 Alternatives are dense indices ``0 .. universe-1``; a subset of alternatives
-is a single machine word (:class:`AltSubset`), which caps the universe at 64
-and keeps every aggregation step a handful of integer operations even when
-thousands of subsets carry support.
+is a single machine word, which caps the universe at 64 and keeps every
+aggregation step a handful of integer operations even when thousands of
+subsets carry support.  Past the input edge a subset is its plain int mask:
+the support map, the support classes and ``from_support`` all use masks.
+:class:`AltSubset` (a validated mask with its universe) keys the opinion
+entries and criterion tables, and is what the choice methods return.
 
 Opinion states are sparse: only pairs of subsets with a positive count are
 stored.  The exponentially large family of subsets with zero support is never
@@ -230,20 +233,22 @@ class OpinionState:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
-    def from_support(cls, universe: int, support: Mapping[AltSubset, int]) -> "OpinionState":
-        """Realize an arbitrary support assignment as a state.
+    def from_support(cls, universe: int, support: Mapping[int, int]) -> "OpinionState":
+        """Realize an arbitrary support assignment, mask -> value, as a state.
 
         Any nonnegative support vector is achievable: give each subset its
         whole support in a single reflexive opinion.
         """
-        return cls(universe, {(s, s): v for s, v in support.items()})
+        subsets = ((AltSubset(m, universe), v) for m, v in support.items())
+        return cls(universe, {(s, s): v for s, v in subsets})
 
     @cached_property
-    def support_map(self) -> dict[AltSubset, int]:
-        """Total support per subset (row sums), positive entries only."""
-        sums: dict[AltSubset, int] = {}
+    def support_map(self) -> dict[int, int]:
+        """Total support per subset mask (row sums), positive entries only."""
+        sums: dict[int, int] = {}
         for (s, _t), count in self.entries.items():
-            sums[s] = sums.get(s, 0) + count
+            mask = s.mask
+            sums[mask] = sums.get(mask, 0) + count
         return sums
 
     @cached_property
@@ -257,10 +262,10 @@ class OpinionState:
 
 @dataclass(frozen=True)
 class SupportClass:
-    """One equivalence class of equally supported subsets."""
+    """One equivalence class of equally supported subsets, as masks."""
 
     value: int
-    members: frozenset[AltSubset]
+    members: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -286,12 +291,12 @@ class QuotientOrder:
         for cls_ in self.classes:
             if not cls_.members:
                 raise ValidationError("support classes must be nonempty")
-            for s in cls_.members:
-                if s.universe != self.universe:
-                    raise ValidationError("class member universe does not match")
-                if s.mask in seen:
+            for mask in cls_.members:
+                if not 0 < mask <= capacity:
+                    raise ValidationError("class member out of range for the universe")
+                if mask in seen:
                     raise ValidationError("support classes must be disjoint")
-                seen.add(s.mask)
+                seen.add(mask)
             total += len(cls_.members)
             if prev is not None and cls_.value >= prev:
                 raise ValidationError("class values must strictly decrease")
@@ -316,11 +321,11 @@ class QuotientOrder:
         return (1 << self.universe) - 1 - sum(len(c.members) for c in self.classes)
 
 
-def _quotient_from_support(universe: int, support: Mapping[AltSubset, int]) -> QuotientOrder:
-    by_value: dict[int, list[AltSubset]] = {}
-    for s, v in support.items():
+def _quotient_from_support(universe: int, support: Mapping[int, int]) -> QuotientOrder:
+    by_value: dict[int, list[int]] = {}
+    for mask, v in support.items():
         if v > 0:
-            by_value.setdefault(v, []).append(s)
+            by_value.setdefault(v, []).append(mask)
     classes = tuple(
         SupportClass(v, frozenset(by_value[v])) for v in sorted(by_value, reverse=True)
     )
@@ -333,7 +338,7 @@ def support_of(state: OpinionState, subset: AltSubset) -> int:
     """Total support of ``subset``: opinions ranking it above anything."""
     if subset.universe != state.universe:
         raise ValidationError("subset universe does not match the state")
-    return state.support_map.get(subset, 0)
+    return state.support_map.get(subset.mask, 0)
 
 
 def quotient_order(state: OpinionState) -> QuotientOrder:
@@ -350,7 +355,7 @@ def _residual_intersection_mask(q: QuotientOrder) -> int:
     needed = sum(len(cls_.members) for cls_ in q.classes) - ((1 << (q.universe - 1)) - 1)
     if needed < 0:  # too few explicit subsets: skip the count
         return 0
-    masks = (s.mask for cls_ in q.classes for s in cls_.members)
+    masks = (mask for cls_ in q.classes for mask in cls_.members)
     mask = 0
     for x, containing in enumerate(column_sums(q.universe, zip(masks, repeat(1)))):
         if containing == needed:
@@ -374,8 +379,8 @@ def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     inter = (1 << q.universe) - 1
     depth = 0
     for cls_ in q.classes:
-        for s in cls_.members:
-            inter &= s.mask
+        for mask in cls_.members:
+            inter &= mask
         if not inter:
             return tuple(e)
         depth += 1

@@ -20,7 +20,7 @@ from .model import (
     class_union_intersection,
 )
 
-ORACLE_MAX_UNIVERSE = 5
+ORACLE_MAX_UNIVERSE = 6
 
 
 def _indices(mask: int, universe: int) -> frozenset[int]:
@@ -216,16 +216,15 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     d = DenseState.from_sparse(state)
     u = state.universe
 
-    sparse_support = {s.mask: v for s, v in state.support_map.items()}
     dense_support = {m: d.support[m - 1] for m in range(1, 1 << u) if d.support[m - 1]}
-    if sparse_support != dense_support:
+    if state.support_map != dense_support:
         problems.append("support")
 
     q = state.quotient
     dcls = dense_classes(d)
     dense_positive = [(v, sorted(members, key=sorted)) for v, members in dcls if v > 0]
     sparse_positive = [
-        (c.value, sorted((_indices(s.mask, u) for s in c.members), key=sorted))
+        (c.value, sorted((_indices(m, u) for m in c.members), key=sorted))
         for c in q.classes]
     if sparse_positive != dense_positive:
         problems.append("quotient-classes")

@@ -44,6 +44,7 @@ from critrank.choice import (
 )
 from critrank.cli import main
 from critrank.model import (
+    AltSubset,
     class_union_intersection,
     e_scores,
     quotient_order,
@@ -252,15 +253,15 @@ def test_structural_identity_suite():
             if not (score > 0 and support_of(state, table.tr[c]) == score):
                 induced_support_ok = False
         off = random_support_state(rng, table.universe)
-        for s in off.support_map:
+        for m in off.support_map:
+            s = AltSubset(m, table.universe)
             if table.criterion_for(s) is None and support_of(state, s) != 0:
                 induced_support_ok = False
         q = quotient_order(state)
         ranking = borda_ranking(tally)
         expected_classes = tuple(
             frozenset(table.tr[c].mask for c in cls_) for cls_ in ranking.classes)
-        got_classes = tuple(
-            frozenset(s.mask for s in cls_.members) for cls_ in q.classes)
+        got_classes = tuple(cls_.members for cls_ in q.classes)
         if expected_classes != got_classes or not q.residual_present:
             mirror_ok = False
         stages = cascade_sets(table, profile)
@@ -342,8 +343,8 @@ def test_structural_identity_suite():
         before = e_scores(inst.o1)
         after = e_scores(inst.o2)
         inter = (1 << inst.o1.universe) - 1
-        for s in inst.promoted:
-            inter &= s.mask
+        for m in inst.promoted:
+            inter &= m
         for x in range(inst.o1.universe):
             if not inter >> x & 1:
                 inui_ok = inui_ok and after[x] == before[x]

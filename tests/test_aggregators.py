@@ -34,13 +34,6 @@ def classes_of(ranking: Ranking) -> tuple:
     return tuple(frozenset(c) for c in ranking.classes)
 
 
-def support_state(universe, support):
-    return OpinionState.from_support(
-        universe,
-        {AltSubset(m, universe): v for m, v in support.items()},
-    )
-
-
 class TestInduceOpinion:
     def test_worked_example_spot_entries(self, demo_table, demo_profile, demo_state):
         tr = demo_table.tr
@@ -95,7 +88,7 @@ class TestInduceOpinion:
             for c in table.criteria:
                 assert support_of(state, table.tr[c]) == tally.criterion_scores[c]
             for x in range(table.universe):
-                total = sum(v for s, v in state.support_map.items() if x in s)
+                total = sum(v for m, v in state.support_map.items() if m >> x & 1)
                 assert total == tally.alternative_scores[x]
 
 
@@ -164,12 +157,12 @@ class TestOrderTiebreak:
         assert r.classes == ((0,), (3,), (2,), (4,), (6,), (5,), (1,))
 
     def test_ceiling_ties_are_kept(self):
-        state = support_state(3, {0b011: 2, 0b111: 1})
+        state = OpinionState.from_support(3, {0b011: 2, 0b111: 1})
         r = iis_tiebreak_order(state, (0, 1, 2))
         assert r.classes == ((0, 1), (2,))
 
     def test_floor_ties_are_kept(self):
-        state = support_state(3, {0b001: 3, 0b010: 3})
+        state = OpinionState.from_support(3, {0b001: 3, 0b010: 3})
         assert iis_tiebreak_order(state, (2, 1, 0)).classes == ((0, 1, 2),)
 
     def test_rejects_non_permutations(self):
@@ -203,7 +196,7 @@ class TestTauTiebreak:
             assert tau == tuple(sum(counts[:k + 1]) for k in range(len(counts)))
 
     def test_equal_class_counts_stay_tied(self):
-        state = support_state(3, {0b011: 2})
+        state = OpinionState.from_support(3, {0b011: 2})
         r = iis_tiebreak_tau(state)
         assert r.tied(0, 1)
 
@@ -224,7 +217,7 @@ class TestCoarseRules:
             frozenset({0, 2, 3, 4}), frozenset({5, 6}), frozenset({1}))
 
     def test_three_band_rule_collapses_when_all_scores_vanish(self):
-        state = support_state(3, {0b001: 1, 0b010: 1})
+        state = OpinionState.from_support(3, {0b001: 1, 0b010: 1})
         assert coarse_f1(state).classes == ((0, 1, 2),)
 
     def test_ceiling_band_rule_on_the_worked_example(self, demo_state):
@@ -232,7 +225,7 @@ class TestCoarseRules:
         assert coarse_f2(demo_state).classes == ((0, 1, 2, 3, 4, 5, 6),)
 
     def test_ceiling_band_rule_tops_a_singleton_first_class(self):
-        state = support_state(3, {0b001: 5})
+        state = OpinionState.from_support(3, {0b001: 5})
         assert coarse_f2(state).classes == ((0,), (1, 2))
 
     def test_ceiling_band_rule_on_a_flat_state(self):
@@ -251,5 +244,5 @@ class TestMaxOf:
         assert max_of(indifference_rule(OpinionState(3, {}))).indices == (0, 1, 2)
 
     def test_linear_order_returns_a_singleton(self):
-        state = support_state(3, {0b001: 3, 0b011: 2, 0b111: 1})
+        state = OpinionState.from_support(3, {0b001: 3, 0b011: 2, 0b111: 1})
         assert max_of(iis_rank(state)).indices == (0,)

@@ -50,11 +50,6 @@ from critrank.model import (
 from conftest import opinion_states
 
 
-def support_state(universe, support):
-    return OpinionState.from_support(
-        universe, {AltSubset(m, universe): v for m, v in support.items()})
-
-
 class TestPermutation:
     def test_subset_image(self):
         s = AltSubset.from_indices(4, (0, 2))
@@ -67,15 +62,15 @@ class TestPermutation:
         pi = list(range(state.universe))
         rng.shuffle(pi)
         moved = permute_state(state, pi)
-        for s, v in state.support_map.items():
-            assert support_of(moved, permute_subset(s, pi)) == v
+        for m, v in state.support_map.items():
+            assert support_of(moved, permute_subset(AltSubset(m, state.universe), pi)) == v
         original = e_scores(state)
         relabeled = e_scores(moved)
         for x in range(state.universe):
             assert relabeled[pi[x]] == original[x]
 
     def test_composition_of_relabelings(self):
-        state = support_state(3, {0b011: 2, 0b100: 1})
+        state = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
         once = permute_state(state, (1, 2, 0))
         twice = permute_state(once, (1, 2, 0))
         assert twice == permute_state(state, (2, 0, 1))
@@ -98,47 +93,47 @@ class TestInstanceValidation:
         assert a != c
 
     def test_relabel_instance_rejects_a_wrong_image(self):
-        o1 = support_state(3, {0b011: 2, 0b100: 1})
-        wrong = support_state(3, {0b011: 2, 0b010: 1})
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+        wrong = OpinionState.from_support(3, {0b011: 2, 0b010: 1})
         inst = AxiomInstance("nt", o1, o2=wrong, permutation=(1, 2, 0))
         with pytest.raises(InvalidInstanceError):
             validate_instance(inst)
 
     def test_relabel_instance_needs_a_permutation(self):
-        o1 = support_state(3, {0b011: 2})
+        o1 = OpinionState.from_support(3, {0b011: 2})
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("nt", o1, o2=o1))
 
     def test_worst_split_rejects_a_touched_top_class(self):
-        o1 = support_state(3, {0b011: 2, 0b100: 1})
-        o2 = support_state(3, {0b111: 2, 0b100: 1})
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+        o2 = OpinionState.from_support(3, {0b111: 2, 0b100: 1})
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("iws", o1, o2=o2))
 
     def test_best_split_rejects_a_changed_tail(self):
-        o1 = support_state(3, {0b011: 2, 0b100: 1})
-        o2 = support_state(3, {0b010: 3, 0b001: 2})  # drops the tail class
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+        o2 = OpinionState.from_support(3, {0b010: 3, 0b001: 2})  # drops the tail class
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("ibs", o1, o2=o2))
 
     def test_veto_instance_requires_exactly_two_levels(self):
-        o1 = support_state(3, {0b011: 2, 0b100: 1})  # three levels with residual
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})  # three levels with residual
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("wivip", o1))
 
     def test_promotion_must_split_a_class_properly(self):
-        o1 = support_state(3, {0b001: 2, 0b010: 2})
-        whole = (AltSubset(0b001, 3), AltSubset(0b010, 3))
-        o2 = support_state(3, {0b001: 3, 0b010: 3})
+        o1 = OpinionState.from_support(3, {0b001: 2, 0b010: 2})
+        whole = frozenset({0b001, 0b010})
+        o2 = OpinionState.from_support(3, {0b001: 3, 0b010: 3})
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("inui", o1, o2=o2, promoted=whole))
 
     def test_promotion_needs_a_class_below_the_split(self):
         # dense state, no residual: the second class is the last one, and
         # splitting the last class is outside the promotion reading
-        o1 = support_state(3, {0b001: 2, **{m: 1 for m in range(2, 8)}})
-        delta = (AltSubset(0b010, 3), AltSubset(0b011, 3))
-        o2 = support_state(
+        o1 = OpinionState.from_support(3, {0b001: 2, **{m: 1 for m in range(2, 8)}})
+        delta = frozenset({0b010, 0b011})
+        o2 = OpinionState.from_support(
             3, {0b001: 3, 0b010: 2, 0b011: 2,
                 **{m: 1 for m in range(4, 8)}})
         with pytest.raises(InvalidInstanceError, match="followed"):

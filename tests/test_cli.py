@@ -64,6 +64,22 @@ class TestTableParsing:
         with pytest.raises(ValidationError, match="distinct"):
             parse_criterion_table("alternatives: a a b\ncriterion k: a\n")
 
+    @pytest.mark.parametrize("name", ("a,b", "{a", "a}"))
+    def test_subset_delimiters_in_names_are_exit_2(self, name, tmp_path, capsys):
+        # 'a,b' would print as {a,b} and read back as the pair {a, b}
+        text = f"alternatives: {name} a b\ncriterion j: a\ncriterion k: {name}\n"
+        with pytest.raises(ValidationError, match="contains"):
+            parse_criterion_table(text)
+        table = tmp_path / "table.txt"
+        profile = tmp_path / "profile.txt"
+        table.write_text(text)
+        profile.write_text("voter 1: j > k\n")
+        assert main(["rank", "--rule", "iis", "--table", str(table),
+                     "--profile", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{name}'" in captured.err
+
     def test_equivalent_criteria_name_both(self):
         text = "alternatives: a b c\ncriterion j: a b\ncriterion k: b a\n"
         with pytest.raises(ValidationError, match="j.*k|k.*j"):
@@ -152,6 +168,18 @@ class TestOpinionParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "distinct" in captured.err
+
+    @pytest.mark.parametrize("name", ("a,b", "{a", "a}"))
+    def test_subset_delimiters_in_names_are_exit_2(self, name, tmp_path, capsys):
+        text = f"alternatives: {name} a b\nopinion {{a}} >= {{b}} : 1\n"
+        with pytest.raises(ValidationError, match="contains"):
+            parse_opinion_state(text)
+        opinions = tmp_path / "ops.txt"
+        opinions.write_text(text)
+        assert main(["rank", "--rule", "iis", "--opinions", str(opinions)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{name}'" in captured.err
 
     def test_empty_subset(self):
         with pytest.raises(ValidationError, match="empty subset"):

@@ -109,9 +109,14 @@ class TestOpinionState:
             OpinionState(3, {(subset(4, 0), subset(4, 1)): 1})
 
     def test_from_support_realizes_any_support(self):
-        target = {subset(3, 0, 1): 4, subset(3, 2): 1}
+        target = {0b011: 4, 0b100: 1}
         state = OpinionState.from_support(3, target)
         assert state.support_map == target
+
+    @pytest.mark.parametrize("mask", (0, 0b1000, -1))
+    def test_from_support_rejects_masks_outside_the_universe(self, mask):
+        with pytest.raises(ValidationError):
+            OpinionState.from_support(3, {mask: 1})
 
 
 class TestSupport:
@@ -143,29 +148,33 @@ class TestQuotientOrder:
 
     def test_dense_distinct_supports_have_no_residual(self):
         universe = 3
-        support = {AltSubset(m, universe): 8 - m for m in range(1, 8)}
+        support = {m: 8 - m for m in range(1, 8)}
         q = quotient_order(OpinionState.from_support(universe, support))
         assert not q.residual_present
         assert len(q.classes) == 7
         assert all(len(c.members) == 1 for c in q.classes)
 
     def test_values_strictly_decreasing(self):
-        state = OpinionState.from_support(3, {subset(3, 0): 2, subset(3, 1): 2, subset(3, 2): 1})
+        state = OpinionState.from_support(3, {0b001: 2, 0b010: 2, 0b100: 1})
         q = quotient_order(state)
         assert [c.value for c in q.classes] == [2, 1]
-        assert q.classes[0].members == {subset(3, 0), subset(3, 1)}
+        assert q.classes[0].members == {0b001, 0b010}
 
     def test_rejects_nondecreasing_class_values(self):
-        cls = (SupportClass(1, frozenset({subset(3, 0)})),
-               SupportClass(2, frozenset({subset(3, 1)})))
+        cls = (SupportClass(1, frozenset({0b001})), SupportClass(2, frozenset({0b010})))
         with pytest.raises(ValidationError):
             QuotientOrder(3, cls)
+
+    @pytest.mark.parametrize("mask", (0, 0b1000))
+    def test_rejects_members_outside_the_universe(self, mask):
+        with pytest.raises(ValidationError, match="out of range"):
+            QuotientOrder(3, (SupportClass(1, frozenset({0b001, mask})),))
 
     @settings(max_examples=150, deadline=None)
     @given(opinion_states())
     def test_flattening_reproduces_supports(self, state):
         q = quotient_order(state)
-        rebuilt = {s: c.value for c in q.classes for s in c.members}
+        rebuilt = {m: c.value for c in q.classes for m in c.members}
         assert rebuilt == state.support_map
         total = sum(len(c.members) for c in q.classes) + q.residual_size
         assert total == 2 ** state.universe - 1
@@ -173,7 +182,7 @@ class TestQuotientOrder:
 
 class TestClassUnionIntersection:
     def test_single_subset_top_class_is_itself(self):
-        state = OpinionState.from_support(3, {subset(3, 0, 2): 3})
+        state = OpinionState.from_support(3, {0b101: 3})
         q = quotient_order(state)
         assert class_union_intersection(q, 1) == frozenset({0, 2})
 
@@ -192,7 +201,7 @@ class TestClassUnionIntersection:
         full = (1 << state.universe) - 1
         by_value: dict[int, list[int]] = {}
         for m in range(1, full + 1):
-            v = support.get(AltSubset(m, state.universe), 0)
+            v = support.get(m, 0)
             by_value.setdefault(v, []).append(m)
         masks_so_far: list[int] = []
         expected = []
@@ -221,7 +230,7 @@ class TestClassUnionIntersection:
 
 class TestEScore:
     def test_singleton_top_class_shuts_others_out(self):
-        state = OpinionState.from_support(3, {subset(3, 0): 5, subset(3, 0, 1): 1})
+        state = OpinionState.from_support(3, {0b001: 5, 0b011: 1})
         assert e_score(state, 1) == 0
         assert e_score(state, 2) == 0
         assert e_score(state, 0) == 2

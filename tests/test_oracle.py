@@ -39,11 +39,6 @@ from critrank.oracle import (
 from conftest import opinion_states
 
 
-def support_state(universe, support):
-    return OpinionState.from_support(
-        universe, {AltSubset(m, universe): v for m, v in support.items()})
-
-
 class TestDenseState:
     def test_from_sparse_sums_entry_rows(self):
         s, t = AltSubset(0b011, 3), AltSubset(0b100, 3)
@@ -66,13 +61,14 @@ class TestDenseState:
 class TestDenseRecomputation:
     def test_scores_on_a_nested_chain(self):
         # chain of supports: {x} above {x,y} above {x,y,z}
-        d = DenseState.from_sparse(support_state(3, {0b001: 3, 0b011: 2, 0b111: 1}))
+        state = OpinionState.from_support(3, {0b001: 3, 0b011: 2, 0b111: 1})
+        d = DenseState.from_sparse(state)
         assert dense_e_score(d, 0) == 3
         assert dense_e_score(d, 1) == 0
         assert dense_e_score(d, 2) == 0
 
     def test_zero_class_sits_at_the_bottom(self):
-        d = DenseState.from_sparse(support_state(3, {0b011: 2}))
+        d = DenseState.from_sparse(OpinionState.from_support(3, {0b011: 2}))
         classes = dense_classes(d)
         assert classes[-1][0] == 0
         assert len(classes) == 2
@@ -86,17 +82,17 @@ class TestDenseRecomputation:
 class TestAgreementOnCorners:
     def corner_states(self):
         yield OpinionState(3, {})
-        yield support_state(3, {0b111: 4})
-        yield support_state(3, {0b001: 1, 0b010: 1, 0b100: 1})
-        yield support_state(4, {m: m for m in range(1, 16)})
-        yield support_state(5, {0b10101: 2, 0b01010: 2, 0b11111: 1})
+        yield OpinionState.from_support(3, {0b111: 4})
+        yield OpinionState.from_support(3, {0b001: 1, 0b010: 1, 0b100: 1})
+        yield OpinionState.from_support(4, {m: m for m in range(1, 16)})
+        yield OpinionState.from_support(5, {0b10101: 2, 0b01010: 2, 0b11111: 1})
 
     def test_support_quotient_and_scores_agree(self):
         for state in self.corner_states():
             d = DenseState.from_sparse(state)
             totals = dense_support_totals(d)
             for x in range(state.universe):
-                direct = sum(v for s, v in state.support_map.items() if x in s)
+                direct = sum(v for m, v in state.support_map.items() if m >> x & 1)
                 assert totals[x] == direct
             assert dense_e_vector(d) == e_scores(state)
             for x in range(state.universe):
@@ -125,7 +121,7 @@ class TestExhaustiveDepthBound:
 
 
 class TestDifferentialSweep:
-    @pytest.mark.parametrize("universe", (3, 4, 5))
+    @pytest.mark.parametrize("universe", (3, 4, 5, 6))
     def test_small_sweeps_are_clean(self, universe):
         report = differential_sweep(universe, trials=150, seed=4)
         assert report.clean, report.details
@@ -171,4 +167,4 @@ class TestDifferentialSweep:
         totals = dense_support_totals(d)
         for x in range(state.universe):
             assert totals[x] == sum(
-                v for s, v in state.support_map.items() if x in s)
+                v for m, v in state.support_map.items() if m >> x & 1)

@@ -1,6 +1,6 @@
 """Sparse identities at 60 to 64 alternatives, beyond the oracle's reach.
 
-The brute-force oracle stops at 5 alternatives, so these states are checked
+The brute-force oracle stops at 6 alternatives, so these states are checked
 against plain per-subset formulas instead of enumeration.  Each state holds
 a few hundred explicit subsets in a handful of support classes; the subsets
 of a class are supersets of a core, and the cores are nested, so the
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critrank.aggregators import class_count_vector, support_rank
+from critrank.axioms import permute_state, trailing_merge_sequence
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     AltSubset,
@@ -41,7 +42,8 @@ def nested_core_support(rng: Random, universe: int, n_subsets: int,
 
 
 @st.composite
-def wide_states(draw, min_universe: int = 60, max_universe: int = 64):
+def wide_supports(draw, min_universe: int = 60, max_universe: int = 64):
+    """(universe, mask -> support) with nested-core classes."""
     universe = draw(st.integers(min_universe, max_universe))
     rng = Random(draw(st.integers(0, 2**32 - 1)))
     support = nested_core_support(rng, universe, draw(st.integers(1, 400)),
@@ -51,8 +53,12 @@ def wide_states(draw, min_universe: int = 60, max_universe: int = 64):
     for mask in (top_bit, (top_bit << 1) - 1):
         if draw(st.booleans()):
             support.setdefault(mask, 1)
-    return OpinionState.from_support(
-        universe, {AltSubset(m, universe): v for m, v in support.items()})
+    return universe, support
+
+
+def wide_states(min_universe: int = 60, max_universe: int = 64):
+    return wide_supports(min_universe, max_universe).map(
+        lambda drawn: OpinionState.from_support(*drawn))
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,7 +67,7 @@ def test_prefix_intersection_is_a_plain_and_of_the_top_classes(state):
     q = state.quotient
     top = (1 << state.universe) - 1
     for k in range(1, len(q.classes) + 1):
-        plain = reduce(and_, (s.mask for c in q.classes[:k] for s in c.members), top)
+        plain = reduce(and_, (m for c in q.classes[:k] for m in c.members), top)
         assert class_union_intersection(q, k) == frozenset(iter_bits(plain))
     # a few hundred explicit subsets leave singletons in the residual
     assert class_union_intersection(q, q.depth) == frozenset()
@@ -71,8 +77,8 @@ def test_prefix_intersection_is_a_plain_and_of_the_top_classes(state):
 @given(wide_states())
 def test_support_column_sums_match_per_subset_sums(state):
     support = state.support_map
-    sums = column_sums(state.universe, ((s.mask, v) for s, v in support.items()))
-    assert sums == [sum(v for s, v in support.items() if x in s)
+    sums = column_sums(state.universe, support.items())
+    assert sums == [sum(v for m, v in support.items() if m >> x & 1)
                     for x in range(state.universe)]
     assert support_rank(state) == ranking_from_scores(dict(enumerate(sums)))
 
@@ -83,9 +89,47 @@ def test_residual_column_complements_the_explicit_count(state, data):
     n = state.universe
     for x in (0, data.draw(st.integers(0, n - 1)), n - 1):
         row = class_count_vector(state, x)
-        explicit = sum(1 for s in state.support_map if x in s)
+        explicit = sum(1 for m in state.support_map if m >> x & 1)
         assert sum(row[:-1]) == explicit
         assert row[-1] == 2 ** (n - 1) - explicit
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_states(), st.data())
+def test_relabeling_moves_scores_and_support_totals_along(state, data):
+    pi = data.draw(st.permutations(range(state.universe)))
+    moved = permute_state(state, pi)
+    totals = column_sums(state.universe, state.support_map.items())
+    moved_totals = column_sums(state.universe, moved.support_map.items())
+    for x in range(state.universe):
+        assert moved.e_vector[pi[x]] == state.e_vector[x]
+        assert moved_totals[pi[x]] == totals[x]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_states())
+def test_scores_stay_below_the_quotient_depth(state):
+    assert all(e < state.quotient.depth for e in state.e_vector)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_states())
+def test_trailing_merges_clamp_scores_to_the_kept_depth(state):
+    merged = trailing_merge_sequence(state)
+    n_classes = len(state.quotient.classes)
+    assert len(merged) == n_classes + 1
+    for j, shrunk in enumerate(merged):
+        keep = n_classes - j
+        assert shrunk.e_vector == tuple(min(e, keep) for e in state.e_vector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_supports())
+def test_from_support_reproduces_the_support_map(drawn):
+    universe, support = drawn
+    state = OpinionState.from_support(universe, support)
+    assert state.support_map == support
+    assert OpinionState.from_support(universe, state.support_map) == state
 
 
 @settings(max_examples=25, deadline=None)
