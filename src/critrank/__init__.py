@@ -19,6 +19,7 @@ from .aggregators import (
     max_of,
     support_rank,
     tau_vector,
+    class_count_rows,
     class_count_vector,
 )
 from .axioms import (

@@ -15,6 +15,7 @@ whose counts are pairwise voter majorities.
 
 from collections.abc import Sequence
 from itertools import accumulate
+from operator import lt
 
 from .model import (
     AltSubset,
@@ -40,19 +41,18 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
     n_voters = len(profile.voters)
-    entries: dict[tuple[AltSubset, AltSubset], int] = {}
-    for c in table.criteria:
-        s = table.tr[c]
-        for d in table.criteria:
-            t = table.tr[d]
-            if c == d:
-                entries[(s, t)] = n_voters
-            else:
-                entries[(s, t)] = sum(1 for pos in profile.positions if pos[c] < pos[d])
-    return OpinionState(table.universe, entries)
+    # per criterion: its satisfier mask and every voter's position for it
+    by_criterion = [(table.tr[c].mask, [pos[c] for pos in profile.positions])
+                    for c in table.criteria]
+    counts: dict[tuple[int, int], int] = {}
+    for s, pos_c in by_criterion:
+        for t, pos_d in by_criterion:
+            # satisfier masks are distinct, so s == t is the diagonal c == d
+            counts[(s, t)] = n_voters if s == t else sum(map(lt, pos_c, pos_d))
+    return OpinionState(table.universe, counts)
 
 
-def _class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
+def class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
     """Per alternative, how many subsets of each support class contain it.
 
     Column order follows the quotient, strongest class first; the final
@@ -78,7 +78,7 @@ def class_count_vector(state: OpinionState, x: int) -> tuple[int, ...]:
     """Membership counts of x down the support classes, residual last."""
     if not 0 <= x < state.universe:
         raise ValidationError(f"alternative index {x!r} out of range")
-    return _class_count_rows(state)[x]
+    return class_count_rows(state)[x]
 
 
 def tau_vector(state: OpinionState, x: int) -> tuple[int, ...]:
@@ -100,7 +100,7 @@ def support_rank(state: OpinionState) -> Ranking[int]:
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:
     """Compare per-class membership counts lexicographically, strongest first."""
-    rows = _class_count_rows(state)
+    rows = class_count_rows(state)
     return ranking_from_scores({x: rows[x] for x in range(state.universe)})
 
 
@@ -133,7 +133,7 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     score are compared lexicographically by their cumulative membership
     counts, strongest class first.
     """
-    taus = [tuple(accumulate(row)) for row in _class_count_rows(state)]
+    taus = [tuple(accumulate(row)) for row in class_count_rows(state)]
     classes: list[tuple[int, ...]] = []
     for value, members in score_groups(dict(enumerate(state.e_vector))):
         if value == 0 or len(members) == 1:

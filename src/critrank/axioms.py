@@ -82,13 +82,17 @@ def _check_permutation(pi: Sequence[int], universe: int) -> None:
         raise ValidationError(f"{pi!r} is not a permutation of {universe} alternatives")
 
 
+def _permute_mask(mask: int, pi: Sequence[int]) -> int:
+    image = 0
+    for i in iter_bits(mask):
+        image |= 1 << pi[i]
+    return image
+
+
 def permute_subset(subset: AltSubset, pi: Sequence[int]) -> AltSubset:
     """Image of a subset under a relabeling of the alternatives."""
     _check_permutation(pi, subset.universe)
-    mask = 0
-    for i in iter_bits(subset.mask):
-        mask |= 1 << pi[i]
-    return AltSubset(mask, subset.universe)
+    return AltSubset(_permute_mask(subset.mask, pi), subset.universe)
 
 
 def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
@@ -99,11 +103,11 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     relabeling: the image of x scores in the new state what x scored before.
     """
     _check_permutation(pi, state.universe)
-    entries = {
-        (permute_subset(s, pi), permute_subset(t, pi)): v
-        for (s, t), v in state.entries.items()
+    counts = {
+        (_permute_mask(s, pi), _permute_mask(t, pi)): v
+        for (s, t), v in state.counts.items()
     }
-    return OpinionState(state.universe, entries)
+    return OpinionState(state.universe, counts)
 
 
 # A quotient as a comparable list of classes: a frozenset of masks per
@@ -263,12 +267,11 @@ def random_state(rng: Random, universe: int, max_entries: int = 10,
                  max_count: int = 4) -> OpinionState:
     """Random state with entry-level structure (off-diagonal opinions too)."""
     top = (1 << universe) - 1
-    entries: dict[tuple[AltSubset, AltSubset], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for _ in range(rng.randint(0, max_entries)):
-        pair = (AltSubset(rng.randint(1, top), universe),
-                AltSubset(rng.randint(1, top), universe))
-        entries[pair] = entries.get(pair, 0) + rng.randint(1, max_count)
-    return OpinionState(universe, entries)
+        pair = (rng.randint(1, top), rng.randint(1, top))
+        counts[pair] = counts.get(pair, 0) + rng.randint(1, max_count)
+    return OpinionState(universe, counts)
 
 
 def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:

@@ -32,7 +32,7 @@ from .aggregators import (
     iis_rank,
     lexcel_rank,
     support_rank,
-    class_count_vector,
+    class_count_rows,
 )
 from .axioms import AXIOM_KINDS, RULES, sweep_axiom
 from .choice import (
@@ -94,12 +94,21 @@ def _alternatives_header(lineno: int, body: str, previous: tuple[str, ...] | Non
     return names, bits
 
 
-def _members_mask(bits: dict[str, int], members: list[str], where: str) -> int:
+def _members_mask(bits: dict[str, int], parts: list[str], where: str) -> int:
+    """OR of the named alternatives' bits; blank parts are skipped."""
     mask = 0
-    for name in members:
-        if name not in bits:
-            raise ValidationError(f"{where} unknown alternative '{name}'")
-        mask |= bits[name]
+    for part in parts:
+        bit = bits.get(part)
+        if bit is None:
+            # names hold no whitespace, so only a part not found as is
+            # needs stripping
+            name = part.strip()
+            if not name:
+                continue
+            bit = bits.get(name)
+            if bit is None:
+                raise ValidationError(f"{where} unknown alternative '{name}'")
+        mask |= bit
     return mask
 
 
@@ -174,13 +183,17 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     """Read raw opinion counts; returns the alternative names and the state."""
     names: tuple[str, ...] | None = None
     bits: dict[str, int] = {}
-    entries: dict[tuple[AltSubset, AltSubset], int] = {}
+    counts: dict[tuple[int, int], int] = {}
+    masks: dict[str, int] = {}  # subset text -> mask, so repeats parse once
 
-    def subset(lineno: int, inner: str) -> AltSubset:
-        members = [part.strip() for part in inner.split(",") if part.strip()]
-        if not members:
-            raise ValidationError(f"line {lineno}: empty subset in opinion")
-        return AltSubset(_members_mask(bits, members, f"line {lineno}:"), len(bits))
+    def subset(lineno: int, inner: str) -> int:
+        mask = masks.get(inner)
+        if mask is None:
+            mask = _members_mask(bits, inner.split(","), f"line {lineno}:")
+            if not mask:
+                raise ValidationError(f"line {lineno}: empty subset in opinion")
+            masks[inner] = mask
+        return mask
 
     for lineno, line in _content_lines(text):
         if line.startswith("alternatives"):
@@ -197,19 +210,23 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                 raise ParseError(
                     f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
             key = (subset(lineno, match.group(1)), subset(lineno, match.group(2)))
-            entries[key] = entries.get(key, 0) + int(match.group(3))
+            counts[key] = counts.get(key, 0) + int(match.group(3))
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
     if names is None:
         raise ParseError("missing 'alternatives:' header")
-    return names, OpinionState(len(names), entries)
+    return names, OpinionState(len(names), counts)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 def format_subset(subset: AltSubset, names: tuple[str, ...]) -> str:
-    return "{" + ",".join(names[i] for i in subset.indices) + "}"
+    return _format_mask(subset.mask, names)
+
+
+def _format_mask(mask: int, names: tuple[str, ...]) -> str:
+    return "{" + ",".join([names[i] for i in iter_bits(mask)]) + "}"
 
 
 def _format_members(indices, names: tuple[str, ...]) -> str:
@@ -248,11 +265,9 @@ def format_opinion_state(names: tuple[str, ...], state: OpinionState,
     lines = ["alternatives: " + " ".join(names)]
     if include_supports:
         for mask, value in sorted(state.support_map.items()):
-            lines.append(f"# support {_format_members(iter_bits(mask), names)} = {value}")
-    order = sorted(state.entries.items(), key=lambda kv: (kv[0][0].mask, kv[0][1].mask))
-    for (s, t), count in order:
-        lines.append(
-            f"opinion {format_subset(s, names)} >= {format_subset(t, names)} : {count}")
+            lines.append(f"# support {_format_mask(mask, names)} = {value}")
+    for (s, t), count in sorted(state.counts.items()):
+        lines.append(f"opinion {_format_mask(s, names)} >= {_format_mask(t, names)} : {count}")
     return "\n".join(lines) + "\n"
 
 
@@ -379,12 +394,9 @@ def _cmd_induce(config: RunConfig) -> int:
     if config.fmt == "lines":
         kv = ["alternatives=" + ",".join(names)]
         for mask, value in sorted(state.support_map.items()):
-            kv.append(f"support{_format_members(iter_bits(mask), names)}={value}")
-        order = sorted(state.entries.items(),
-                       key=lambda kv_: (kv_[0][0].mask, kv_[0][1].mask))
-        for (s, t), count in order:
-            kv.append(f"opinion{format_subset(s, names)}>={format_subset(t, names)}"
-                      f"={count}")
+            kv.append(f"support{_format_mask(mask, names)}={value}")
+        for (s, t), count in sorted(state.counts.items()):
+            kv.append(f"opinion{_format_mask(s, names)}>={_format_mask(t, names)}={count}")
         _emit(config, [], kv)
     else:
         # The text form is itself a parseable opinion file.
@@ -447,8 +459,9 @@ def _cmd_demo(config: RunConfig) -> int:
     iis = iis_rank(state)
     supp = support_rank(state)
     lex = lexcel_rank(state)
-    counts_app = class_count_vector(state, names.index("Approval"))
-    counts_bor = class_count_vector(state, names.index("Borda"))
+    rows = class_count_rows(state)
+    counts_app = rows[names.index("Approval")]
+    counts_bor = rows[names.index("Borda")]
 
     checks = [
         ("criterion scores", tally.criterion_scores, _DEMO_CRITERION_SCORES),

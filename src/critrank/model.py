@@ -4,9 +4,10 @@ Alternatives are dense indices ``0 .. universe-1``; a subset of alternatives
 is a single machine word, which caps the universe at 64 and keeps every
 aggregation step a handful of integer operations even when thousands of
 subsets carry support.  Past the input edge a subset is its plain int mask:
-the support map, the support classes and ``from_support`` all use masks.
-:class:`AltSubset` (a validated mask with its universe) keys the opinion
-entries and criterion tables, and is what the choice methods return.
+the opinion counts, the support map, the support classes and
+``from_support`` all use masks.  :class:`AltSubset` (a validated mask with
+its universe) keys criterion tables and the lazy ``entries`` view of a
+state, and is what the choice methods return.
 
 Opinion states are sparse: only pairs of subsets with a positive count are
 stored.  The exponentially large family of subsets with zero support is never
@@ -211,26 +212,31 @@ class PreferenceProfile:
 class OpinionState:
     """A sparse state of opinion.
 
-    ``entries[(s, t)]`` counts how many expressed opinions hold the subset
-    ``s`` to be at least as good as the subset ``t``.  Zero counts are
-    dropped on construction, so equality between states is equality of the
-    positive entries.
+    ``counts[(s, t)]`` counts how many expressed opinions hold the subset
+    with mask ``s`` to be at least as good as the subset with mask ``t``.
+    Zero counts are dropped on construction, so equality between states is
+    equality of the positive counts.
     """
 
     universe: int
-    entries: Mapping[tuple[AltSubset, AltSubset], int]
+    counts: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
         _check_universe(self.universe)
-        clean: dict[tuple[AltSubset, AltSubset], int] = {}
-        for (s, t), count in self.entries.items():
-            if s.universe != self.universe or t.universe != self.universe:
-                raise ValidationError("entry subset universe does not match the state")
+        top = 1 << self.universe
+        clean: dict[tuple[int, int], int] = {}
+        for pair, count in self.counts.items():
+            if type(pair) is not tuple or len(pair) != 2:
+                raise ValidationError(f"opinion keys must be pairs of masks, got {pair!r}")
+            s, t = pair
+            if not (isinstance(s, int) and isinstance(t, int) and 0 < s < top and 0 < t < top):
+                raise ValidationError(
+                    f"opinion key {pair!r} out of range for universe of {self.universe}")
             if not isinstance(count, int) or count < 0:
                 raise ValidationError(f"opinion counts must be nonnegative integers, got {count!r}")
             if count:
-                clean[(s, t)] = count
-        object.__setattr__(self, "entries", clean)
+                clean[pair] = count
+        object.__setattr__(self, "counts", clean)
 
     @classmethod
     def from_support(cls, universe: int, support: Mapping[int, int]) -> "OpinionState":
@@ -239,16 +245,20 @@ class OpinionState:
         Any nonnegative support vector is achievable: give each subset its
         whole support in a single reflexive opinion.
         """
-        subsets = ((AltSubset(m, universe), v) for m, v in support.items())
-        return cls(universe, {(s, s): v for s, v in subsets})
+        return cls(universe, {(m, m): v for m, v in support.items()})
+
+    @cached_property
+    def entries(self) -> dict[tuple[AltSubset, AltSubset], int]:
+        """The counts keyed by :class:`AltSubset` pairs, built on first use."""
+        n = self.universe
+        return {(AltSubset(s, n), AltSubset(t, n)): c for (s, t), c in self.counts.items()}
 
     @cached_property
     def support_map(self) -> dict[int, int]:
         """Total support per subset mask (row sums), positive entries only."""
         sums: dict[int, int] = {}
-        for (s, _t), count in self.entries.items():
-            mask = s.mask
-            sums[mask] = sums.get(mask, 0) + count
+        for (s, _t), count in self.counts.items():
+            sums[s] = sums.get(s, 0) + count
         return sums
 
     @cached_property

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .aggregators import class_count_vector
+from .aggregators import class_count_rows
 from .axioms import RULES, random_state, random_support_state
 from .model import (
     OpinionState,
@@ -49,8 +49,8 @@ class DenseState:
     @classmethod
     def from_sparse(cls, state: OpinionState) -> "DenseState":
         support = [0] * ((1 << state.universe) - 1)
-        for (s, _t), count in state.entries.items():
-            support[s.mask - 1] += count
+        for (s, _t), count in state.counts.items():
+            support[s - 1] += count
         return cls(state.universe, tuple(support))
 
     @cached_property
@@ -244,8 +244,8 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     if any(e >= len(dcls) for e in state.e_vector):
         problems.append("e-bound")
 
-    for x in range(u):
-        if class_count_vector(state, x) != dense_class_counts(d, x):
+    for x, row in enumerate(class_count_rows(state)):
+        if row != dense_class_counts(d, x):
             problems.append(f"class-counts@{x}")
 
     expected = dense_rankings(d)

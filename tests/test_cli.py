@@ -185,6 +185,43 @@ class TestOpinionParsing:
         with pytest.raises(ValidationError, match="empty subset"):
             parse_opinion_state("alternatives: x y\nopinion {} >= {y} : 1\n")
 
+    @pytest.mark.parametrize("inner, mask", (
+        ("a,a", 0b001), (" a , , b ", 0b011), ("b,a", 0b011), ("c", 0b100)))
+    def test_subset_text_reads_as_its_member_set(self, inner, mask):
+        text = f"alternatives: a b c\nopinion {{{inner}}} >= {{c}} : 2\n"
+        _, state = parse_opinion_state(text)
+        assert state.counts == {(mask, 0b100): 2}
+
+    def test_repeats_sum_and_zero_lines_drop_across_spellings(self):
+        text = ("alternatives: a b c\n"
+                "opinion {a,b} >= {c} : 2\n"
+                "opinion {c} >= {a,b} : 0\n"
+                "opinion {a,b} >= {c} : 3\n"
+                "opinion {b, a} >= { c } : 1\n")
+        _, state = parse_opinion_state(text)
+        assert state.counts == {(0b011, 0b100): 6}
+
+    @pytest.mark.parametrize("inner, message", (
+        ("", "line 4: empty subset in opinion"),
+        (" , ", "line 4: empty subset in opinion"),
+        ("a b", "line 4: unknown alternative 'a b'"),
+        ("a,q", "line 4: unknown alternative 'q'"),
+    ))
+    def test_bad_subset_is_exit_2_naming_its_own_line(self, inner, message,
+                                                       tmp_path, capsys):
+        # the good subsets of lines 2 and 3 are read and cached first; the
+        # name 'ab' must not make '{a b}' a cache hit
+        text = ("alternatives: a b c ab\n"
+                "opinion {a} >= {b} : 1\n"
+                "opinion {ab} >= {b} : 1\n"
+                f"opinion {{a}} >= {{{inner}}} : 1\n")
+        opinions = tmp_path / "ops.txt"
+        opinions.write_text(text)
+        assert main(["rank", "--rule", "iis", "--opinions", str(opinions)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+
 
 class TestRoundTrips:
     def test_table(self):

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings
 
@@ -94,19 +96,18 @@ class TestPreferenceProfile:
 
 class TestOpinionState:
     def test_normalizes_zero_counts_away(self):
-        s, t = subset(3, 0), subset(3, 1)
+        s, t = 0b001, 0b010
         state = OpinionState(3, {(s, t): 0, (t, s): 2})
-        assert (s, t) not in state.entries
-        assert state.entries[(t, s)] == 2
+        assert (s, t) not in state.counts
+        assert state.counts[(t, s)] == 2
 
     def test_rejects_negative_counts(self):
-        s = subset(3, 0)
         with pytest.raises(ValidationError):
-            OpinionState(3, {(s, s): -1})
+            OpinionState(3, {(0b001, 0b001): -1})
 
     def test_rejects_foreign_universe(self):
         with pytest.raises(ValidationError):
-            OpinionState(3, {(subset(4, 0), subset(4, 1)): 1})
+            OpinionState(3, {(0b0001, 0b1000): 1})
 
     def test_from_support_realizes_any_support(self):
         target = {0b011: 4, 0b100: 1}
@@ -119,10 +120,48 @@ class TestOpinionState:
             OpinionState.from_support(3, {mask: 1})
 
 
+class TestIntKeyedCounts:
+    @pytest.mark.parametrize("counts", (
+        {(0, 0b001): 1},                         # mask 0
+        {(0b001, 0b1000): 1},                    # at 1 << n
+        {(1 << 70, 0b001): 1},
+        {(subset(3, 0), subset(3, 0)): 1},       # not an int
+        {(0b001, 1.0): 1},
+        {("a", 0b001): 1},
+        {0b001: 1},                              # not a pair
+        {(0b001, 0b010, 0b100): 1},
+        {(0b001, 0b010): -1},                    # negative count
+        {(0b001, 0b010): 1.0},                   # not an int count
+        {(0b001, 0b010): "2"},
+    ), ids=repr)
+    def test_rejects_bad_keys_and_counts(self, counts):
+        with pytest.raises(ValidationError):
+            OpinionState(3, counts)
+
+    def test_accepts_bit_63_at_64_alternatives(self):
+        high, full = 1 << 63, (1 << 64) - 1
+        state = OpinionState(64, {(high, full): 2, (full, high): 1})
+        assert state.support_map == {high: 2, full: 1}
+
+    @settings(max_examples=60)
+    @given(opinion_states())
+    def test_entries_are_the_alt_subset_view_of_counts(self, state):
+        n = state.universe
+        assert state.entries == {
+            (AltSubset(s, n), AltSubset(t, n)): c for (s, t), c in state.counts.items()}
+
+    def test_keeps_the_names_the_traced_benchmark_wraps(self):
+        # the traced benchmark run wraps these in place and reads .entries
+        assert "__post_init__" in OpinionState.__dict__
+        for name in ("entries", "support_map", "quotient", "e_vector"):
+            prop = OpinionState.__dict__[name]
+            assert isinstance(prop, cached_property) and callable(prop.func)
+
+
 class TestSupport:
     def test_single_entry_row_sum(self):
         s, t = subset(3, 0, 1), subset(3, 2)
-        state = OpinionState(3, {(s, t): 5})
+        state = OpinionState(3, {(s.mask, t.mask): 5})
         assert support_of(state, s) == 5
         assert support_of(state, t) == 0
 
@@ -133,7 +172,7 @@ class TestSupport:
 
     def test_rows_sum_over_all_partners(self):
         s, t, u = subset(3, 0), subset(3, 1), subset(3, 2)
-        state = OpinionState(3, {(s, t): 2, (s, u): 3, (t, s): 7})
+        state = OpinionState(3, {(s.mask, t.mask): 2, (s.mask, u.mask): 3, (t.mask, s.mask): 7})
         assert support_of(state, s) == 5
         assert support_of(state, t) == 7
 

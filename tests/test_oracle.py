@@ -16,7 +16,6 @@ from critrank.aggregators import (
 )
 from critrank.axioms import RULES, Rule
 from critrank.model import (
-    AltSubset,
     Ranking,
     OpinionState,
     ValidationError,
@@ -41,11 +40,11 @@ from conftest import opinion_states
 
 class TestDenseState:
     def test_from_sparse_sums_entry_rows(self):
-        s, t = AltSubset(0b011, 3), AltSubset(0b100, 3)
+        s, t = 0b011, 0b100
         state = OpinionState(3, {(s, t): 2, (s, s): 1, (t, s): 4})
         dense = DenseState.from_sparse(state)
-        assert dense.support[s.mask - 1] == 3
-        assert dense.support[t.mask - 1] == 4
+        assert dense.support[s - 1] == 3
+        assert dense.support[t - 1] == 4
         assert sum(dense.support) == 7
 
     def test_rejects_oversized_universe(self):

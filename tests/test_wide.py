@@ -15,10 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critrank.aggregators import class_count_vector, support_rank
-from critrank.axioms import permute_state, trailing_merge_sequence
+from critrank.axioms import (
+    RULES,
+    check_axiom,
+    generate_instances,
+    permute_state,
+    trailing_merge_sequence,
+)
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
-    AltSubset,
     OpinionState,
     class_union_intersection,
     column_sums,
@@ -59,6 +64,19 @@ def wide_supports(draw, min_universe: int = 60, max_universe: int = 64):
 def wide_states(min_universe: int = 60, max_universe: int = 64):
     return wide_supports(min_universe, max_universe).map(
         lambda drawn: OpinionState.from_support(*drawn))
+
+
+@st.composite
+def wide_opinion_states(draw):
+    """Wide states whose every subset also holds an off-diagonal opinion."""
+    universe, support = draw(wide_supports())
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    counts: dict[tuple[int, int], int] = {}
+    for mask, value in support.items():
+        partner = rng.getrandbits(universe) or 1
+        counts[(mask, mask)] = rng.randint(0, value - 1)
+        counts[(mask, partner)] = counts.get((mask, partner), 0) + value - counts[(mask, mask)]
+    return OpinionState(universe, counts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,9 +153,30 @@ def test_from_support_reproduces_the_support_map(drawn):
 @settings(max_examples=25, deadline=None)
 @given(wide_states(min_universe=64), st.integers(1, 5))
 def test_opinion_file_round_trip_keeps_bit_63(state, count):
-    entries = dict(state.entries)
-    high, full = AltSubset(1 << 63, 64), AltSubset((1 << 64) - 1, 64)
-    entries[(high, full)] = entries.get((high, full), 0) + count
-    state = OpinionState(64, entries)
+    counts = dict(state.counts)
+    high, full = 1 << 63, (1 << 64) - 1
+    counts[(high, full)] = counts.get((high, full), 0) + count
+    state = OpinionState(64, counts)
     names = tuple(f"a{i}" for i in range(64))
     assert parse_opinion_state(format_opinion_state(names, state)) == (names, state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_opinion_states())
+def test_opinion_file_round_trip_keeps_off_diagonal_counts(state):
+    names = tuple(f"a{i}" for i in range(state.universe))
+    assert parse_opinion_state(format_opinion_state(names, state)) == (names, state)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(("iws", "ibs")), st.integers(60, 64), st.integers(0, 2**32 - 1))
+def test_wide_score_shifts_bind_every_rule_but_the_known_breakers(kind, n, seed):
+    # support and lexcel count members per class, which restructuring the
+    # worst (iws) or best (ibs) class changes; the target rule breaks it by design
+    breakers = {"support", "lexcel"} | {r.name for r in RULES.values() if r.target == kind}
+    instances = generate_instances(kind, n, seed, 3)
+    assert instances
+    for inst in instances:
+        for rule in RULES.values():
+            if rule.name not in breakers:
+                assert check_axiom(rule, inst).passed, (rule.name, kind, n, seed)
