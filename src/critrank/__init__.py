@@ -19,7 +19,6 @@ from .aggregators import (
     max_of,
     support_rank,
     tau_vector,
-    class_count_rows,
     class_count_vector,
 )
 from .axioms import (

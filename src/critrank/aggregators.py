@@ -52,7 +52,7 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     return OpinionState(table.universe, counts)
 
 
-def class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
+def _class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
     """Per alternative, how many subsets of each support class contain it.
 
     Column order follows the quotient, strongest class first; the final
@@ -78,7 +78,7 @@ def class_count_vector(state: OpinionState, x: int) -> tuple[int, ...]:
     """Membership counts of x down the support classes, residual last."""
     if not 0 <= x < state.universe:
         raise ValidationError(f"alternative index {x!r} out of range")
-    return class_count_rows(state)[x]
+    return _class_count_rows(state)[x]
 
 
 def tau_vector(state: OpinionState, x: int) -> tuple[int, ...]:
@@ -100,7 +100,7 @@ def support_rank(state: OpinionState) -> Ranking[int]:
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:
     """Compare per-class membership counts lexicographically, strongest first."""
-    rows = class_count_rows(state)
+    rows = _class_count_rows(state)
     return ranking_from_scores({x: rows[x] for x in range(state.universe)})
 
 
@@ -133,7 +133,7 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     score are compared lexicographically by their cumulative membership
     counts, strongest class first.
     """
-    taus = [tuple(accumulate(row)) for row in class_count_rows(state)]
+    taus = [tuple(accumulate(row)) for row in _class_count_rows(state)]
     classes: list[tuple[int, ...]] = []
     for value, members in score_groups(dict(enumerate(state.e_vector))):
         if value == 0 or len(members) == 1:

@@ -32,7 +32,7 @@ from .aggregators import (
     iis_rank,
     lexcel_rank,
     support_rank,
-    class_count_rows,
+    _class_count_rows,
 )
 from .axioms import AXIOM_KINDS, RULES, sweep_axiom
 from .choice import (
@@ -184,7 +184,9 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     names: tuple[str, ...] | None = None
     bits: dict[str, int] = {}
     counts: dict[tuple[int, int], int] = {}
-    masks: dict[str, int] = {}  # subset text -> mask, so repeats parse once
+    # subset text -> mask: a criterion-induced state repeats each of its few
+    # subsets on many lines, so most texts are looked up, not parsed
+    masks: dict[str, int] = {}
 
     def subset(lineno: int, inner: str) -> int:
         mask = masks.get(inner)
@@ -222,11 +224,7 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
 # Serialization
 
 def format_subset(subset: AltSubset, names: tuple[str, ...]) -> str:
-    return _format_mask(subset.mask, names)
-
-
-def _format_mask(mask: int, names: tuple[str, ...]) -> str:
-    return "{" + ",".join([names[i] for i in iter_bits(mask)]) + "}"
+    return _format_members(iter_bits(subset.mask), names)
 
 
 def _format_members(indices, names: tuple[str, ...]) -> str:
@@ -265,9 +263,10 @@ def format_opinion_state(names: tuple[str, ...], state: OpinionState,
     lines = ["alternatives: " + " ".join(names)]
     if include_supports:
         for mask, value in sorted(state.support_map.items()):
-            lines.append(f"# support {_format_mask(mask, names)} = {value}")
+            lines.append(f"# support {_format_members(iter_bits(mask), names)} = {value}")
     for (s, t), count in sorted(state.counts.items()):
-        lines.append(f"opinion {_format_mask(s, names)} >= {_format_mask(t, names)} : {count}")
+        lines.append(f"opinion {_format_members(iter_bits(s), names)} >= "
+                     f"{_format_members(iter_bits(t), names)} : {count}")
     return "\n".join(lines) + "\n"
 
 
@@ -394,9 +393,10 @@ def _cmd_induce(config: RunConfig) -> int:
     if config.fmt == "lines":
         kv = ["alternatives=" + ",".join(names)]
         for mask, value in sorted(state.support_map.items()):
-            kv.append(f"support{_format_mask(mask, names)}={value}")
+            kv.append(f"support{_format_members(iter_bits(mask), names)}={value}")
         for (s, t), count in sorted(state.counts.items()):
-            kv.append(f"opinion{_format_mask(s, names)}>={_format_mask(t, names)}={count}")
+            kv.append(f"opinion{_format_members(iter_bits(s), names)}>="
+                      f"{_format_members(iter_bits(t), names)}={count}")
         _emit(config, [], kv)
     else:
         # The text form is itself a parseable opinion file.
@@ -459,7 +459,7 @@ def _cmd_demo(config: RunConfig) -> int:
     iis = iis_rank(state)
     supp = support_rank(state)
     lex = lexcel_rank(state)
-    rows = class_count_rows(state)
+    rows = _class_count_rows(state)
     counts_app = rows[names.index("Approval")]
     counts_bor = rows[names.index("Borda")]
 
