@@ -10,8 +10,10 @@ story and, where there is one, the repaired instance.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+# the package source beside this script, whatever the working directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from critrank.axioms import AXIOM_KINDS, RULES, check_axiom, sweep_axiom
 

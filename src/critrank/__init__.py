@@ -18,8 +18,6 @@ from .aggregators import (
     lexcel_rank,
     max_of,
     support_rank,
-    tau_vector,
-    class_count_vector,
 )
 from .axioms import (
     AXIOM_KINDS,
@@ -63,9 +61,6 @@ from .model import (
     SupportClass,
     ValidationError,
     class_union_intersection,
-    e_score,
-    e_scores,
-    quotient_order,
     ranking_from_scores,
     support_of,
 )

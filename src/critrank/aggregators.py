@@ -25,7 +25,6 @@ from .model import (
     Ranking,
     ValidationError,
     column_sums,
-    iter_bits,
     ranking_from_scores,
     score_groups,
 )
@@ -52,40 +51,6 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     return OpinionState(table.universe, counts)
 
 
-def _class_count_rows(state: OpinionState) -> list[tuple[int, ...]]:
-    """Per alternative, how many subsets of each support class contain it.
-
-    Column order follows the quotient, strongest class first; the final
-    column is the implicit residual class when present, computed by
-    complement counting rather than enumeration.
-    """
-    q = state.quotient
-    n = state.universe
-    rows = [[0] * q.depth for _ in range(n)]
-    for col, cls_ in enumerate(q.classes):
-        for mask in cls_.members:
-            for i in iter_bits(mask):
-                rows[i][col] += 1
-    if q.residual_present:
-        # Each alternative lies in 2**(n-1) subsets of the universe overall.
-        half = 1 << (n - 1)
-        for row in rows:
-            row[-1] = half - sum(row)
-    return [tuple(r) for r in rows]
-
-
-def class_count_vector(state: OpinionState, x: int) -> tuple[int, ...]:
-    """Membership counts of x down the support classes, residual last."""
-    if not 0 <= x < state.universe:
-        raise ValidationError(f"alternative index {x!r} out of range")
-    return _class_count_rows(state)[x]
-
-
-def tau_vector(state: OpinionState, x: int) -> tuple[int, ...]:
-    """Running totals of the membership counts of x, class by class."""
-    return tuple(accumulate(class_count_vector(state, x)))
-
-
 def iis_rank(state: OpinionState) -> Ranking[int]:
     """Rank by excellence score alone; equal scores tie."""
     e = state.e_vector
@@ -100,8 +65,7 @@ def support_rank(state: OpinionState) -> Ranking[int]:
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:
     """Compare per-class membership counts lexicographically, strongest first."""
-    rows = _class_count_rows(state)
-    return ranking_from_scores({x: rows[x] for x in range(state.universe)})
+    return ranking_from_scores(dict(enumerate(state.class_count_rows)))
 
 
 def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int]:
@@ -133,7 +97,7 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     score are compared lexicographically by their cumulative membership
     counts, strongest class first.
     """
-    taus = [tuple(accumulate(row)) for row in _class_count_rows(state)]
+    taus = [tuple(accumulate(row)) for row in state.class_count_rows]
     classes: list[tuple[int, ...]] = []
     for value, members in score_groups(dict(enumerate(state.e_vector))):
         if value == 0 or len(members) == 1:

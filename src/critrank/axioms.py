@@ -46,7 +46,6 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
-    class_union_intersection,
     column_sums,
     iter_bits,
 )
@@ -237,7 +236,7 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
         return AxiomVerdict(kind, True)
     if kind == "wivip":
         r = agg(inst.o1)
-        veto = class_union_intersection(inst.o1.quotient, 1)
+        veto = {x for x, e in enumerate(inst.o1.e_vector) if e >= 1}
         for x in veto:
             for y in range(u):
                 if y not in veto and not r.strictly_above(x, y):

@@ -32,7 +32,6 @@ from .aggregators import (
     iis_rank,
     lexcel_rank,
     support_rank,
-    _class_count_rows,
 )
 from .axioms import AXIOM_KINDS, RULES, sweep_axiom
 from .choice import (
@@ -49,7 +48,6 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
-    e_scores,
     iter_bits,
     support_of,
 )
@@ -257,16 +255,35 @@ def format_profile(profile: PreferenceProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: bool
+                ) -> tuple[list[tuple[str, int]], list[tuple[str, str, int]]]:
+    """Sorted (subset, support) rows, empty unless asked for, and sorted
+    (left, right, count) opinion rows, every subset as text.
+
+    A criterion-induced state repeats each of its few masks on many rows,
+    so each distinct mask is formatted once.
+    """
+    texts: dict[int, str] = {}
+
+    def text(mask: int) -> str:
+        got = texts.get(mask)
+        if got is None:
+            got = texts[mask] = _format_members(iter_bits(mask), names)
+        return got
+
+    supports = ([(text(m), v) for m, v in sorted(state.support_map.items())]
+                if include_supports else [])
+    opinions = [(text(s), text(t), c) for (s, t), c in sorted(state.counts.items())]
+    return supports, opinions
+
+
 def format_opinion_state(names: tuple[str, ...], state: OpinionState,
                          include_supports: bool = False) -> str:
     """Serialize a state so that parse_opinion_state reads it back."""
+    supports, opinions = _state_rows(names, state, include_supports)
     lines = ["alternatives: " + " ".join(names)]
-    if include_supports:
-        for mask, value in sorted(state.support_map.items()):
-            lines.append(f"# support {_format_members(iter_bits(mask), names)} = {value}")
-    for (s, t), count in sorted(state.counts.items()):
-        lines.append(f"opinion {_format_members(iter_bits(s), names)} >= "
-                     f"{_format_members(iter_bits(t), names)} : {count}")
+    lines += [f"# support {subset} = {value}" for subset, value in supports]
+    lines += [f"opinion {s} >= {t} : {count}" for s, t, count in opinions]
     return "\n".join(lines) + "\n"
 
 
@@ -391,12 +408,10 @@ def _cmd_induce(config: RunConfig) -> int:
     state = induce_opinion(table, profile)
     names = table.alternatives
     if config.fmt == "lines":
+        supports, opinions = _state_rows(names, state, include_supports=True)
         kv = ["alternatives=" + ",".join(names)]
-        for mask, value in sorted(state.support_map.items()):
-            kv.append(f"support{_format_members(iter_bits(mask), names)}={value}")
-        for (s, t), count in sorted(state.counts.items()):
-            kv.append(f"opinion{_format_members(iter_bits(s), names)}>="
-                      f"{_format_members(iter_bits(t), names)}={count}")
+        kv += [f"support{subset}={value}" for subset, value in supports]
+        kv += [f"opinion{s}>={t}={count}" for s, t, count in opinions]
         _emit(config, [], kv)
     else:
         # The text form is itself a parseable opinion file.
@@ -455,11 +470,10 @@ def _cmd_demo(config: RunConfig) -> int:
     second = nurmi_second(table, profile)
     state = induce_opinion(table, profile)
     supports = tuple(support_of(state, table.tr[c]) for c in table.criteria)
-    escores = e_scores(state)
     iis = iis_rank(state)
     supp = support_rank(state)
     lex = lexcel_rank(state)
-    rows = _class_count_rows(state)
+    rows = state.class_count_rows
     counts_app = rows[names.index("Approval")]
     counts_bor = rows[names.index("Borda")]
 
@@ -471,7 +485,7 @@ def _cmd_demo(config: RunConfig) -> int:
         ("score choice", frozenset(second.indices), _DEMO_CHOICE),
         ("alternative scores", tally.alternative_scores, _DEMO_ALT_SCORES),
         ("induced supports", supports, (10, 11, 12, 13, 8, 9)),
-        ("e-scores", escores, _DEMO_E_SCORES),
+        ("e-scores", state.e_vector, _DEMO_E_SCORES),
         ("iis ranking", tuple(set(c) for c in iis.classes), _DEMO_IIS),
         ("support ranking", tuple(set(c) for c in supp.classes), _DEMO_SUPPORT),
         ("lexcel ranking", tuple(set(c) for c in lex.classes), _DEMO_LEXCEL),
@@ -490,7 +504,7 @@ def _cmd_demo(config: RunConfig) -> int:
     score_text = " ".join(f"{c}={tally.criterion_scores[c]}" for c in table.criteria)
     alt_text = " ".join(f"{names[i]}={s}" for i, s in enumerate(tally.alternative_scores))
     supports_text = " ".join(f"{c}={s}" for c, s in zip(table.criteria, supports))
-    e_text = " ".join(f"{names[i]}={e}" for i, e in enumerate(escores))
+    e_text = " ".join(f"{names[i]}={e}" for i, e in enumerate(state.e_vector))
     text = [
         f"criterion scores: {score_text}",
         f"criteria ranking: {format_ranking(criteria_ranking)}",
@@ -521,7 +535,7 @@ def _cmd_demo(config: RunConfig) -> int:
         f"choice-score={format_subset(second, names)}",
         f"alternative-scores={csv(tally.alternative_scores)}",
         f"supports={csv(supports)}",
-        f"e-scores={csv(escores)}",
+        f"e-scores={csv(state.e_vector)}",
         f"ranking-iis={format_ranking(iis, names)}",
         f"ranking-support={format_ranking(supp, names)}",
         f"ranking-lexcel={format_ranking(lex, names)}",

@@ -141,26 +141,8 @@ class CriterionTable:
     def universe(self) -> int:
         return len(self.alternatives)
 
-    @cached_property
-    def _alt_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.alternatives)}
-
-    @cached_property
-    def _by_mask(self) -> dict[int, str]:
-        return {self.tr[c].mask: c for c in self.criteria}
-
-    def alt_index(self, name: str) -> int:
-        try:
-            return self._alt_index[name]
-        except KeyError:
-            raise ValidationError(f"unknown alternative {name!r}") from None
-
     def alt_names(self, subset: AltSubset) -> tuple[str, ...]:
         return tuple(self.alternatives[i] for i in subset.indices)
-
-    def criterion_for(self, subset: AltSubset) -> str | None:
-        """Inverse of ``tr`` where defined: the criterion with this exact set."""
-        return self._by_mask.get(subset.mask)
 
     def satisfied_counts(self) -> tuple[int, ...]:
         """How many criteria each alternative satisfies."""
@@ -263,11 +245,40 @@ class OpinionState:
 
     @cached_property
     def quotient(self) -> "QuotientOrder":
+        """Subsets grouped into equal-support classes, strongest first."""
         return _quotient_from_support(self.universe, self.support_map)
 
     @cached_property
     def e_vector(self) -> tuple[int, ...]:
+        """Excellence score of every alternative.
+
+        ``e_vector[x]`` is the deepest ``k`` such that x lies in every subset
+        of the top ``k`` support classes, or 0 when x already misses some
+        subset of the strongest class.
+        """
         return _e_scores_from_quotient(self.quotient)
+
+    @cached_property
+    def class_count_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per alternative, how many subsets of each support class contain it.
+
+        Column order follows the quotient, strongest class first; the final
+        column is the implicit residual class when present, computed by
+        complement counting rather than enumeration.
+        """
+        q = self.quotient
+        n = self.universe
+        rows = [[0] * q.depth for _ in range(n)]
+        for col, cls_ in enumerate(q.classes):
+            for mask in cls_.members:
+                for i in iter_bits(mask):
+                    rows[i][col] += 1
+        if q.residual_present:
+            # Each alternative lies in 2**(n-1) subsets of the universe overall.
+            half = 1 << (n - 1)
+            for row in rows:
+                row[-1] = half - sum(row)
+        return tuple(tuple(r) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -351,11 +362,6 @@ def support_of(state: OpinionState, subset: AltSubset) -> int:
     return state.support_map.get(subset.mask, 0)
 
 
-def quotient_order(state: OpinionState) -> QuotientOrder:
-    """Group subsets into equal-support classes, strongest first."""
-    return state.quotient
-
-
 def _residual_intersection_mask(q: QuotientOrder) -> int:
     # x lies in every residual subset exactly when every subset missing x is
     # explicit.  There are 2**(universe-1) - 1 nonempty subsets missing x, so
@@ -402,22 +408,6 @@ def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
         for x in iter_bits(inter):
             e[x] = depth
     return tuple(e)
-
-
-def e_scores(state: OpinionState) -> tuple[int, ...]:
-    """Excellence score of every alternative.
-
-    ``e_scores(o)[x]`` is the deepest ``k`` such that x lies in every subset
-    of the top ``k`` support classes, or 0 when x already misses some subset
-    of the strongest class.
-    """
-    return state.e_vector
-
-
-def e_score(state: OpinionState, x: int) -> int:
-    if not isinstance(x, int) or not 0 <= x < state.universe:
-        raise ValidationError(f"alternative index {x!r} out of range")
-    return state.e_vector[x]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .aggregators import _class_count_rows
 from .axioms import RULES, random_state, random_support_state
 from .model import (
     OpinionState,
@@ -244,7 +243,7 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     if any(e >= len(dcls) for e in state.e_vector):
         problems.append("e-bound")
 
-    for x, row in enumerate(_class_count_rows(state)):
+    for x, row in enumerate(state.class_count_rows):
         if row != dense_class_counts(d, x):
             problems.append(f"class-counts@{x}")
 

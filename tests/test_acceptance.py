@@ -20,7 +20,6 @@ from critrank.aggregators import (
     iis_rank,
     lexcel_rank,
     support_rank,
-    class_count_vector,
 )
 from critrank.axioms import (
     AXIOM_KINDS,
@@ -46,8 +45,6 @@ from critrank.cli import main
 from critrank.model import (
     AltSubset,
     class_union_intersection,
-    e_scores,
-    quotient_order,
     support_of,
 )
 from critrank.oracle import differential_sweep
@@ -136,7 +133,7 @@ def test_golden_induced_state(demo_table, demo_profile, demo_state):
         ("all 36 induced entries", entries_ok),
         ("entry count", len(demo_state.entries) == 36),
         ("supports", supports == (10, 11, 12, 13, 8, 9)),
-        ("e-scores", e_scores(demo_state) == (4, 0, 2, 4, 2, 1, 1)),
+        ("e-scores", demo_state.e_vector == (4, 0, 2, 4, 2, 1, 1)),
         ("deepest-intersection ranking",
          iis == (frozenset({0, 3}), frozenset({2, 4}),
                  frozenset({5, 6}), frozenset({1}))),
@@ -148,12 +145,12 @@ def test_golden_induced_state(demo_table, demo_profile, demo_state):
 
 
 def test_golden_excellence_vectors(demo_table, demo_state):
-    app = demo_table.alt_index("Approval")
-    bor = demo_table.alt_index("Borda")
+    app = demo_table.alternatives.index("Approval")
+    bor = demo_table.alternatives.index("Borda")
     lex = tuple(frozenset(c) for c in lexcel_rank(demo_state).classes)
     checks = [
-        ("class counts of Approval", class_count_vector(demo_state, app) == (1, 0, 0, 0, 1, 0, 62)),
-        ("class counts of Borda", class_count_vector(demo_state, bor) == (1, 0, 1, 0, 1, 1, 60)),
+        ("class counts of Approval", demo_state.class_count_rows[app] == (1, 0, 0, 0, 1, 0, 62)),
+        ("class counts of Borda", demo_state.class_count_rows[bor] == (1, 0, 1, 0, 1, 1, 60)),
         ("lexicographic ranking",
          lex == (frozenset({0, 3}), frozenset({2}), frozenset({4}),
                  frozenset({5}), frozenset({6}), frozenset({1}))),
@@ -255,9 +252,9 @@ def test_structural_identity_suite():
         off = random_support_state(rng, table.universe)
         for m in off.support_map:
             s = AltSubset(m, table.universe)
-            if table.criterion_for(s) is None and support_of(state, s) != 0:
+            if s not in table.tr.values() and support_of(state, s) != 0:
                 induced_support_ok = False
-        q = quotient_order(state)
+        q = state.quotient
         ranking = borda_ranking(tally)
         expected_classes = tuple(
             frozenset(table.tr[c].mask for c in cls_) for cls_ in ranking.classes)
@@ -279,13 +276,13 @@ def test_structural_identity_suite():
         universe = rng.randint(3, 5)
         state = (random_support_state(rng, universe) if rng.random() < 0.5
                  else random_state(rng, universe))
-        q = quotient_order(state)
-        scores = e_scores(state)
+        q = state.quotient
+        scores = state.e_vector
         if not all(e < q.depth for e in scores):
             depth_ok = False
         pi = list(range(universe))
         rng.shuffle(pi)
-        moved = e_scores(permute_state(state, pi))
+        moved = permute_state(state, pi).e_vector
         if any(moved[pi[x]] != scores[x] for x in range(universe)):
             relabel_ok = False
     checks.append(("excellence depth stays below the class count", depth_ok))
@@ -300,8 +297,8 @@ def test_structural_identity_suite():
     iws_ok = True
     instances = batch("iws")
     for inst in instances:
-        before = e_scores(inst.o1)
-        after = e_scores(inst.o2)
+        before = inst.o1.e_vector
+        after = inst.o2.e_vector
         ceiling = inst.o1.quotient.depth - 1
         for x in range(inst.o1.universe):
             if before[x] < ceiling:
@@ -314,8 +311,8 @@ def test_structural_identity_suite():
     ibs_ok = True
     instances = batch("ibs")
     for inst in instances:
-        before = e_scores(inst.o1)
-        after = e_scores(inst.o2)
+        before = inst.o1.e_vector
+        after = inst.o2.e_vector
         head = inst.o2.quotient.depth - inst.o1.quotient.depth + 1
         for x in range(inst.o1.universe):
             if before[x] > 0:
@@ -330,7 +327,7 @@ def test_structural_identity_suite():
     instances = batch("wivip")
     for inst in instances:
         veto = class_union_intersection(inst.o1.quotient, 1)
-        scores = e_scores(inst.o1)
+        scores = inst.o1.e_vector
         for x in range(inst.o1.universe):
             wivip_ok = wivip_ok and scores[x] == (1 if x in veto else 0)
     checks.append((f"two-level states score one exactly on the veto set "
@@ -340,8 +337,8 @@ def test_structural_identity_suite():
     inui_ok = True
     instances = batch("inui")
     for inst in instances:
-        before = e_scores(inst.o1)
-        after = e_scores(inst.o2)
+        before = inst.o1.e_vector
+        after = inst.o2.e_vector
         inter = (1 << inst.o1.universe) - 1
         for m in inst.promoted:
             inter &= m

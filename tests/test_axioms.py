@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
@@ -42,8 +45,6 @@ from critrank.axioms import (
 from critrank.model import (
     AltSubset,
     OpinionState,
-    e_scores,
-    quotient_order,
     support_of,
 )
 
@@ -64,8 +65,8 @@ class TestPermutation:
         moved = permute_state(state, pi)
         for m, v in state.support_map.items():
             assert support_of(moved, permute_subset(AltSubset(m, state.universe), pi)) == v
-        original = e_scores(state)
-        relabeled = e_scores(moved)
+        original = state.e_vector
+        relabeled = moved.e_vector
         for x in range(state.universe):
             assert relabeled[pi[x]] == original[x]
 
@@ -242,6 +243,24 @@ class TestRuleRegistry:
                 if line.split() and line.split()[0] in RULES]
         assert rows == list(RULES)
 
+    def test_axiom_matrix_runs_outside_the_repository(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_matrix.py"
+        # no PYTHONPATH: the script must find the package on its own
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, str(path), "--trials", "5", "--sizes", "3"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True).stdout
+        rows = {}
+        for line in out.splitlines()[1:1 + len(RULES)]:
+            name, *cells = line.split()
+            rows[name] = dict(zip(AXIOM_KINDS, map(int, cells[:len(AXIOM_KINDS)])))
+        assert list(rows) == list(RULES)
+        assert set(rows["iis"].values()) == {0}
+        for name, rule in RULES.items():
+            if rule.target is not None:
+                assert all(v == 0 for kind, v in rows[name].items()
+                           if kind != rule.target), name
+
 
 class TestChoiceEquivalence:
     def test_worked_example(self, demo_table, demo_profile):
@@ -266,14 +285,14 @@ class TestTrailingMerges:
     @settings(max_examples=100, deadline=None)
     @given(opinion_states(max_universe=4))
     def test_merging_the_tail_clamps_excellence_scores(self, state):
-        original = e_scores(state)
+        original = state.e_vector
         merged = trailing_merge_sequence(state)
-        n_classes = len(quotient_order(state).classes)
+        n_classes = len(state.quotient.classes)
         assert len(merged) == n_classes + 1
         for j, shrunk in enumerate(merged):
             keep = n_classes - j
             clamped = tuple(min(e, keep) for e in original)
-            assert e_scores(shrunk) == clamped
+            assert shrunk.e_vector == clamped
 
     @settings(max_examples=100, deadline=None)
     @given(opinion_states(max_universe=4))

@@ -13,9 +13,6 @@ from critrank.model import (
     SupportClass,
     ValidationError,
     class_union_intersection,
-    e_score,
-    e_scores,
-    quotient_order,
     ranking_from_scores,
     support_of,
 )
@@ -57,7 +54,6 @@ class TestCriterionTable:
     def test_accepts_valid(self):
         t = self.make([(0, 1), (2,), (0, 2, 3)])
         assert t.universe == 4
-        assert t.alt_index("y") == 2
         assert t.alt_names(subset(4, 1, 3)) == ("x", "z")
 
     def test_rejects_equivalent_criteria_naming_both(self):
@@ -179,7 +175,7 @@ class TestSupport:
 
 class TestQuotientOrder:
     def test_empty_state_is_one_residual_class(self):
-        q = quotient_order(OpinionState(3, {}))
+        q = OpinionState(3, {}).quotient
         assert q.classes == ()
         assert q.residual_present
         assert q.residual_size == 7
@@ -188,14 +184,14 @@ class TestQuotientOrder:
     def test_dense_distinct_supports_have_no_residual(self):
         universe = 3
         support = {m: 8 - m for m in range(1, 8)}
-        q = quotient_order(OpinionState.from_support(universe, support))
+        q = OpinionState.from_support(universe, support).quotient
         assert not q.residual_present
         assert len(q.classes) == 7
         assert all(len(c.members) == 1 for c in q.classes)
 
     def test_values_strictly_decreasing(self):
         state = OpinionState.from_support(3, {0b001: 2, 0b010: 2, 0b100: 1})
-        q = quotient_order(state)
+        q = state.quotient
         assert [c.value for c in q.classes] == [2, 1]
         assert q.classes[0].members == {0b001, 0b010}
 
@@ -212,7 +208,7 @@ class TestQuotientOrder:
     @settings(max_examples=150, deadline=None)
     @given(opinion_states())
     def test_flattening_reproduces_supports(self, state):
-        q = quotient_order(state)
+        q = state.quotient
         rebuilt = {m: c.value for c in q.classes for m in c.members}
         assert rebuilt == state.support_map
         total = sum(len(c.members) for c in q.classes) + q.residual_size
@@ -222,11 +218,11 @@ class TestQuotientOrder:
 class TestClassUnionIntersection:
     def test_single_subset_top_class_is_itself(self):
         state = OpinionState.from_support(3, {0b101: 3})
-        q = quotient_order(state)
+        q = state.quotient
         assert class_union_intersection(q, 1) == frozenset({0, 2})
 
     def test_k_out_of_range(self):
-        q = quotient_order(OpinionState(3, {}))
+        q = OpinionState(3, {}).quotient
         with pytest.raises(ValidationError):
             class_union_intersection(q, 0)
         with pytest.raises(ValidationError):
@@ -235,7 +231,7 @@ class TestClassUnionIntersection:
     @settings(max_examples=120, deadline=None)
     @given(opinion_states(max_universe=4))
     def test_prefix_intersections_match_enumeration(self, state):
-        q = quotient_order(state)
+        q = state.quotient
         support = state.support_map
         full = (1 << state.universe) - 1
         by_value: dict[int, list[int]] = {}
@@ -258,7 +254,7 @@ class TestClassUnionIntersection:
     @settings(max_examples=150, deadline=None)
     @given(opinion_states(max_universe=4))
     def test_prefix_intersections_shrink(self, state):
-        q = quotient_order(state)
+        q = state.quotient
         previous = None
         for k in range(1, q.depth + 1):
             current = class_union_intersection(q, k)
@@ -270,20 +266,15 @@ class TestClassUnionIntersection:
 class TestEScore:
     def test_singleton_top_class_shuts_others_out(self):
         state = OpinionState.from_support(3, {0b001: 5, 0b011: 1})
-        assert e_score(state, 1) == 0
-        assert e_score(state, 2) == 0
-        assert e_score(state, 0) == 2
-
-    def test_unknown_alternative(self):
-        state = OpinionState(3, {})
-        with pytest.raises(ValidationError):
-            e_score(state, 3)
+        assert state.e_vector[1] == 0
+        assert state.e_vector[2] == 0
+        assert state.e_vector[0] == 2
 
     @settings(max_examples=200, deadline=None)
     @given(opinion_states())
     def test_depth_bound(self, state):
-        q = quotient_order(state)
-        assert all(e < q.depth for e in e_scores(state))
+        q = state.quotient
+        assert all(e < q.depth for e in state.e_vector)
 
 
 class TestRanking:

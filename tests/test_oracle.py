@@ -12,18 +12,16 @@ from critrank.aggregators import (
     iis_tiebreak_tau,
     lexcel_rank,
     support_rank,
-    class_count_vector,
 )
 from critrank.axioms import RULES, Rule
 from critrank.model import (
     Ranking,
     OpinionState,
     ValidationError,
-    e_scores,
-    quotient_order,
     support_of,
 )
 from critrank.oracle import (
+    _compare_state,
     DenseState,
     ORACLE_MAX_UNIVERSE,
     dense_classes,
@@ -93,9 +91,9 @@ class TestAgreementOnCorners:
             for x in range(state.universe):
                 direct = sum(v for m, v in state.support_map.items() if m >> x & 1)
                 assert totals[x] == direct
-            assert dense_e_vector(d) == e_scores(state)
+            assert dense_e_vector(d) == state.e_vector
             for x in range(state.universe):
-                assert dense_class_counts(d, x) == class_count_vector(state, x)
+                assert dense_class_counts(d, x) == state.class_count_rows[x]
 
     def test_all_rankings_agree(self):
         for state in self.corner_states():
@@ -153,6 +151,22 @@ class TestDifferentialSweep:
                      if p.startswith("ranking-")]
             assert named == [f"ranking-{name}"], detail
 
+    def test_class_count_rows_are_built_once_per_state(self, monkeypatch):
+        cached = OpinionState.__dict__["class_count_rows"]
+        build = cached.func
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return build(state)
+
+        monkeypatch.setattr(cached, "func", counted)
+        state = OpinionState.from_support(4, {0b0011: 3, 0b0110: 3, 0b1111: 1})
+        lexcel_rank(state)
+        iis_tiebreak_tau(state)
+        assert _compare_state(state, (0, 1, 2, 3)) == []
+        assert calls == [state]
+
     def test_a_rule_without_dense_counterpart_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(RULES, "unmatched", Rule("unmatched", iis_rank))
         with pytest.raises(LookupError, match="unmatched"):
@@ -162,7 +176,7 @@ class TestDifferentialSweep:
     @given(opinion_states())
     def test_random_states_agree_on_quotient_depth(self, state):
         d = DenseState.from_sparse(state)
-        assert len(dense_classes(d)) == quotient_order(state).depth
+        assert len(dense_classes(d)) == state.quotient.depth
         totals = dense_support_totals(d)
         for x in range(state.universe):
             assert totals[x] == sum(
