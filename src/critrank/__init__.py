@@ -27,7 +27,6 @@ from .axioms import (
     RULES,
     Rule,
     SweepResult,
-    axiom_independence_report,
     check_axiom,
     check_choice_equivalence,
     generate_instances,
@@ -60,7 +59,6 @@ from .model import (
     Ranking,
     SupportClass,
     ValidationError,
-    class_union_intersection,
     ranking_from_scores,
     support_of,
 )

@@ -15,9 +15,8 @@ list instead of perturbing opinion entries.
 
 The module also houses the rule registry ``RULES``, which pairs every
 ranking rule with the axiom it is built to break and its named witness
-instances; the independence report that exercises them; the choice-method
-equivalence check; and the trailing-class merge sequence used to probe
-excellence-score clamping.
+instances; the choice-method equivalence check; and the trailing-class
+merge sequence used to probe excellence-score clamping.
 """
 
 import sys
@@ -42,6 +41,7 @@ from .choice import nurmi_first, nurmi_second
 from .model import (
     AltSubset,
     CriterionTable,
+    MAX_UNIVERSE,
     OpinionState,
     PreferenceProfile,
     Ranking,
@@ -443,8 +443,9 @@ def generate_instances(kind: str, universe_size: int, seed: int,
     so the result may be shorter than requested."""
     if kind not in AXIOM_KINDS:
         raise ValidationError(f"unknown axiom kind {kind!r}")
-    if not 3 <= universe_size:
-        raise ValidationError("instance generation needs at least 3 alternatives")
+    if not 3 <= universe_size <= MAX_UNIVERSE:
+        raise ValidationError(
+            f"instance generation needs 3 to {MAX_UNIVERSE} alternatives, got {universe_size}")
     rng = Random(f"{kind}/{universe_size}/{seed}")
     out = []
     for _ in range(count):
@@ -604,49 +605,6 @@ RULES: dict[str, Rule] = {rule.name: rule for rule in (
     Rule("indifferent", indifference_rule, target="wivip",
          witnesses=(indifference_wivip_witness, None)),
 )}
-
-
-@dataclass(frozen=True)
-class VariantReport:
-    variant: str
-    target_axiom: str
-    witness_violated: bool
-    adjusted_witness_violated: bool | None
-    sweeps: tuple[SweepResult, ...]
-
-    @property
-    def other_axioms_clean(self) -> bool:
-        return all(s.violations == 0 for s in self.sweeps)
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    trials: int
-    seed: int
-    universe_sizes: tuple[int, ...]
-    variants: tuple[VariantReport, ...]
-
-
-def axiom_independence_report(universe_sizes: Sequence[int] = (3, 4, 5),
-                              trials: int = 200, seed: int = 0) -> IndependenceReport:
-    """Exercise every rival rule: its named witness, plus clean sweeps of the
-    four axioms it is supposed to satisfy."""
-    variants = []
-    for rule in RULES.values():
-        if rule.target is None:
-            continue
-        primary, adjusted = rule.witnesses
-        witness_violated = not check_axiom(rule, primary()).passed
-        adjusted_violated = None
-        if adjusted is not None:
-            adjusted_violated = not check_axiom(rule, adjusted()).passed
-        sweeps = tuple(
-            sweep_axiom(rule, kind, u, seed, trials)
-            for kind in AXIOM_KINDS if kind != rule.target
-            for u in universe_sizes)
-        variants.append(VariantReport(rule.name, rule.target, witness_violated,
-                                      adjusted_violated, sweeps))
-    return IndependenceReport(trials, seed, tuple(universe_sizes), tuple(variants))
 
 
 # ---------------------------------------------------------------------------

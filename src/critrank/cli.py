@@ -24,7 +24,6 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregators import (
@@ -329,22 +328,6 @@ _DEMO_CLASS_COUNTS_BORDA = (1, 0, 1, 0, 1, 1, 60)
 # ---------------------------------------------------------------------------
 # Command dispatch
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    table: str | None = None
-    profile: str | None = None
-    opinions: str | None = None
-    method: str | None = None
-    rule: str | None = None
-    axiom: str | None = None
-    order: str | None = None
-    trials: int = 1000
-    seed: int = 0
-    alternatives: int = 4
-    fmt: str = "text"
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -352,26 +335,26 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _load_pair(config: RunConfig) -> tuple[CriterionTable, PreferenceProfile]:
-    table = parse_criterion_table(_read(config.table))
-    profile = parse_profile(_read(config.profile), table)
+def _load_pair(args: argparse.Namespace) -> tuple[CriterionTable, PreferenceProfile]:
+    table = parse_criterion_table(_read(args.table))
+    profile = parse_profile(_read(args.profile), table)
     return table, profile
 
 
-def _emit(config: RunConfig, text_lines: list[str], kv_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, text_lines: list[str], kv_lines: list[str]) -> None:
     # Machine output always restates the seed so runs can be replayed.
-    if config.fmt == "lines":
-        print("\n".join([f"seed={config.seed}"] + kv_lines))
+    if args.fmt == "lines":
+        print("\n".join([f"seed={args.seed}"] + kv_lines))
     else:
         print("\n".join(text_lines))
 
 
-def _cmd_choose(config: RunConfig) -> int:
-    table, profile = _load_pair(config)
-    method = nurmi_first if config.method == "n1" else nurmi_second
+def _cmd_choose(args: argparse.Namespace) -> int:
+    table, profile = _load_pair(args)
+    method = nurmi_first if args.method == "n1" else nurmi_second
     chosen = format_subset(method(table, profile), table.alternatives)
-    _emit(config, [f"choice: {chosen}"],
-          [f"method={config.method}", f"choice={chosen}"])
+    _emit(args, [f"choice: {chosen}"],
+          [f"method={args.method}", f"choice={chosen}"])
     return 0
 
 
@@ -383,48 +366,48 @@ def _parse_order(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(names.index(p) for p in parts)
 
 
-def _cmd_rank(config: RunConfig) -> int:
-    rule = RULES[config.rule]
-    if config.order is not None and not rule.takes_order:
+def _cmd_rank(args: argparse.Namespace) -> int:
+    rule = RULES[args.rule]
+    if args.order is not None and not rule.takes_order:
         raise ParseError(f"rule {rule.name} takes no --order")
-    if config.opinions is not None:
-        if config.table is not None or config.profile is not None:
+    if args.opinions is not None:
+        if args.table is not None or args.profile is not None:
             raise ParseError("rank takes --opinions or --table/--profile, not both")
-        names, state = parse_opinion_state(_read(config.opinions))
+        names, state = parse_opinion_state(_read(args.opinions))
     else:
-        if config.table is None or config.profile is None:
+        if args.table is None or args.profile is None:
             raise ParseError("rank needs --opinions, or both --table and --profile")
-        table, profile = _load_pair(config)
+        table, profile = _load_pair(args)
         names, state = table.alternatives, induce_opinion(table, profile)
-    order = None if config.order is None else _parse_order(config.order, names)
+    order = None if args.order is None else _parse_order(args.order, names)
     rendered = format_ranking(rule(state, order), names)
-    _emit(config, [f"ranking: {rendered}"],
-          [f"rule={config.rule}", f"ranking={rendered}"])
+    _emit(args, [f"ranking: {rendered}"],
+          [f"rule={args.rule}", f"ranking={rendered}"])
     return 0
 
 
-def _cmd_induce(config: RunConfig) -> int:
-    table, profile = _load_pair(config)
+def _cmd_induce(args: argparse.Namespace) -> int:
+    table, profile = _load_pair(args)
     state = induce_opinion(table, profile)
     names = table.alternatives
-    if config.fmt == "lines":
+    if args.fmt == "lines":
         supports, opinions = _state_rows(names, state, include_supports=True)
         kv = ["alternatives=" + ",".join(names)]
         kv += [f"support{subset}={value}" for subset, value in supports]
         kv += [f"opinion{s}>={t}={count}" for s, t, count in opinions]
-        _emit(config, [], kv)
+        _emit(args, [], kv)
     else:
         # The text form is itself a parseable opinion file.
         print(format_opinion_state(names, state, include_supports=True), end="")
     return 0
 
 
-def _cmd_check(config: RunConfig) -> int:
-    result = sweep_axiom(RULES[config.rule], config.axiom,
-                         config.alternatives, config.seed, config.trials)
+def _cmd_check(args: argparse.Namespace) -> int:
+    result = sweep_axiom(RULES[args.rule], args.axiom,
+                         args.alternatives, args.seed, args.trials)
     status = "pass" if result.violations == 0 else "fail"
-    fields = [("axiom", config.axiom), ("rule", config.rule),
-              ("alternatives", config.alternatives), ("requested", result.requested),
+    fields = [("axiom", args.axiom), ("rule", args.rule),
+              ("alternatives", args.alternatives), ("requested", result.requested),
               ("checked", result.checked), ("violations", result.violations)]
     text = [f"{key}: {value}" for key, value in fields]
     kv = [f"{key}={value}" for key, value in fields]
@@ -434,16 +417,16 @@ def _cmd_check(config: RunConfig) -> int:
         kv.append(f"witness-{i}=x={x} y={y}: {verdict.note}")
     text.append(f"result: {status}")
     kv.append(f"result={status}")
-    _emit(config, text, kv)
+    _emit(args, text, kv)
     return 0 if result.violations == 0 else 3
 
 
-def _cmd_selftest(config: RunConfig) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     text: list[str] = []
-    kv: list[str] = [f"trials={config.trials}"]
+    kv: list[str] = [f"trials={args.trials}"]
     failed = False
     for universe in (3, 4, 5):
-        report = differential_sweep(universe, config.trials, config.seed)
+        report = differential_sweep(universe, args.trials, args.seed)
         text.append(f"alternatives {universe}: trials={report.trials} "
                     f"mismatches={report.mismatches}")
         kv.append(f"universe-{universe}-mismatches={report.mismatches}")
@@ -454,11 +437,11 @@ def _cmd_selftest(config: RunConfig) -> int:
     status = "fail" if failed else "pass"
     text.append(f"result: {status}")
     kv.append(f"result={status}")
-    _emit(config, text, kv)
+    _emit(args, text, kv)
     return 3 if failed else 0
 
 
-def _cmd_demo(config: RunConfig) -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     table = parse_criterion_table(DEMO_TABLE_TEXT)
     profile = parse_profile(DEMO_PROFILE_TEXT, table)
     names = table.alternatives
@@ -543,7 +526,7 @@ def _cmd_demo(config: RunConfig) -> int:
         f"class-counts-Borda={csv(counts_bor)}",
         f"status={status}",
     ]
-    _emit(config, text, kv)
+    _emit(args, text, kv)
     for line in mismatches:
         print(line, file=sys.stderr)
     return 3 if mismatches else 0
@@ -559,10 +542,10 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -648,8 +631,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    config = RunConfig(**vars(ns))
-    return run(config)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ state, and is what the choice methods return.
 Opinion states are sparse: only pairs of subsets with a positive count are
 stored.  The exponentially large family of subsets with zero support is never
 materialized; :class:`QuotientOrder` represents it as an implicit residual
-class, and the few places that need facts about the residual (membership in
-its intersection, its size) use closed-form counting instead of enumeration.
+class.  The excellence scores never need its members, and the two facts
+that are needed, its size and how many of its subsets contain each
+alternative, are closed-form counts rather than enumerations.
 
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.
@@ -345,8 +346,7 @@ class QuotientOrder:
 def _quotient_from_support(universe: int, support: Mapping[int, int]) -> QuotientOrder:
     by_value: dict[int, list[int]] = {}
     for mask, v in support.items():
-        if v > 0:
-            by_value.setdefault(v, []).append(mask)
+        by_value.setdefault(v, []).append(mask)
     classes = tuple(
         SupportClass(v, frozenset(by_value[v])) for v in sorted(by_value, reverse=True)
     )
@@ -362,34 +362,6 @@ def support_of(state: OpinionState, subset: AltSubset) -> int:
     return state.support_map.get(subset.mask, 0)
 
 
-def _residual_intersection_mask(q: QuotientOrder) -> int:
-    # x lies in every residual subset exactly when every subset missing x is
-    # explicit.  There are 2**(universe-1) - 1 nonempty subsets missing x, so
-    # all but that many explicit subsets must contain x.
-    if not q.residual_present:
-        raise ValidationError("no residual class to intersect")
-    needed = sum(len(cls_.members) for cls_ in q.classes) - ((1 << (q.universe - 1)) - 1)
-    if needed < 0:  # too few explicit subsets: skip the count
-        return 0
-    masks = (mask for cls_ in q.classes for mask in cls_.members)
-    mask = 0
-    for x, containing in enumerate(column_sums(q.universe, zip(masks, repeat(1)))):
-        if containing == needed:
-            mask |= 1 << x
-    return mask
-
-
-def class_union_intersection(q: QuotientOrder, k: int) -> frozenset[int]:
-    """Alternatives lying in every subset of the top ``k`` classes.
-
-    The running intersections are nested, so x lies in the top-k one
-    exactly when its excellence score reaches k.
-    """
-    if not isinstance(k, int) or not 1 <= k <= q.depth:
-        raise ValidationError(f"class depth {k!r} out of range [1, {q.depth}]")
-    return frozenset(x for x, e in enumerate(_e_scores_from_quotient(q)) if e >= k)
-
-
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     e = [0] * q.universe
     inter = (1 << q.universe) - 1
@@ -402,11 +374,10 @@ def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
         depth += 1
         for x in iter_bits(inter):
             e[x] = depth
-    if q.residual_present:
-        inter &= _residual_intersection_mask(q)
-        depth += 1
-        for x in iter_bits(inter):
-            e[x] = depth
+    # If x lies in every explicit subset, all 2**(n-1) - 1 subsets missing x
+    # sit in the residual, so the residual extends x's run only at n == 1.
+    if q.residual_present and q.universe == 1:
+        e[0] = depth + 1
     return tuple(e)
 
 

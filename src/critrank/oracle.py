@@ -13,11 +13,7 @@ from functools import cached_property
 from random import Random
 
 from .axioms import RULES, random_state, random_support_state
-from .model import (
-    OpinionState,
-    ValidationError,
-    class_union_intersection,
-)
+from .model import OpinionState, ValidationError
 
 ORACLE_MAX_UNIVERSE = 6
 
@@ -73,11 +69,6 @@ class DenseState:
 def dense_classes(d: DenseState) -> list[tuple[int, list[frozenset[int]]]]:
     """Every equal-support class, strongest first, zero-support class included."""
     return [(v, list(members)) for v, members in d._classes]
-
-
-def dense_top_intersections(d: DenseState) -> list[frozenset[int]]:
-    """Intersection of the union of the top k classes, for every depth k."""
-    return list(d._top_intersections)
 
 
 def dense_e_score(d: DenseState, x: int) -> int:
@@ -233,14 +224,14 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     if q.depth != len(dcls):
         problems.append("depth")
 
-    tops = dense_top_intersections(d)
-    for k in range(1, q.depth + 1):
-        if class_union_intersection(q, k) != tops[k - 1]:
+    e = state.e_vector
+    for k, top in enumerate(d._top_intersections, start=1):
+        if frozenset(x for x in range(u) if e[x] >= k) != top:
             problems.append(f"class-union-intersection@{k}")
 
-    if state.e_vector != dense_e_vector(d):
+    if e != dense_e_vector(d):
         problems.append("e-vector")
-    if any(e >= len(dcls) for e in state.e_vector):
+    if any(v >= len(dcls) for v in e):
         problems.append("e-bound")
 
     for x, row in enumerate(state.class_count_rows):
@@ -267,10 +258,14 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
 
 
 def differential_sweep(universe: int, trials: int, seed: int) -> SweepReport:
-    """Compare sparse and dense routes on random states; report disagreements."""
-    if not 1 <= universe <= ORACLE_MAX_UNIVERSE:
+    """Compare sparse and dense routes on random states; report disagreements.
+
+    At one alternative every subset contains it, so its score is the full
+    depth and the ``e-bound`` check does not apply; sweeps start at two.
+    """
+    if not 2 <= universe <= ORACLE_MAX_UNIVERSE:
         raise ValidationError(
-            f"oracle handles at most {ORACLE_MAX_UNIVERSE} alternatives")
+            f"oracle sweeps need 2 to {ORACLE_MAX_UNIVERSE} alternatives, got {universe!r}")
     rng = Random(f"oracle/{universe}/{seed}")
     mismatches = 0
     details: list[str] = []

@@ -23,6 +23,12 @@ def demo_state(demo_table, demo_profile):
     return induce_opinion(demo_table, demo_profile)
 
 
+def top_k(state, k: int) -> frozenset[int]:
+    """Alternatives in every subset of the top ``k`` support classes: the
+    running intersections are nested, so those whose score reaches ``k``."""
+    return frozenset(x for x, e in enumerate(state.e_vector) if e >= k)
+
+
 @st.composite
 def opinion_states(draw, min_universe: int = 3, max_universe: int = 5):
     """Random sparse states; half entry-shaped, half support-shaped."""

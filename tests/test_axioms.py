@@ -21,7 +21,6 @@ from critrank.axioms import (
     AxiomInstance,
     InvalidInstanceError,
     RULES,
-    axiom_independence_report,
     band_rule_ibs_witness,
     ceiling_rule_iws_witness,
     check_axiom,
@@ -45,6 +44,7 @@ from critrank.axioms import (
 from critrank.model import (
     AltSubset,
     OpinionState,
+    ValidationError,
     support_of,
 )
 
@@ -92,6 +92,14 @@ class TestInstanceValidation:
         assert a == b
         c = generate_instances("iws", 4, seed=6, count=30)
         assert a != c
+
+    def test_universe_bound_is_checked_before_any_draw(self, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew instances for an out-of-range universe")
+
+        monkeypatch.setattr("critrank.axioms.Random", no_draws)
+        with pytest.raises(ValidationError, match="3 to 64 alternatives"):
+            generate_instances("nt", 65, 0, 1)
 
     def test_relabel_instance_rejects_a_wrong_image(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
@@ -203,25 +211,6 @@ class TestNamedWitnesses:
         assert not check_axiom(indifference_rule, indifference_wivip_witness()).passed
 
 
-class TestIndependenceReport:
-    def test_report_shape_and_verdicts(self):
-        report = axiom_independence_report(universe_sizes=(3,), trials=40, seed=1)
-        assert report.trials == 40
-        by_name = {v.variant: v for v in report.variants}
-        assert set(by_name) == set(RIVALS)
-        for name, variant in by_name.items():
-            assert variant.target_axiom == RULES[name].target
-            assert variant.other_axioms_clean, name
-            primary, adjusted = RULES[name].witnesses
-            if adjusted is None:
-                assert variant.witness_violated
-                assert variant.adjusted_witness_violated is None
-            else:
-                # the literal stories defuse; the adjusted ones bite
-                assert not variant.witness_violated
-                assert variant.adjusted_witness_violated
-
-
 class TestRuleRegistry:
     def test_order_rules_default_to_the_identity_order(self):
         rule = RULES["iis-tb-order"]
@@ -250,11 +239,17 @@ class TestRuleRegistry:
         out = subprocess.run(
             [sys.executable, str(path), "--trials", "5", "--sizes", "3"],
             cwd=tmp_path, env=env, capture_output=True, text=True, check=True).stdout
-        rows = {}
+        rows, witnesses = {}, {}
         for line in out.splitlines()[1:1 + len(RULES)]:
             name, *cells = line.split()
             rows[name] = dict(zip(AXIOM_KINDS, map(int, cells[:len(AXIOM_KINDS)])))
+            witnesses[name] = cells[-1]
         assert list(rows) == list(RULES)
+        # the literal tie-break stories defuse; the repaired instances bite
+        assert witnesses == {
+            "iis": "-", "support": "-", "lexcel": "-",
+            "iis-tb-order": "defused/hit", "iis-tb-tau": "defused/hit",
+            "f1": "hit", "f2": "hit", "indifferent": "hit"}
         assert set(rows["iis"].values()) == {0}
         for name, rule in RULES.items():
             if rule.target is not None:

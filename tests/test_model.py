@@ -12,12 +12,11 @@ from critrank.model import (
     Ranking,
     SupportClass,
     ValidationError,
-    class_union_intersection,
     ranking_from_scores,
     support_of,
 )
 
-from conftest import opinion_states
+from conftest import opinion_states, top_k
 
 
 def subset(universe, *indices):
@@ -218,15 +217,7 @@ class TestQuotientOrder:
 class TestClassUnionIntersection:
     def test_single_subset_top_class_is_itself(self):
         state = OpinionState.from_support(3, {0b101: 3})
-        q = state.quotient
-        assert class_union_intersection(q, 1) == frozenset({0, 2})
-
-    def test_k_out_of_range(self):
-        q = OpinionState(3, {}).quotient
-        with pytest.raises(ValidationError):
-            class_union_intersection(q, 0)
-        with pytest.raises(ValidationError):
-            class_union_intersection(q, 2)
+        assert top_k(state, 1) == frozenset({0, 2})
 
     @settings(max_examples=120, deadline=None)
     @given(opinion_states(max_universe=4))
@@ -249,7 +240,7 @@ class TestClassUnionIntersection:
                 x for x in range(state.universe) if inter >> x & 1))
         assert len(expected) == q.depth
         for k in range(1, q.depth + 1):
-            assert class_union_intersection(q, k) == expected[k - 1]
+            assert top_k(state, k) == expected[k - 1]
 
     @settings(max_examples=150, deadline=None)
     @given(opinion_states(max_universe=4))
@@ -257,7 +248,7 @@ class TestClassUnionIntersection:
         q = state.quotient
         previous = None
         for k in range(1, q.depth + 1):
-            current = class_union_intersection(q, k)
+            current = top_k(state, k)
             if previous is not None:
                 assert current <= previous
             previous = current
@@ -269,6 +260,12 @@ class TestEScore:
         assert state.e_vector[1] == 0
         assert state.e_vector[2] == 0
         assert state.e_vector[0] == 2
+
+    @pytest.mark.parametrize("state", (
+        OpinionState(1, {}), OpinionState.from_support(1, {1: 2})))
+    def test_one_alternative_scores_the_full_depth(self, state):
+        # the lone alternative lies in the only subset, residual or explicit
+        assert state.e_vector == (1,)
 
     @settings(max_examples=200, deadline=None)
     @given(opinion_states())

@@ -118,7 +118,7 @@ class TestExhaustiveDepthBound:
 
 
 class TestDifferentialSweep:
-    @pytest.mark.parametrize("universe", (3, 4, 5, 6))
+    @pytest.mark.parametrize("universe", (2, 3, 4, 5, 6))
     def test_small_sweeps_are_clean(self, universe):
         report = differential_sweep(universe, trials=150, seed=4)
         assert report.clean, report.details
@@ -127,6 +127,11 @@ class TestDifferentialSweep:
     def test_rejects_untestable_universe(self):
         with pytest.raises(ValidationError):
             differential_sweep(ORACLE_MAX_UNIVERSE + 1, 10, 0)
+
+    def test_rejects_a_single_alternative(self):
+        # the lone alternative scores the full depth, so e-bound cannot hold
+        with pytest.raises(ValidationError, match="2 to"):
+            differential_sweep(1, 10, 0)
 
     def test_sweeps_are_reproducible(self):
         a = differential_sweep(3, 50, 9)

@@ -25,11 +25,12 @@ from critrank.axioms import (
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     OpinionState,
-    class_union_intersection,
     column_sums,
     iter_bits,
     ranking_from_scores,
 )
+
+from conftest import top_k
 
 
 def nested_core_support(rng: Random, universe: int, n_subsets: int,
@@ -86,9 +87,27 @@ def test_prefix_intersection_is_a_plain_and_of_the_top_classes(state):
     top = (1 << state.universe) - 1
     for k in range(1, len(q.classes) + 1):
         plain = reduce(and_, (m for c in q.classes[:k] for m in c.members), top)
-        assert class_union_intersection(q, k) == frozenset(iter_bits(plain))
+        assert top_k(state, k) == frozenset(iter_bits(plain))
     # a few hundred explicit subsets leave singletons in the residual
-    assert class_union_intersection(q, q.depth) == frozenset()
+    assert top_k(state, q.depth) == frozenset()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(60, 64), st.integers(0, 2**32 - 1), st.integers(1, 200),
+       st.integers(1, 8))
+def test_a_core_in_every_subset_scores_the_explicit_class_count(universe, seed,
+                                                                n_subsets, n_values):
+    # the residual then holds every subset missing the core, so it never
+    # extends the core's run past the explicit classes
+    rng = Random(seed)
+    core = rng.getrandbits(universe) or 1
+    support = {core | rng.getrandbits(universe): rng.randint(1, n_values)
+               for _ in range(n_subsets)}
+    state = OpinionState.from_support(universe, support)
+    q = state.quotient
+    assert q.residual_present
+    for x in iter_bits(core):
+        assert state.e_vector[x] == len(q.classes)
 
 
 @settings(max_examples=40, deadline=None)
