@@ -129,4 +129,4 @@ def max_of(ranking: Ranking[int]) -> AltSubset:
     n = sum(len(c) for c in ranking.classes)
     if {x for cls_ in ranking.classes for x in cls_} != set(range(n)):
         raise ValidationError("ranking labels must be exactly the alternative indices")
-    return AltSubset.from_indices(n, ranking.top)
+    return AltSubset(sum(1 << x for x in ranking.top), n)

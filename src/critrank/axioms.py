@@ -88,12 +88,6 @@ def _permute_mask(mask: int, pi: Sequence[int]) -> int:
     return image
 
 
-def permute_subset(subset: AltSubset, pi: Sequence[int]) -> AltSubset:
-    """Image of a subset under a relabeling of the alternatives."""
-    _check_permutation(pi, subset.universe)
-    return AltSubset(_permute_mask(subset.mask, pi), subset.universe)
-
-
 def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     """Relabel the alternatives of a state.
 

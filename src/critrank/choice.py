@@ -17,7 +17,6 @@ from .model import (
     Ranking,
     ValidationError,
     column_sums,
-    iter_bits,
     ranking_from_scores,
 )
 
@@ -54,12 +53,12 @@ def borda_ranking(tally: BordaTally) -> Ranking[str]:
     return ranking_from_scores(tally.criterion_scores)
 
 
-def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[frozenset[int], ...]:
+def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int, ...]:
     """Cumulative satisfier intersections down the criterion score classes.
 
-    Entry k holds the alternatives satisfying every criterion in the top
-    k+1 score classes.  Sets may be empty and stay empty once they are.
-    Returned as index sets because empty stages are representable that way.
+    Entry k is the mask of the alternatives satisfying every criterion in
+    the top k+1 score classes.  A stage may be empty (mask 0) and stays
+    empty once it is.
     """
     ranking = borda_ranking(borda_criterion_scores(table, profile))
     current = (1 << table.universe) - 1
@@ -67,7 +66,7 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[fro
     for cls_ in ranking.classes:
         for c in cls_:
             current &= table.tr[c].mask
-        stages.append(frozenset(iter_bits(current)))
+        stages.append(current)
     return tuple(stages)
 
 
@@ -79,18 +78,16 @@ def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     stage if it never does.  When even the strongest class forces emptiness
     the choice falls back to every alternative.
     """
-    chosen: frozenset[int] = frozenset(range(table.universe))
-    for members in cascade_sets(table, profile):
-        if not members:
+    chosen = (1 << table.universe) - 1
+    for stage in cascade_sets(table, profile):
+        if not stage:
             break
-        chosen = members
-    return AltSubset.from_indices(table.universe, chosen)
+        chosen = stage
+    return AltSubset(chosen, table.universe)
 
 
 def nurmi_second(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     """Alternatives maximizing the summed score of the criteria they satisfy."""
     scores = borda_criterion_scores(table, profile).alternative_scores
     best = max(scores)
-    return AltSubset.from_indices(
-        table.universe, (i for i, s in enumerate(scores) if s == best)
-    )
+    return AltSubset(sum(1 << i for i, s in enumerate(scores) if s == best), table.universe)

@@ -48,7 +48,6 @@ from .model import (
     Ranking,
     ValidationError,
     iter_bits,
-    support_of,
 )
 from .oracle import differential_sweep
 
@@ -209,7 +208,12 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                 raise ParseError(
                     f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
             key = (subset(lineno, match.group(1)), subset(lineno, match.group(2)))
-            counts[key] = counts.get(key, 0) + int(match.group(3))
+            try:
+                count = int(match.group(3))
+            except ValueError:  # more digits than int() converts
+                raise ValidationError(
+                    f"line {lineno}: opinion count has too many digits") from None
+            counts[key] = counts.get(key, 0) + count
         else:
             raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
     if names is None:
@@ -242,7 +246,8 @@ def format_ranking(ranking: Ranking, names: tuple[str, ...] | None = None) -> st
 def format_criterion_table(table: CriterionTable) -> str:
     lines = ["alternatives: " + " ".join(table.alternatives)]
     for c in table.criteria:
-        lines.append(f"criterion {c}: " + " ".join(table.alt_names(table.tr[c])))
+        members = iter_bits(table.tr[c].mask)
+        lines.append(f"criterion {c}: " + " ".join(table.alternatives[i] for i in members))
     return "\n".join(lines) + "\n"
 
 
@@ -307,15 +312,9 @@ voter 3: f > e > d > c > b > a
 
 _DEMO_CRITERION_SCORES = {"a": 10, "b": 11, "c": 12, "d": 13, "e": 8, "f": 9}
 _DEMO_CRITERIA_RANKING = (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))
-_DEMO_STAGES = (
-    frozenset({0, 2, 3, 4, 5, 6}),
-    frozenset({0, 2, 3, 4}),
-    frozenset({0, 3}),
-    frozenset({0, 3}),
-    frozenset(),
-    frozenset(),
-)
-_DEMO_CHOICE = frozenset({0, 3})
+# bit i is alternative i of the table, Copeland the lowest, Approval the highest
+_DEMO_STAGES = (0b1111101, 0b0011101, 0b0001001, 0b0001001, 0, 0)
+_DEMO_CHOICE = 0b0001001
 _DEMO_ALT_SCORES = (54, 30, 43, 54, 42, 41, 22)
 _DEMO_E_SCORES = (4, 0, 2, 4, 2, 1, 1)
 _DEMO_IIS = ({0, 3}, {2, 4}, {5, 6}, {1})
@@ -331,7 +330,7 @@ _DEMO_CLASS_COUNTS_BORDA = (1, 0, 1, 0, 1, 1, 60)
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -452,7 +451,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     first = nurmi_first(table, profile)
     second = nurmi_second(table, profile)
     state = induce_opinion(table, profile)
-    supports = tuple(support_of(state, table.tr[c]) for c in table.criteria)
+    supports = tuple(state.support_map.get(table.tr[c].mask, 0) for c in table.criteria)
     iis = iis_rank(state)
     supp = support_rank(state)
     lex = lexcel_rank(state)
@@ -464,8 +463,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         ("criterion scores", tally.criterion_scores, _DEMO_CRITERION_SCORES),
         ("criteria ranking", criteria_ranking.classes, _DEMO_CRITERIA_RANKING),
         ("stage sets", stages, _DEMO_STAGES),
-        ("cascade choice", frozenset(first.indices), _DEMO_CHOICE),
-        ("score choice", frozenset(second.indices), _DEMO_CHOICE),
+        ("cascade choice", first.mask, _DEMO_CHOICE),
+        ("score choice", second.mask, _DEMO_CHOICE),
         ("alternative scores", tally.alternative_scores, _DEMO_ALT_SCORES),
         ("induced supports", supports, (10, 11, 12, 13, 8, 9)),
         ("e-scores", state.e_vector, _DEMO_E_SCORES),
@@ -493,7 +492,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"criteria ranking: {format_ranking(criteria_ranking)}",
     ]
     for k, stage in enumerate(stages, 1):
-        text.append(f"stage {k} intersection: {_format_members(stage, names)}")
+        text.append(f"stage {k} intersection: {_format_members(iter_bits(stage), names)}")
     text += [
         f"choice (cascade): {format_subset(first, names)}",
         f"choice (score sum): {format_subset(second, names)}",
@@ -512,7 +511,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"criteria-ranking={format_ranking(criteria_ranking)}",
     ]
     for k, stage in enumerate(stages, 1):
-        kv.append(f"stage-{k}={_format_members(stage, names)}")
+        kv.append(f"stage-{k}={_format_members(iter_bits(stage), names)}")
     kv += [
         f"choice-cascade={format_subset(first, names)}",
         f"choice-score={format_subset(second, names)}",

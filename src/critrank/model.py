@@ -3,11 +3,12 @@
 Alternatives are dense indices ``0 .. universe-1``; a subset of alternatives
 is a single machine word, which caps the universe at 64 and keeps every
 aggregation step a handful of integer operations even when thousands of
-subsets carry support.  Past the input edge a subset is its plain int mask:
-the opinion counts, the support map, the support classes and
-``from_support`` all use masks.  :class:`AltSubset` (a validated mask with
-its universe) keys criterion tables and the lazy ``entries`` view of a
-state, and is what the choice methods return.
+subsets carry support.  A subset is its plain int mask everywhere: the
+opinion counts, the support map, the support classes, ``from_support`` and
+the choice cascade all use masks, and a mask's members are read with
+:func:`iter_bits`.  :class:`AltSubset` (a validated mask with its universe)
+only keys criterion tables and the lazy ``entries`` view of a state, and is
+what the choice methods return.
 
 Opinion states are sparse: only pairs of subsets with a positive count are
 stored.  The exponentially large family of subsets with zero support is never
@@ -78,26 +79,6 @@ class AltSubset:
                 f"mask {self.mask:#x} out of range for universe of {self.universe}"
             )
 
-    @classmethod
-    def from_indices(cls, universe: int, indices: Iterable[int]) -> "AltSubset":
-        _check_universe(universe)
-        mask = 0
-        for i in indices:
-            if not isinstance(i, int) or not 0 <= i < universe:
-                raise ValidationError(f"alternative index {i!r} out of range")
-            mask |= 1 << i
-        return cls(mask, universe)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.universe and bool(self.mask >> index & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
 
 @dataclass(frozen=True)
 class CriterionTable:
@@ -141,9 +122,6 @@ class CriterionTable:
     @property
     def universe(self) -> int:
         return len(self.alternatives)
-
-    def alt_names(self, subset: AltSubset) -> tuple[str, ...]:
-        return tuple(self.alternatives[i] for i in subset.indices)
 
     def satisfied_counts(self) -> tuple[int, ...]:
         """How many criteria each alternative satisfies."""
@@ -344,22 +322,8 @@ class QuotientOrder:
 
 
 def _quotient_from_support(universe: int, support: Mapping[int, int]) -> QuotientOrder:
-    by_value: dict[int, list[int]] = {}
-    for mask, v in support.items():
-        by_value.setdefault(v, []).append(mask)
-    classes = tuple(
-        SupportClass(v, frozenset(by_value[v])) for v in sorted(by_value, reverse=True)
-    )
-    explicit = sum(len(c.members) for c in classes)
-    residual_present = explicit < (1 << universe) - 1
-    return QuotientOrder(universe, classes, residual_present)
-
-
-def support_of(state: OpinionState, subset: AltSubset) -> int:
-    """Total support of ``subset``: opinions ranking it above anything."""
-    if subset.universe != state.universe:
-        raise ValidationError("subset universe does not match the state")
-    return state.support_map.get(subset.mask, 0)
+    classes = tuple(SupportClass(v, frozenset(masks)) for v, masks in score_groups(support))
+    return QuotientOrder(universe, classes, len(support) < (1 << universe) - 1)
 
 
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:

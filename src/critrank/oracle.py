@@ -225,10 +225,6 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
         problems.append("depth")
 
     e = state.e_vector
-    for k, top in enumerate(d._top_intersections, start=1):
-        if frozenset(x for x in range(u) if e[x] >= k) != top:
-            problems.append(f"class-union-intersection@{k}")
-
     if e != dense_e_vector(d):
         problems.append("e-vector")
     if any(v >= len(dcls) for v in e):

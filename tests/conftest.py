@@ -23,6 +23,11 @@ def demo_state(demo_table, demo_profile):
     return induce_opinion(demo_table, demo_profile)
 
 
+def bits(*indices: int) -> int:
+    """The mask of the listed alternative indices."""
+    return sum(1 << i for i in indices)
+
+
 def top_k(state, k: int) -> frozenset[int]:
     """Alternatives in every subset of the top ``k`` support classes: the
     running intersections are nested, so those whose score reaches ``k``."""

@@ -15,13 +15,16 @@ from critrank.model import (
     CriterionTable,
     PreferenceProfile,
     ValidationError,
+    iter_bits,
 )
+
+from conftest import bits
 
 
 def table_of(universe, *tr_sets):
     names = tuple(f"x{i}" for i in range(universe))
     crits = tuple(f"c{i}" for i in range(len(tr_sets)))
-    tr = {c: AltSubset.from_indices(universe, m) for c, m in zip(crits, tr_sets)}
+    tr = {c: AltSubset(bits(*m), universe) for c, m in zip(crits, tr_sets)}
     return CriterionTable(names, crits, tr)
 
 
@@ -67,7 +70,7 @@ class TestCriterionScores:
             tally = borda_criterion_scores(table, profile)
             for x in range(4):
                 direct = sum(tally.criterion_scores[c]
-                             for c in table.criteria if x in table.tr[c])
+                             for c in table.criteria if table.tr[c].mask >> x & 1)
                 assert tally.alternative_scores[x] == direct
 
 
@@ -96,46 +99,46 @@ class TestCascadeChoice:
     def test_worked_example_stages_and_choice(self, demo_table, demo_profile):
         stages = cascade_sets(demo_table, demo_profile)
         assert stages == (
-            frozenset({0, 2, 3, 4, 5, 6}),
-            frozenset({0, 2, 3, 4}),
-            frozenset({0, 3}),
-            frozenset({0, 3}),
-            frozenset(),
-            frozenset(),
+            bits(0, 2, 3, 4, 5, 6),
+            bits(0, 2, 3, 4),
+            bits(0, 3),
+            bits(0, 3),
+            0,
+            0,
         )
-        assert nurmi_first(demo_table, demo_profile).indices == (0, 3)
+        assert nurmi_first(demo_table, demo_profile).mask == bits(0, 3)
 
     def test_single_criterion_returns_its_satisfiers(self):
         table = table_of(4, (1, 2))
         profile = PreferenceProfile(("v",), (("c0",),))
-        assert nurmi_first(table, profile).indices == (1, 2)
+        assert nurmi_first(table, profile).mask == bits(1, 2)
 
     def test_empty_first_stage_falls_back_to_everything(self):
         # two top-tied criteria with disjoint satisfier sets kill stage one
         table = table_of(4, (0, 1), (2, 3))
         profile = PreferenceProfile(
             ("v1", "v2"), (("c0", "c1"), ("c1", "c0")))
-        assert nurmi_first(table, profile).indices == (0, 1, 2, 3)
+        assert nurmi_first(table, profile).mask == bits(0, 1, 2, 3)
 
     def test_never_empty_cascade_keeps_the_last_stage(self):
         table = table_of(3, (0, 1, 2), (0, 1), (0,))
         profile = PreferenceProfile(("v",), (("c0", "c1", "c2"),))
-        assert nurmi_first(table, profile).indices == (0,)
+        assert nurmi_first(table, profile).mask == bits(0)
 
 
 class TestScoreChoice:
     def test_worked_example(self, demo_table, demo_profile):
-        assert nurmi_second(demo_table, demo_profile).indices == (0, 3)
+        assert nurmi_second(demo_table, demo_profile).mask == bits(0, 3)
 
     def test_unsatisfying_alternative_never_chosen(self):
         table = table_of(4, (0, 1), (1, 2))
         profile = PreferenceProfile(("v",), (("c0", "c1"),))
-        assert 3 not in nurmi_second(table, profile).indices
+        assert not nurmi_second(table, profile).mask >> 3 & 1
 
     def test_tied_maximum_returned_whole(self):
         table = table_of(3, (0, 1), (0, 1, 2))
         profile = PreferenceProfile(("v",), (("c0", "c1"),))
-        assert nurmi_second(table, profile).indices == (0, 1)
+        assert nurmi_second(table, profile).mask == bits(0, 1)
 
 
 class TestPermutationEquivariance:
@@ -150,10 +153,10 @@ class TestPermutationEquivariance:
             relabeled = CriterionTable(
                 table.alternatives,
                 table.criteria,
-                {c: AltSubset.from_indices(universe, (pi[i] for i in s.indices))
+                {c: AltSubset(bits(*(pi[i] for i in iter_bits(s.mask))), universe)
                  for c, s in table.tr.items()},
             )
             for method in (nurmi_first, nurmi_second):
-                base = method(table, profile).indices
-                moved = method(relabeled, profile).indices
-                assert sorted(pi[i] for i in base) == sorted(moved)
+                base = method(table, profile).mask
+                moved = method(relabeled, profile).mask
+                assert sorted(pi[i] for i in iter_bits(base)) == sorted(iter_bits(moved))

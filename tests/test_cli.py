@@ -21,14 +21,17 @@ from critrank.cli import (
     parse_profile,
 )
 from critrank.aggregators import iis_rank
-from critrank.model import AltSubset, OpinionState, Ranking, ValidationError
+from critrank.model import AltSubset, OpinionState, Ranking, ValidationError, iter_bits
+
+from conftest import bits
 
 
 class TestTableParsing:
     def test_demo_table(self):
         table = parse_criterion_table(DEMO_TABLE_TEXT)
         assert table.alternatives[0] == "Copeland"
-        assert table.alt_names(table.tr["f"]) == ("Plurality", "Borda", "Approval")
+        members = iter_bits(table.tr["f"].mask)
+        assert tuple(table.alternatives[i] for i in members) == ("Plurality", "Borda", "Approval")
 
     def test_comments_and_blanks_are_ignored(self):
         text = "# header\n\nalternatives: a b c\n  # noise\ncriterion k: a b\n"
@@ -129,8 +132,8 @@ class TestOpinionParsing:
                 "opinion {z} >= {x,y} : 1\n")
         names, state = parse_opinion_state(text)
         assert names == ("x", "y", "z")
-        xy = AltSubset.from_indices(3, (0, 1))
-        z = AltSubset.from_indices(3, (2,))
+        xy = AltSubset(bits(0, 1), 3)
+        z = AltSubset(bits(2), 3)
         assert state.entries[(xy, z)] == 3
         assert state.entries[(z, xy)] == 1
 
@@ -222,6 +225,17 @@ class TestOpinionParsing:
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts ints of any length")
+    def test_count_longer_than_int_converts_is_exit_2(self, tmp_path, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        opinions = tmp_path / "ops.txt"
+        opinions.write_text(f"alternatives: a b c\nopinion {{a}} >= {{b}} : {digits}\n")
+        assert main(["rank", "--rule", "iis", "--opinions", str(opinions)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: line 2: opinion count has too many digits\n"
+
 
 class TestRoundTrips:
     def test_table(self):
@@ -249,7 +263,7 @@ class TestRoundTrips:
 class TestFormatting:
     def test_subsets_keep_input_order(self):
         names = ("c", "a", "b")
-        assert format_subset(AltSubset.from_indices(3, (2, 0)), names) == "{c,b}"
+        assert format_subset(AltSubset(bits(2, 0), 3), names) == "{c,b}"
 
     def test_ranking_layout(self):
         r = Ranking(((1, 0), (2,)))
@@ -309,6 +323,18 @@ class TestMainExitCodes:
     def test_missing_file(self, capsys):
         assert main(["rank", "--rule", "iis", "--opinions", "/no/such/file"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ("--opinions", "--table"))
+    def test_non_utf8_file_is_exit_1(self, flag, demo_files, tmp_path, capsys):
+        _table, profile = demo_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"alternatives: a b c\n\xff\n")
+        inputs = ["--opinions", str(bad)] if flag == "--opinions" else [
+            "--table", str(bad), "--profile", profile]
+        assert main(["rank", "--rule", "iis", *inputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
 
     def test_invalid_table_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

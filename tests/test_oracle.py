@@ -1,6 +1,5 @@
 from dataclasses import replace
 from itertools import product
-from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from critrank.model import (
     Ranking,
     OpinionState,
     ValidationError,
-    support_of,
 )
 from critrank.oracle import (
     _compare_state,
