@@ -14,7 +14,6 @@ whose counts are pairwise voter majorities.
 """
 
 from collections.abc import Sequence
-from itertools import accumulate
 from operator import lt
 
 from .model import (
@@ -26,7 +25,6 @@ from .model import (
     ValidationError,
     column_sums,
     ranking_from_scores,
-    score_groups,
 )
 
 
@@ -65,7 +63,7 @@ def support_rank(state: OpinionState) -> Ranking[int]:
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:
     """Compare per-class membership counts lexicographically, strongest first."""
-    return ranking_from_scores(dict(enumerate(state.class_count_rows)))
+    return ranking_from_scores(dict(enumerate(state.class_count_keys)))
 
 
 def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int]:
@@ -80,14 +78,8 @@ def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int
         raise ValidationError("tie-break order must be a permutation of the alternatives")
     rank_in_order = {x: i for i, x in enumerate(order)}
     ceiling = state.quotient.depth - 1
-    classes: list[tuple[int, ...]] = []
-    for value, members in score_groups(dict(enumerate(state.e_vector))):
-        if 0 < value < ceiling and len(members) > 1:
-            for x in sorted(members, key=rank_in_order.__getitem__):
-                classes.append((x,))
-        else:
-            classes.append(tuple(members))
-    return Ranking(tuple(classes))
+    return ranking_from_scores({x: (e, -rank_in_order[x] if 0 < e < ceiling else 0)
+                                for x, e in enumerate(state.e_vector)})
 
 
 def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
@@ -95,17 +87,13 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
 
     Alternatives tied at score 0 stay tied; alternatives tied at a positive
     score are compared lexicographically by their cumulative membership
-    counts, strongest class first.
+    counts, strongest class first.  Running totals first differ where the
+    counts do, by the same amount, so the class-count keys order them.  The
+    keys omit the residual count, which never decides: each alternative lies
+    in 2**(n-1) subsets, so equal explicit counts leave equal residuals.
     """
-    taus = [tuple(accumulate(row)) for row in state.class_count_rows]
-    classes: list[tuple[int, ...]] = []
-    for value, members in score_groups(dict(enumerate(state.e_vector))):
-        if value == 0 or len(members) == 1:
-            classes.append(tuple(members))
-            continue
-        for _tau, tied in score_groups({x: taus[x] for x in members}):
-            classes.append(tuple(tied))
-    return Ranking(tuple(classes))
+    keys = state.class_count_keys
+    return ranking_from_scores({x: (e, e and keys[x]) for x, e in enumerate(state.e_vector)})
 
 
 def coarse_f1(state: OpinionState) -> Ranking[int]:

@@ -17,11 +17,14 @@ opinion state (raw counts, not tied to any table)::
     alternatives: <name> <name> ...
     opinion {a,b} >= {c} : 3
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 failed assertion, axiom violation, or self-test mismatch.
+Exit codes: 0 success, 1 usage or parse error or a closed output pipe,
+2 validation error, 3 failed assertion, axiom violation, or self-test
+mismatch.
 """
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -630,7 +633,19 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    return run(ns)
+    try:
+        code = run(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``critrank ... | head``); as the signal
+        # docs advise, let the exit flush go to devnull.  A StringIO has no fd.
+        with contextlib.suppress(OSError, ValueError):
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ functions, so values can be shared freely across threads.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Generic, Hashable, TypeVar
 
 MAX_UNIVERSE = 64
@@ -51,15 +51,23 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+_BYTE_BITS = tuple(tuple(iter_bits(byte)) for byte in range(256))
+
+
 def column_sums(universe: int, weighted_masks: Iterable[tuple[int, int]]) -> list[int]:
-    """Per alternative, the summed weight of the masks containing it."""
+    """Per alternative, the summed weight of the masks containing it, totalled
+    per byte position and byte value before each byte is spread over its bits."""
+    width = (universe + 7) // 8
+    pairs = list(weighted_masks)
+    data = b"".join(mask.to_bytes(width, "little") for mask, _w in pairs)
     sums = [0] * universe
-    for mask, weight in weighted_masks:
-        # iter_bits inlined: this loop is the hot path of every count
-        while mask:
-            low = mask & -mask
-            sums[low.bit_length() - 1] += weight
-            mask ^= low
+    for pos in range(width):
+        totals = [0] * 256
+        for byte, (_mask, weight) in zip(data[pos::width], pairs):
+            totals[byte] += weight
+        for byte in set(data[pos::width]):
+            for bit in _BYTE_BITS[byte]:
+                sums[8 * pos + bit] += totals[byte]
     return sums
 
 
@@ -238,26 +246,51 @@ class OpinionState:
         return _e_scores_from_quotient(self.quotient)
 
     @cached_property
+    def class_count_keys(self) -> tuple[int, ...]:
+        """Per alternative, an int that compares as its explicit class counts
+        compare lexicographically, strongest class first.
+
+        A ripple-carry counter sums each class's members into bit planes (bit
+        x of plane j is bit j of x's count), padded to the class size's bit
+        length.  The planes, strongest class and high plane first, are the
+        64-bit rows of one int, and x's key holds bit x of every row.
+        """
+        rows: list[int] = []
+        for cls_ in self.quotient.classes:
+            planes: list[int] = []
+            for carry in cls_.members:
+                for j, plane in enumerate(planes):
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            rows += [0] * (len(cls_.members).bit_length() - len(planes)) + planes[::-1]
+        packed = int.from_bytes(b"".join(row.to_bytes(8, "big") for row in rows), "big")
+        low_bits = int.from_bytes((bytes(7) + b"\1") * len(rows), "big")
+        return tuple(packed >> x & low_bits for x in range(self.universe))
+
+    @cached_property
     def class_count_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per alternative, how many subsets of each support class contain it.
 
-        Column order follows the quotient, strongest class first; the final
-        column is the implicit residual class when present, computed by
-        complement counting rather than enumeration.
+        Column order follows the quotient, strongest class first.  The explicit
+        counts are read off :attr:`class_count_keys`; the final column is the
+        implicit residual class when present, computed by complement counting.
         """
         q = self.quotient
-        n = self.universe
-        rows = [[0] * q.depth for _ in range(n)]
-        for col, cls_ in enumerate(q.classes):
-            for mask in cls_.members:
-                for i in iter_bits(mask):
-                    rows[i][col] += 1
-        if q.residual_present:
-            # Each alternative lies in 2**(n-1) subsets of the universe overall.
-            half = 1 << (n - 1)
-            for row in rows:
-                row[-1] = half - sum(row)
-        return tuple(tuple(r) for r in rows)
+        widths = [len(cls_.members).bit_length() for cls_ in q.classes]
+        ends = list(accumulate(widths))
+        rows = []
+        for key in self.class_count_keys:
+            digits = f"{key:0{64 * sum(widths)}b}"[63::64]  # one digit per row, in order
+            row = [int(digits[end - w:end], 2) for w, end in zip(widths, ends)]
+            if q.residual_present:
+                # Each alternative lies in 2**(n-1) subsets of the universe overall.
+                row.append((1 << (self.universe - 1)) - sum(row))
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

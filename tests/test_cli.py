@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -296,6 +298,26 @@ class TestMainExitCodes:
         assert done.returncode == 0
         assert done.stderr == ""
         assert "status=ok" in done.stdout
+
+    def test_stdout_that_raises_broken_pipe_is_exit_1(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["demo", "--format", "lines"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_closed_pipe_is_exit_1_and_later_flushes_go_nowhere(self, monkeypatch, capsys):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["demo"]) == 1
+            # what the interpreter's exit would flush now lands on devnull
+            print("more", file=pipe)
+            pipe.flush()
+        assert capsys.readouterr().err == ""
 
     def test_choose_both_methods(self, demo_files, capsys):
         table, profile = demo_files

@@ -12,6 +12,7 @@ from critrank.model import (
     Ranking,
     SupportClass,
     ValidationError,
+    column_sums,
     iter_bits,
     ranking_from_scores,
 )
@@ -164,6 +165,24 @@ class TestSupport:
         state = OpinionState(3, {(s.mask, t.mask): 2, (s.mask, u.mask): 3, (t.mask, s.mask): 7})
         assert state.support_map.get(s.mask, 0) == 5
         assert state.support_map.get(t.mask, 0) == 7
+
+
+class TestColumnSums:
+    @pytest.mark.parametrize("universe", (1, 7, 8, 9, 63, 64))
+    def test_matches_the_per_bit_sum_across_byte_boundaries(self, universe):
+        top = (1 << universe) - 1
+        # each byte edge alone and in pairs that straddle it, plus the full set
+        edges = sorted({i for b in range(0, universe, 8) for i in (b, b + 7)
+                        if i < universe} | {universe - 1})
+        masks = [1 << i for i in edges] + [3 << i & top or 1 for i in edges] + [top]
+        weighted = [(m, w) for w, m in enumerate(dict.fromkeys(masks), start=1)]
+        weighted += [(top, 5), (1 << (universe - 1), 0)]
+        plain = [sum(w for m, w in weighted if m >> x & 1) for x in range(universe)]
+        assert column_sums(universe, weighted) == plain
+        assert column_sums(universe, iter(weighted)) == plain
+
+    def test_no_masks_sum_to_zero(self):
+        assert column_sums(9, []) == [0] * 9
 
 
 class TestQuotientOrder:

@@ -8,13 +8,14 @@ running intersection survives several classes before it dies.
 """
 
 from functools import reduce
+from itertools import accumulate
 from operator import and_
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critrank.aggregators import support_rank
+from critrank.aggregators import iis_tiebreak_tau, lexcel_rank, support_rank
 from critrank.axioms import (
     RULES,
     check_axiom,
@@ -25,9 +26,11 @@ from critrank.axioms import (
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     OpinionState,
+    Ranking,
     column_sums,
     iter_bits,
     ranking_from_scores,
+    score_groups,
 )
 
 from conftest import top_k
@@ -118,6 +121,60 @@ def test_support_column_sums_match_per_subset_sums(state):
     assert sums == [sum(v for m, v in support.items() if m >> x & 1)
                     for x in range(state.universe)]
     assert support_rank(state) == ranking_from_scores(dict(enumerate(sums)))
+
+
+@st.composite
+def wide_states_with_a_big_class(draw):
+    """Wide states with one class of at least 256 subsets, the top bit alone
+    among them, so its counts need more than 8 bit planes."""
+    universe, support = draw(wide_supports())
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    core = rng.getrandbits(universe)
+    big = {1 << (universe - 1)}
+    while len(big) < 300:
+        big.add((core | rng.getrandbits(universe)) or 1)
+    value = draw(st.integers(1, 9))
+    support.update(dict.fromkeys(big, value))
+    return OpinionState.from_support(universe, support)
+
+
+def plain_rows(state):
+    """Per alternative, its class counts by a per-subset formula, residual last."""
+    n, classes = state.universe, state.quotient.classes
+    rows = []
+    for x in range(n):
+        row = [sum(1 for m in cls_.members if m >> x & 1) for cls_ in classes]
+        rows.append(tuple(row + [2 ** (n - 1) - sum(row)]))
+    return rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_states_with_a_big_class())
+def test_class_counts_and_their_rules_match_per_subset_counts(state):
+    assert max(len(cls_.members) for cls_ in state.quotient.classes) >= 256
+    rows = plain_rows(state)
+    assert list(state.class_count_rows) == rows
+    assert lexcel_rank(state) == ranking_from_scores(dict(enumerate(rows)))
+    # tau as first defined: positive-score ties split by running totals
+    taus = [tuple(accumulate(row)) for row in rows]
+    classes = []
+    for value, members in score_groups(dict(enumerate(state.e_vector))):
+        if value == 0:
+            classes.append(tuple(members))
+        else:
+            classes += [tuple(tied) for _t, tied in score_groups({x: taus[x] for x in members})]
+    assert iis_tiebreak_tau(state) == Ranking(tuple(classes))
+
+
+def test_lexcel_and_tau_never_read_the_class_count_rows(demo_state, monkeypatch):
+    def refuse(_state):
+        raise AssertionError("class_count_rows was read")
+
+    monkeypatch.setattr(OpinionState.__dict__["class_count_rows"], "func", refuse)
+    wide = OpinionState.from_support(64, nested_core_support(Random(7), 64, 400, 6))
+    for state in (OpinionState(demo_state.universe, demo_state.counts), wide):
+        lexcel_rank(state)
+        iis_tiebreak_tau(state)
 
 
 @settings(max_examples=30, deadline=None)
