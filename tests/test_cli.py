@@ -22,7 +22,8 @@ from critrank.cli import (
     parse_opinion_state,
     parse_profile,
 )
-from critrank.aggregators import iis_rank
+from critrank.aggregators import iis_rank, support_rank
+from critrank.axioms import RULES, Rule
 from critrank.model import AltSubset, OpinionState, Ranking, ValidationError, iter_bits
 
 from conftest import bits
@@ -462,3 +463,63 @@ class TestMachineOutput:
         assert reread == demo_state
         assert iis_rank(reread).classes == iis_rank(demo_state).classes
         assert "# support" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SUPPORT_ORDER = ("{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} "
+                 "> {Dodgson} > {Approval}")
+SELFTEST_DETAILS = {3: (0, 7, 16), 4: (0, 3, 5, 6, 9), 5: (0, 6, 11, 12, 13)}
+SELFTEST_MISMATCHES = {3: 3, 4: 11, 5: 9}
+WITNESSES = ("x=1 y=0", "x=1 y=0", "x=0 y=1")
+WITNESS_NOTE = "strict preference lost after the worst-class split"
+
+
+class TestFailurePathOutput:
+    """Exact output of the failure paths that no golden file reaches."""
+
+    @pytest.mark.parametrize("fmt, ranking, status", (
+        ("text", "ranking (lexcel): ", "demo: "),
+        ("lines", "ranking-lexcel=", "status=")))
+    def test_demo_with_a_broken_rule(self, fmt, ranking, status, monkeypatch, capsys):
+        monkeypatch.setattr("critrank.cli.lexcel_rank", support_rank)
+        want = []
+        for line in (GOLDEN / f"demo-{fmt}.txt").read_text(encoding="utf-8").splitlines():
+            if line.startswith(ranking):
+                line = ranking + SUPPORT_ORDER
+            elif line.startswith(status):
+                line = status + "fail"
+            want.append(line + "\n")
+        assert main(["demo", "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "".join(want)
+        assert captured.err == (
+            "demo mismatch: lexcel ranking: got ({0, 3}, {2}, {4}, {5}, {1}, {6}), "
+            "want ({0, 3}, {2}, {4}, {5}, {6}, {1})\n")
+
+    def test_selftest_details(self, monkeypatch, capsys):
+        monkeypatch.setitem(RULES, "lexcel", Rule("lexcel", support_rank))
+        text, lines = [], ["seed=0", "trials=30"]
+        for universe, trials in SELFTEST_DETAILS.items():
+            mismatches = SELFTEST_MISMATCHES[universe]
+            text.append(f"alternatives {universe}: trials=30 mismatches={mismatches}")
+            lines.append(f"universe-{universe}-mismatches={mismatches}")
+            for trial in trials:
+                text.append(f"  trial {trial}: ranking-lexcel")
+                lines.append(f"universe-{universe}-detail=trial {trial}: ranking-lexcel")
+        for fmt, want in (("text", text + ["result: fail"]),
+                          ("lines", lines + ["result=fail"])):
+            assert main(["selftest", "--trials", "30", "--format", fmt]) == 3
+            assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_check_witnesses(self, capsys):
+        fields = [("axiom", "iws"), ("rule", "f2"), ("alternatives", 3),
+                  ("requested", 80), ("checked", 80), ("violations", 16)]
+        text = [f"{key}: {value}" for key, value in fields]
+        text += [f"witness: {w}: {WITNESS_NOTE}" for w in WITNESSES] + ["result: fail"]
+        lines = ["seed=0"] + [f"{key}={value}" for key, value in fields]
+        lines += [f"witness-{i}={w}: {WITNESS_NOTE}" for i, w in enumerate(WITNESSES, 1)]
+        lines.append("result=fail")
+        for fmt, want in (("text", text), ("lines", lines)):
+            assert main(["check", "--axiom", "iws", "--rule", "f2", "--trials", "80",
+                         "--alternatives", "3", "--format", fmt]) == 3
+            assert capsys.readouterr().out == "\n".join(want) + "\n"
