@@ -126,6 +126,9 @@ def parse_criterion_table(text: str) -> CriterionTable:
                 raise ParseError(
                     f"line {lineno}: 'alternatives:' header must come first")
             name = head[1]
+            # '>' separates criteria in profile lines
+            if ">" in name:
+                raise ValidationError(f"line {lineno}: criterion name '{name}' contains '>'")
             if name in tr:
                 raise ParseError(f"line {lineno}: criterion '{name}' listed twice")
             members = body.split()
@@ -237,29 +240,9 @@ def _format_members(indices, names: tuple[str, ...]) -> str:
 
 def format_ranking(ranking: Ranking, names: tuple[str, ...] | None = None) -> str:
     """Classes joined by ' > ', members comma separated in input order."""
-    parts = []
-    for cls_ in ranking.classes:
-        if names is None:
-            parts.append("{" + ",".join(str(label) for label in cls_) + "}")
-        else:
-            parts.append(_format_members(cls_, names))
-    return " > ".join(parts)
-
-
-def format_criterion_table(table: CriterionTable) -> str:
-    lines = ["alternatives: " + " ".join(table.alternatives)]
-    for c in table.criteria:
-        members = iter_bits(table.tr[c].mask)
-        lines.append(f"criterion {c}: " + " ".join(table.alternatives[i] for i in members))
-    return "\n".join(lines) + "\n"
-
-
-def format_profile(profile: PreferenceProfile) -> str:
-    lines = [
-        f"voter {v}: " + " > ".join(order)
-        for v, order in zip(profile.voters, profile.orders)
-    ]
-    return "\n".join(lines) + "\n"
+    if names is None:
+        return " > ".join("{" + ",".join(map(str, cls_)) + "}" for cls_ in ranking.classes)
+    return " > ".join(_format_members(cls_, names) for cls_ in ranking.classes)
 
 
 def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: bool
@@ -313,18 +296,29 @@ voter 2: d > c > b > a > f > e
 voter 3: f > e > d > c > b > a
 """
 
-_DEMO_CRITERION_SCORES = {"a": 10, "b": 11, "c": 12, "d": 13, "e": 8, "f": 9}
-_DEMO_CRITERIA_RANKING = (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))
-# bit i is alternative i of the table, Copeland the lowest, Approval the highest
-_DEMO_STAGES = (0b1111101, 0b0011101, 0b0001001, 0b0001001, 0, 0)
-_DEMO_CHOICE = 0b0001001
-_DEMO_ALT_SCORES = (54, 30, 43, 54, 42, 41, 22)
-_DEMO_E_SCORES = (4, 0, 2, 4, 2, 1, 1)
-_DEMO_IIS = ({0, 3}, {2, 4}, {5, 6}, {1})
-_DEMO_SUPPORT = ({0, 3}, {2}, {4}, {5}, {1}, {6})
-_DEMO_LEXCEL = ({0, 3}, {2}, {4}, {5}, {6}, {1})
-_DEMO_CLASS_COUNTS_APPROVAL = (1, 0, 0, 0, 1, 0, 62)
-_DEMO_CLASS_COUNTS_BORDA = (1, 0, 1, 0, 1, 1, 60)
+# The published value of every demo field, in its --format lines form.
+_DEMO_PUBLISHED = {
+    "criterion-scores": "10,11,12,13,8,9",
+    "criteria-ranking": "{d} > {c} > {b} > {a} > {f} > {e}",
+    "stage-1": "{Copeland,Maximin,Kemeny,Plurality,Borda,Approval}",
+    "stage-2": "{Copeland,Maximin,Kemeny,Plurality}",
+    "stage-3": "{Copeland,Kemeny}",
+    "stage-4": "{Copeland,Kemeny}",
+    "stage-5": "{}",
+    "stage-6": "{}",
+    "choice-cascade": "{Copeland,Kemeny}",
+    "choice-score": "{Copeland,Kemeny}",
+    "alternative-scores": "54,30,43,54,42,41,22",
+    "supports": "10,11,12,13,8,9",
+    "e-scores": "4,0,2,4,2,1,1",
+    "ranking-iis": "{Copeland,Kemeny} > {Maximin,Plurality} > {Borda,Approval} > {Dodgson}",
+    "ranking-support":
+        "{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} > {Dodgson} > {Approval}",
+    "ranking-lexcel":
+        "{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} > {Approval} > {Dodgson}",
+    "class-counts-Approval": "1,0,0,0,1,0,62",
+    "class-counts-Borda": "1,0,1,0,1,1,60",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +337,36 @@ def _load_pair(args: argparse.Namespace) -> tuple[CriterionTable, PreferenceProf
     return table, profile
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], kv_lines: list[str]) -> None:
-    # Machine output always restates the seed so runs can be replayed.
+def _render(value, lines: bool) -> str:
+    """A field value as printed: a tuple of (name, v) pairs is ``name=v ...``
+    as text and ``v,...`` as lines; any other tuple is comma separated."""
+    if not isinstance(value, tuple):
+        return str(value)
+    if value and isinstance(value[0], tuple):
+        return (",".join(str(v) for _, v in value) if lines
+                else " ".join(f"{name}={v}" for name, v in value))
+    return ",".join(map(str, value))
+
+
+def _emit(args: argparse.Namespace, fields: list[tuple]) -> None:
+    """Print (label, key, value) fields as ``label: value`` text, or as
+    ``key=value`` lines after ``seed=N`` so that runs can be replayed.  A
+    None label or key leaves the field out of that form."""
     if args.fmt == "lines":
-        print("\n".join([f"seed={args.seed}"] + kv_lines))
+        out = [f"seed={args.seed}"]
+        out += [f"{key}={_render(value, True)}" for _, key, value in fields
+                if key is not None]
     else:
-        print("\n".join(text_lines))
+        out = [f"{label}: {_render(value, False)}" for label, _, value in fields
+               if label is not None]
+    print("\n".join(out))
 
 
 def _cmd_choose(args: argparse.Namespace) -> int:
     table, profile = _load_pair(args)
     method = nurmi_first if args.method == "n1" else nurmi_second
     chosen = format_subset(method(table, profile), table.alternatives)
-    _emit(args, [f"choice: {chosen}"],
-          [f"method={args.method}", f"choice={chosen}"])
+    _emit(args, [(None, "method", args.method), ("choice", "choice", chosen)])
     return 0
 
 
@@ -383,8 +393,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         names, state = table.alternatives, induce_opinion(table, profile)
     order = None if args.order is None else _parse_order(args.order, names)
     rendered = format_ranking(rule(state, order), names)
-    _emit(args, [f"ranking: {rendered}"],
-          [f"rule={args.rule}", f"ranking={rendered}"])
+    _emit(args, [(None, "rule", args.rule), ("ranking", "ranking", rendered)])
     return 0
 
 
@@ -394,10 +403,10 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     names = table.alternatives
     if args.fmt == "lines":
         supports, opinions = _state_rows(names, state, include_supports=True)
-        kv = ["alternatives=" + ",".join(names)]
-        kv += [f"support{subset}={value}" for subset, value in supports]
-        kv += [f"opinion{s}>={t}={count}" for s, t, count in opinions]
-        _emit(args, [], kv)
+        fields = [(None, "alternatives", names)]
+        fields += [(None, f"support{subset}", value) for subset, value in supports]
+        fields += [(None, f"opinion{s}>={t}", count) for s, t, count in opinions]
+        _emit(args, fields)
     else:
         # The text form is itself a parseable opinion file.
         print(format_opinion_state(names, state, include_supports=True), end="")
@@ -407,39 +416,33 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     result = sweep_axiom(RULES[args.rule], args.axiom,
                          args.alternatives, args.seed, args.trials)
-    status = "pass" if result.violations == 0 else "fail"
-    fields = [("axiom", args.axiom), ("rule", args.rule),
-              ("alternatives", args.alternatives), ("requested", result.requested),
-              ("checked", result.checked), ("violations", result.violations)]
-    text = [f"{key}: {value}" for key, value in fields]
-    kv = [f"{key}={value}" for key, value in fields]
+    fields = [(key, key, value) for key, value in (
+        ("axiom", args.axiom), ("rule", args.rule), ("alternatives", args.alternatives),
+        ("requested", result.requested), ("checked", result.checked),
+        ("violations", result.violations))]
     for i, verdict in enumerate(result.examples, 1):
         x, y = verdict.witness
-        text.append(f"witness: x={x} y={y}: {verdict.note}")
-        kv.append(f"witness-{i}=x={x} y={y}: {verdict.note}")
-    text.append(f"result: {status}")
-    kv.append(f"result={status}")
-    _emit(args, text, kv)
+        fields.append(("witness", f"witness-{i}", f"x={x} y={y}: {verdict.note}"))
+    fields.append(("result", "result", "pass" if result.violations == 0 else "fail"))
+    _emit(args, fields)
     return 0 if result.violations == 0 else 3
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    text: list[str] = []
-    kv: list[str] = [f"trials={args.trials}"]
+    fields: list[tuple] = [(None, "trials", args.trials)]
     failed = False
     for universe in (3, 4, 5):
         report = differential_sweep(universe, args.trials, args.seed)
-        text.append(f"alternatives {universe}: trials={report.trials} "
-                    f"mismatches={report.mismatches}")
-        kv.append(f"universe-{universe}-mismatches={report.mismatches}")
+        fields += [(f"alternatives {universe}", None,
+                    (("trials", report.trials), ("mismatches", report.mismatches))),
+                   (None, f"universe-{universe}-mismatches", report.mismatches)]
         for detail in report.details:
-            text.append(f"  {detail}")
-            kv.append(f"universe-{universe}-detail={detail}")
+            trial, _, problems = detail.partition(": ")
+            fields += [(f"  {trial}", None, problems),
+                       (None, f"universe-{universe}-detail", detail)]
         failed = failed or not report.clean
-    status = "fail" if failed else "pass"
-    text.append(f"result: {status}")
-    kv.append(f"result={status}")
-    _emit(args, text, kv)
+    fields.append(("result", "result", "fail" if failed else "pass"))
+    _emit(args, fields)
     return 3 if failed else 0
 
 
@@ -447,88 +450,41 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     table = parse_criterion_table(DEMO_TABLE_TEXT)
     profile = parse_profile(DEMO_PROFILE_TEXT, table)
     names = table.alternatives
-
     tally = borda_criterion_scores(table, profile)
-    criteria_ranking = borda_ranking(tally)
-    stages = cascade_sets(table, profile)
-    first = nurmi_first(table, profile)
-    second = nurmi_second(table, profile)
     state = induce_opinion(table, profile)
-    supports = tuple(state.support_map.get(table.tr[c].mask, 0) for c in table.criteria)
-    iis = iis_rank(state)
-    supp = support_rank(state)
-    lex = lexcel_rank(state)
-    rows = state.class_count_rows
-    counts_app = rows[names.index("Approval")]
-    counts_bor = rows[names.index("Borda")]
+    supports = [state.support_map.get(table.tr[c].mask, 0) for c in table.criteria]
 
-    checks = [
-        ("criterion scores", tally.criterion_scores, _DEMO_CRITERION_SCORES),
-        ("criteria ranking", criteria_ranking.classes, _DEMO_CRITERIA_RANKING),
-        ("stage sets", stages, _DEMO_STAGES),
-        ("cascade choice", first.mask, _DEMO_CHOICE),
-        ("score choice", second.mask, _DEMO_CHOICE),
-        ("alternative scores", tally.alternative_scores, _DEMO_ALT_SCORES),
-        ("induced supports", supports, (10, 11, 12, 13, 8, 9)),
-        ("e-scores", state.e_vector, _DEMO_E_SCORES),
-        ("iis ranking", tuple(set(c) for c in iis.classes), _DEMO_IIS),
-        ("support ranking", tuple(set(c) for c in supp.classes), _DEMO_SUPPORT),
-        ("lexcel ranking", tuple(set(c) for c in lex.classes), _DEMO_LEXCEL),
-        ("class counts Approval", counts_app, _DEMO_CLASS_COUNTS_APPROVAL),
-        ("class counts Borda", counts_bor, _DEMO_CLASS_COUNTS_BORDA),
+    fields = [
+        ("criterion scores", "criterion-scores", tuple(tally.criterion_scores.items())),
+        ("criteria ranking", "criteria-ranking", format_ranking(borda_ranking(tally))),
     ]
-    mismatches = [
-        f"demo mismatch: {label}: got {got!r}, want {want!r}"
-        for label, got, want in checks if got != want
+    for k, stage in enumerate(cascade_sets(table, profile), 1):
+        fields.append((f"stage {k} intersection", f"stage-{k}",
+                       _format_members(iter_bits(stage), names)))
+    fields += [
+        ("choice (cascade)", "choice-cascade",
+         format_subset(nurmi_first(table, profile), names)),
+        ("choice (score sum)", "choice-score",
+         format_subset(nurmi_second(table, profile), names)),
+        ("alternative scores", "alternative-scores",
+         tuple(zip(names, tally.alternative_scores))),
+        ("induced supports", "supports", tuple(zip(table.criteria, supports))),
+        ("e-scores", "e-scores", tuple(zip(names, state.e_vector))),
     ]
-    status = "ok" if not mismatches else "fail"
+    for rule, rank in (("iis", iis_rank), ("support", support_rank), ("lexcel", lexcel_rank)):
+        fields.append((f"ranking ({rule})", f"ranking-{rule}",
+                       format_ranking(rank(state), names)))
+    for name in ("Approval", "Borda"):
+        fields.append((f"class counts ({name})", f"class-counts-{name}",
+                       state.class_count_rows[names.index(name)]))
 
-    def csv(values) -> str:
-        return ",".join(str(v) for v in values)
-
-    score_text = " ".join(f"{c}={tally.criterion_scores[c]}" for c in table.criteria)
-    alt_text = " ".join(f"{names[i]}={s}" for i, s in enumerate(tally.alternative_scores))
-    supports_text = " ".join(f"{c}={s}" for c, s in zip(table.criteria, supports))
-    e_text = " ".join(f"{names[i]}={e}" for i, e in enumerate(state.e_vector))
-    text = [
-        f"criterion scores: {score_text}",
-        f"criteria ranking: {format_ranking(criteria_ranking)}",
-    ]
-    for k, stage in enumerate(stages, 1):
-        text.append(f"stage {k} intersection: {_format_members(iter_bits(stage), names)}")
-    text += [
-        f"choice (cascade): {format_subset(first, names)}",
-        f"choice (score sum): {format_subset(second, names)}",
-        f"alternative scores: {alt_text}",
-        f"induced supports: {supports_text}",
-        f"e-scores: {e_text}",
-        f"ranking (iis): {format_ranking(iis, names)}",
-        f"ranking (support): {format_ranking(supp, names)}",
-        f"ranking (lexcel): {format_ranking(lex, names)}",
-        f"class counts (Approval): {csv(counts_app)}",
-        f"class counts (Borda): {csv(counts_bor)}",
-        f"demo: {status}",
-    ]
-    kv = [
-        f"criterion-scores={csv(tally.criterion_scores.values())}",
-        f"criteria-ranking={format_ranking(criteria_ranking)}",
-    ]
-    for k, stage in enumerate(stages, 1):
-        kv.append(f"stage-{k}={_format_members(iter_bits(stage), names)}")
-    kv += [
-        f"choice-cascade={format_subset(first, names)}",
-        f"choice-score={format_subset(second, names)}",
-        f"alternative-scores={csv(tally.alternative_scores)}",
-        f"supports={csv(supports)}",
-        f"e-scores={csv(state.e_vector)}",
-        f"ranking-iis={format_ranking(iis, names)}",
-        f"ranking-support={format_ranking(supp, names)}",
-        f"ranking-lexcel={format_ranking(lex, names)}",
-        f"class-counts-Approval={csv(counts_app)}",
-        f"class-counts-Borda={csv(counts_bor)}",
-        f"status={status}",
-    ]
-    _emit(args, text, kv)
+    printed = {key: (label, _render(value, True)) for label, key, value in fields}
+    mismatches = [f"demo mismatch: {label}: got {got}, want {_DEMO_PUBLISHED.get(key)}"
+                  for key, (label, got) in printed.items() if got != _DEMO_PUBLISHED.get(key)]
+    mismatches += [f"demo mismatch: {key}: not printed"
+                   for key in _DEMO_PUBLISHED if key not in printed]
+    fields.append(("demo", "status", "fail" if mismatches else "ok"))
+    _emit(args, fields)
     for line in mismatches:
         print(line, file=sys.stderr)
     return 3 if mismatches else 0
