@@ -475,8 +475,9 @@ SUPPORT_ORDER = ("{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} "
                  "> {Dodgson} > {Approval}")
 LEXCEL_ORDER = ("{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} "
                 "> {Approval} > {Dodgson}")
-SELFTEST_DETAILS = {3: (0, 7, 16), 4: (0, 3, 5, 6, 9), 5: (0, 6, 11, 12, 13)}
-SELFTEST_MISMATCHES = {3: 3, 4: 11, 5: 9}
+# universe -> (mismatches, trials listed in the details)
+SELFTEST_DETAILS = {3: (3, (0, 7, 16)), 4: (11, (0, 3, 5, 6, 9)),
+                    5: (9, (0, 6, 11, 12, 13))}
 WITNESSES = ("x=1 y=0", "x=1 y=0", "x=0 y=1")
 WITNESS_NOTE = "strict preference lost after the worst-class split"
 
@@ -514,8 +515,7 @@ class TestFailurePathOutput:
     def test_selftest_details(self, monkeypatch, capsys):
         monkeypatch.setitem(RULES, "lexcel", Rule("lexcel", support_rank))
         text, lines = [], ["seed=0", "trials=30"]
-        for universe, trials in SELFTEST_DETAILS.items():
-            mismatches = SELFTEST_MISMATCHES[universe]
+        for universe, (mismatches, trials) in SELFTEST_DETAILS.items():
             text.append(f"alternatives {universe}: trials=30 mismatches={mismatches}")
             lines.append(f"universe-{universe}-mismatches={mismatches}")
             for trial in trials:
