@@ -1,3 +1,4 @@
+from operator import lt
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from critrank.choice import borda_criterion_scores
 from critrank.model import (
     AltSubset,
     OpinionState,
+    PreferenceProfile,
     Ranking,
     ValidationError,
 )
@@ -87,6 +89,30 @@ class TestInduceOpinion:
             for x in range(table.universe):
                 total = sum(v for m, v in state.support_map.items() if m >> x & 1)
                 assert total == tally.alternative_scores[x]
+
+
+    @pytest.mark.parametrize("n_voters", (1, 2, 3, 4, 7, 8, 9, 255, 256, 257))
+    def test_matches_a_naive_pairwise_count(self, n_voters):
+        # voter counts sit at the edges of the per-criterion counter width;
+        # unanimous profiles put n_voters off the diagonal, the widest value
+        rng = Random(f"agg/naive/{n_voters}")
+        for trial in range(8):
+            table = random_table(rng, rng.randint(3, 6), rng.randint(2, 7))
+            profile = random_profile(rng, table, n_voters)
+            if trial % 2:
+                profile = PreferenceProfile(profile.voters, (profile.orders[0],) * n_voters)
+            positions = [{c: i for i, c in enumerate(order)} for order in profile.orders]
+            expected = {}
+            for c in table.criteria:
+                pos_c = [pos[c] for pos in positions]
+                for d in table.criteria:
+                    pos_d = [pos[d] for pos in positions]
+                    count = n_voters if c == d else sum(map(lt, pos_c, pos_d))
+                    if count:
+                        expected[(table.tr[c].mask, table.tr[d].mask)] = count
+            state = induce_opinion(table, profile)
+            assert state.counts == expected
+            assert list(state.counts) == list(expected)
 
 
 class TestEScoreRanking:

@@ -98,6 +98,14 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             validate_instance(inst)
 
+    def test_check_axiom_validates_before_judging(self):
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+        wrong = OpinionState.from_support(3, {0b011: 2, 0b010: 1})
+        for inst in (AxiomInstance("nt", o1, o2=wrong, permutation=(1, 2, 0)),
+                     AxiomInstance("wivip", o1)):
+            with pytest.raises(InvalidInstanceError):
+                check_axiom(iis_rank, inst)
+
     def test_relabel_instance_needs_a_permutation(self):
         o1 = OpinionState.from_support(3, {0b011: 2})
         with pytest.raises(InvalidInstanceError):

@@ -141,6 +141,22 @@ class TestProfileParsing:
         with pytest.raises(ParseError, match="no voters"):
             parse_profile("# nothing\n", self.fixture_table())
 
+    @pytest.mark.parametrize("text, error, message", (
+        ("voter 1: j > j\n", ValidationError, "voter '1' ranks criterion 'j' twice"),
+        ("voter 1: j > z > j\n", ValidationError, "voter '1' ranks unknown criterion 'z'"),
+        ("voter 1: j >  > k\n", ParseError, "line 1: malformed order 'j >  > k'"),
+        ("voter 1: j > k k\n", ParseError, "line 1: malformed order 'j > k k'"),
+        ("voter 1: k\n", ValidationError, "voter '1' omits criteria: j"),
+        ("voter 1: j > k\nvoter 1: k > j\n", ParseError, "line 2: voter '1' listed twice"),
+    ))
+    def test_bad_line_messages(self, text, error, message):
+        # the parser names the line's first fault; PreferenceProfile's own
+        # checks never get to see a bad order
+        with pytest.raises(error) as info:
+            parse_profile(text, self.fixture_table())
+        assert type(info.value) is error
+        assert str(info.value) == message
+
 
 class TestOpinionParsing:
     def test_basic_entries(self):
