@@ -14,7 +14,6 @@ whose counts are pairwise voter majorities.
 """
 
 from collections.abc import Sequence
-from operator import lt
 
 from .model import (
     AltSubset,
@@ -34,18 +33,31 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     For criteria c and d, the subset pair (satisfiers of c, satisfiers of d)
     is held by every voter who weakly prefers c to d; linear orders make the
     diagonal unanimous.
+
+    ``rows[c]`` packs one counter per criterion d, ``width`` bits each in
+    table order, of the voters ranking c above d.  No counter exceeds the
+    voter count, so none carries into the next.  Walking each order from
+    worst to best, c's row gains the units of every criterion already walked.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
     n_voters = len(profile.voters)
-    # per criterion: its satisfier mask and every voter's position for it
-    by_criterion = [(table.tr[c].mask, [pos[c] for pos in profile.positions])
-                    for c in table.criteria]
+    width = n_voters.bit_length()
+    unit = {c: 1 << width * j for j, c in enumerate(table.criteria)}
+    rows = dict.fromkeys(table.criteria, 0)
+    for order in profile.orders:
+        below = 0
+        for c in reversed(order):
+            rows[c] += below
+            below |= unit[c]
+    field = (1 << width) - 1
+    masks = [table.tr[c].mask for c in table.criteria]
+    shifts = range(0, width * len(masks), width)
     counts: dict[tuple[int, int], int] = {}
-    for s, pos_c in by_criterion:
-        for t, pos_d in by_criterion:
+    for s, row in zip(masks, rows.values()):
+        for t, shift in zip(masks, shifts):
             # satisfier masks are distinct, so s == t is the diagonal c == d
-            counts[(s, t)] = n_voters if s == t else sum(map(lt, pos_c, pos_d))
+            counts[(s, t)] = n_voters if s == t else row >> shift & field
     return OpinionState(table.universe, counts)
 
 

@@ -28,6 +28,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .aggregators import (
     induce_opinion,
@@ -145,8 +146,13 @@ def parse_criterion_table(text: str) -> CriterionTable:
 
 
 def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
-    """Read voter lines, each a strict order over the table's criteria."""
+    """Read voter lines, each a strict order over the table's criteria.
+
+    A line naming every criterion once passes one set check; only a line
+    that fails it is searched for its first fault.
+    """
     known = set(table.criteria)
+    seen_voters: set[str] = set()
     voters: list[str] = []
     orders: list[tuple[str, ...]] = []
     for lineno, line in _content_lines(text):
@@ -154,27 +160,34 @@ def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
         if len(head) != 2 or head[0] != "voter":
             raise ParseError(f"line {lineno}: expected 'voter <id>: ...', got {line!r}")
         voter = head[1]
-        if voter in voters:
+        if voter in seen_voters:
             raise ParseError(f"line {lineno}: voter '{voter}' listed twice")
-        order = tuple(part.strip() for part in body.split(">"))
-        if any(not part or " " in part for part in order):
-            raise ParseError(f"line {lineno}: malformed order {body!r}")
-        seen = set()
-        for c in order:
-            if c not in known:
-                raise ValidationError(f"voter '{voter}' ranks unknown criterion '{c}'")
-            if c in seen:
-                raise ValidationError(f"voter '{voter}' ranks criterion '{c}' twice")
-            seen.add(c)
-        if seen != known:
-            missing = sorted(known - seen)
-            raise ValidationError(
-                f"voter '{voter}' omits criteria: {', '.join(missing)}")
+        order = tuple(map(str.strip, body.split(">")))
+        if len(order) != len(known) or set(order) != known:
+            _order_fault(lineno, voter, body, order, known)
+        seen_voters.add(voter)
         voters.append(voter)
         orders.append(order)
     if not voters:
         raise ParseError("profile lists no voters")
     return PreferenceProfile(tuple(voters), tuple(orders))
+
+
+def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],
+                 known: set[str]) -> NoReturn:
+    """Raise for the first fault of an order that is not the known criteria
+    once each."""
+    if any(not part or " " in part for part in order):
+        raise ParseError(f"line {lineno}: malformed order {body!r}")
+    seen = set()
+    for c in order:
+        if c not in known:
+            raise ValidationError(f"voter '{voter}' ranks unknown criterion '{c}'")
+        if c in seen:
+            raise ValidationError(f"voter '{voter}' ranks criterion '{c}' twice")
+        seen.add(c)
+    missing = sorted(known - seen)
+    raise ValidationError(f"voter '{voter}' omits criteria: {', '.join(missing)}")
 
 
 _OPINION_RE = re.compile(
