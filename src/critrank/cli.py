@@ -84,10 +84,11 @@ def _alternatives_header(lineno: int, body: str, previous: tuple[str, ...] | Non
         raise ParseError(f"line {lineno}: second 'alternatives:' header")
     names = tuple(body.split())
     for name in names:
-        # these characters delimit subsets in opinion files and output
-        if any(ch in name for ch in ",{}"):
+        # these characters delimit subsets in opinion files and output, and
+        # '=' splits keys from values in '--format lines'
+        if any(ch in name for ch in ",{}="):
             raise ValidationError(
-                f"line {lineno}: alternative name '{name}' contains ',', '{{' or '}}'")
+                f"line {lineno}: alternative name '{name}' contains ',', '{{', '}}' or '='")
     bits = {name: 1 << i for i, name in enumerate(names)}
     if len(bits) != len(names):
         raise ValidationError(f"line {lineno}: alternative names must be distinct")

@@ -69,7 +69,7 @@ class TestTableParsing:
         with pytest.raises(ValidationError, match="distinct"):
             parse_criterion_table("alternatives: a a b\ncriterion k: a\n")
 
-    @pytest.mark.parametrize("name", ("a,b", "{a", "a}"))
+    @pytest.mark.parametrize("name", ("a,b", "{a", "a}", "a=b"))
     def test_subset_delimiters_in_names_are_exit_2(self, name, tmp_path, capsys):
         # 'a,b' would print as {a,b} and read back as the pair {a, b}
         text = f"alternatives: {name} a b\ncriterion j: a\ncriterion k: {name}\n"
@@ -205,7 +205,7 @@ class TestOpinionParsing:
         assert captured.out == ""
         assert "distinct" in captured.err
 
-    @pytest.mark.parametrize("name", ("a,b", "{a", "a}"))
+    @pytest.mark.parametrize("name", ("a,b", "{a", "a}", "a=b"))
     def test_subset_delimiters_in_names_are_exit_2(self, name, tmp_path, capsys):
         text = f"alternatives: {name} a b\nopinion {{a}} >= {{b}} : 1\n"
         with pytest.raises(ValidationError, match="contains"):
