@@ -206,6 +206,11 @@ class AxiomVerdict:
 def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
     """Evaluate one aggregation rule on one validated instance."""
     validate_instance(inst)
+    return _verdict(agg, inst)
+
+
+def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
+    """The rule's verdict on an instance that has passed validation."""
     u = inst.o1.universe
     kind = inst.kind
     if kind == "nt":
@@ -468,7 +473,7 @@ def sweep_axiom(agg: Aggregator, kind: str, universe_size: int, seed: int,
     examples: list[AxiomVerdict] = []
     instances = generate_instances(kind, universe_size, seed, count)
     for inst in instances:
-        verdict = check_axiom(agg, inst)
+        verdict = _verdict(agg, inst)  # generate_instances validated each one
         if not verdict.passed:
             violations += 1
             if len(examples) < 3:
