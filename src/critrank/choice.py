@@ -41,8 +41,8 @@ def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) ->
         raise ValidationError("profile ranks a different criterion set than the table lists")
     m = len(table.criteria)
     scores = {c: 0 for c in table.criteria}
-    for pos in profile.positions:
-        for c, p in pos.items():
+    for order in profile.orders:
+        for p, c in enumerate(order):
             scores[c] += m - p
     alt = column_sums(table.universe, ((table.tr[c].mask, score) for c, score in scores.items()))
     return BordaTally(scores, tuple(alt))

@@ -24,7 +24,7 @@ functions, so values can be shared freely across threads.
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Generic, Hashable, TypeVar
 
 MAX_UNIVERSE = 64
@@ -171,11 +171,6 @@ class PreferenceProfile:
     def criteria_set(self) -> frozenset[str]:
         return frozenset(self.orders[0])
 
-    @cached_property
-    def positions(self) -> tuple[dict[str, int], ...]:
-        """Per voter, criterion -> rank position (0 is best)."""
-        return tuple({c: i for i, c in enumerate(order)} for order in self.orders)
-
 
 @dataclass(frozen=True)
 class OpinionState:
@@ -276,16 +271,23 @@ class OpinionState:
         """Per alternative, how many subsets of each support class contain it.
 
         Column order follows the quotient, strongest class first.  The explicit
-        counts are read off :attr:`class_count_keys`; the final column is the
-        implicit residual class when present, computed by complement counting.
+        counts are read off :attr:`class_count_keys`, whose bit ``64 * k`` is
+        row ``k`` counted from the last; the final column is the implicit
+        residual class when present, computed by complement counting.
         """
         q = self.quotient
         widths = [len(cls_.members).bit_length() for cls_ in q.classes]
-        ends = list(accumulate(widths))
+        top = 64 * sum(widths)
         rows = []
         for key in self.class_count_keys:
-            digits = f"{key:0{64 * sum(widths)}b}"[63::64]  # one digit per row, in order
-            row = [int(digits[end - w:end], 2) for w, end in zip(widths, ends)]
+            row = []
+            shift = top
+            for w in widths:
+                count = 0
+                for _ in range(w):  # planes run high to low
+                    shift -= 64
+                    count = count << 1 | key >> shift & 1
+                row.append(count)
             if q.residual_present:
                 # Each alternative lies in 2**(n-1) subsets of the universe overall.
                 row.append((1 << (self.universe - 1)) - sum(row))

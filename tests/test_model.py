@@ -78,10 +78,11 @@ class TestPreferenceProfile:
         with pytest.raises(ValidationError):
             PreferenceProfile(("v1",), (("a", "a"),))
 
-    def test_positions(self):
+    def test_orders_list_best_first(self):
         p = PreferenceProfile(("v1", "v2"), (("a", "b"), ("b", "a")))
-        assert p.positions[0] == {"a": 0, "b": 1}
-        assert p.positions[1] == {"b": 0, "a": 1}
+        assert [order.index("a") for order in p.orders] == [0, 1]
+        assert [order.index("b") for order in p.orders] == [1, 0]
+        assert p.criteria_set == {"a", "b"}
 
 
 class TestOpinionState:
