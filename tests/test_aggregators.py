@@ -90,7 +90,6 @@ class TestInduceOpinion:
                 total = sum(v for m, v in state.support_map.items() if m >> x & 1)
                 assert total == tally.alternative_scores[x]
 
-
     @pytest.mark.parametrize("n_voters", (1, 2, 3, 4, 7, 8, 9, 255, 256, 257))
     def test_matches_a_naive_pairwise_count(self, n_voters):
         # voter counts sit at the edges of the per-criterion counter width;

@@ -150,8 +150,8 @@ class TestProfileParsing:
         ("voter 1: j > k\nvoter 1: k > j\n", ParseError, "line 2: voter '1' listed twice"),
     ))
     def test_bad_line_messages(self, text, error, message):
-        # the parser names the line's first fault; PreferenceProfile's own
-        # checks never get to see a bad order
+        # the parser reports the line's first fault itself, before
+        # PreferenceProfile's coarser checks could
         with pytest.raises(error) as info:
             parse_profile(text, self.fixture_table())
         assert type(info.value) is error
