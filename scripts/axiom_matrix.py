@@ -1,11 +1,12 @@
 """Print the rule-by-axiom violation matrix over random instance sweeps.
 
-There is one row per rule in ``critrank.axioms.RULES``.  Each cell counts
+There is one row per rule in ``critrank.aggregators.RULES``.  Each cell counts
 violations across all universe sizes.  The baseline rule should show a zero
 row; every rival rule should be zero everywhere except its target axiom
 column.  Rules outside the independence argument show "-" as their target.
-The witness column reports the named instances per rival rule: the literal
-story and, where there is one, the repaired instance.
+The witness column reports the named instances per rival rule, from
+``critrank.axioms.WITNESSES``: the literal story and, where there is one,
+the repaired instance.
 """
 
 import argparse
@@ -15,7 +16,8 @@ from pathlib import Path
 # the package source beside this script, whatever the working directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from critrank.axioms import AXIOM_KINDS, RULES, check_axiom, sweep_axiom
+from critrank.aggregators import AXIOM_KINDS, RULES
+from critrank.axioms import WITNESSES, check_axiom, sweep_axiom
 
 
 def violation_row(rule, sizes, seed, trials):
@@ -26,10 +28,10 @@ def violation_row(rule, sizes, seed, trials):
 
 
 def witness_summary(rule):
-    if rule.witnesses is None:
+    if rule.name not in WITNESSES:
         return "-"
     return "/".join("hit" if not check_axiom(rule, witness()).passed else "defused"
-                    for witness in rule.witnesses if witness is not None)
+                    for witness in WITNESSES[rule.name] if witness is not None)
 
 
 def main(argv=None):

@@ -9,3 +9,17 @@ Import each name from its submodule, e.g. ``critrank.model``.
 """
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import ``axioms`` or ``oracle`` on first access as an attribute.
+
+    ``import critrank.cli`` loads neither, so the ranking commands start
+    faster; the benchmark's traced run still reads both as attributes of
+    the package right after that import.
+    """
+    if name in ("axioms", "oracle"):
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,9 +11,15 @@ rules, and total indifference.
 ``induce_opinion`` is the bridge from voting: a criterion table plus a
 preference profile yields the state whose subsets are the satisfier sets and
 whose counts are pairwise voter majorities.
+
+``RULES`` registers every rule by name, with the axiom a rival rule is
+built to break; ``critrank.axioms`` holds the axioms and the named
+witness instances.  Keeping the registry here lets the ranking commands
+run without loading the axiom and oracle modules.
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from .model import (
     AltSubset,
@@ -130,3 +136,43 @@ def max_of(ranking: Ranking[int]) -> AltSubset:
     if {x for cls_ in ranking.classes for x in cls_} != set(range(n)):
         raise ValidationError("ranking labels must be exactly the alternative indices")
     return AltSubset(sum(1 << x for x in ranking.top), n)
+
+
+# Short names of the five axioms of ``critrank.axioms``, in report order.
+AXIOM_KINDS = ("nt", "iws", "ibs", "wivip", "inui")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One ranking rule, with the axiom it is built to break.
+
+    A rule is itself an aggregator: ``rule(state, order)`` calls ``rank``,
+    passing ``order`` (the identity order when None) only when
+    ``takes_order`` is set.  ``target`` is the one axiom of ``AXIOM_KINDS``
+    a rival rule breaks while keeping the other four, or None for rules
+    outside the independence argument; ``critrank.axioms.WITNESSES`` holds
+    each rival rule's named instances.
+    """
+
+    name: str
+    rank: Callable[..., Ranking[int]]
+    takes_order: bool = False
+    target: str | None = None
+
+    def __call__(self, state: OpinionState,
+                 order: Sequence[int] | None = None) -> Ranking[int]:
+        if not self.takes_order:
+            return self.rank(state)
+        return self.rank(state, tuple(range(state.universe)) if order is None else order)
+
+
+RULES: dict[str, Rule] = {rule.name: rule for rule in (
+    Rule("iis", iis_rank),
+    Rule("support", support_rank),
+    Rule("lexcel", lexcel_rank),
+    Rule("iis-tb-order", iis_tiebreak_order, takes_order=True, target="nt"),
+    Rule("iis-tb-tau", iis_tiebreak_tau, target="inui"),
+    Rule("f1", coarse_f1, target="ibs"),
+    Rule("f2", coarse_f2, target="iws"),
+    Rule("indifferent", indifference_rule, target="wivip"),
+)}

@@ -13,31 +13,18 @@ the axioms constrain, and any support assignment is realizable, so
 generators build the second state of a pair directly from a target class
 list instead of perturbing opinion entries.
 
-The module also houses the rule registry ``RULES``, which pairs every
-ranking rule with the axiom it is built to break and its named witness
-instances; the choice-method equivalence check; and the trailing-class
-merge sequence used to probe excellence-score clamping.
+The module also houses ``WITNESSES``, the named instances aimed at each
+rival rule's target axiom (the rules themselves are registered in
+``critrank.aggregators.RULES``), and the random table and profile
+generators used to test the choice methods.
 """
 
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from random import Random
 
-from .aggregators import (
-    coarse_f1,
-    coarse_f2,
-    iis_rank,
-    iis_tiebreak_order,
-    iis_tiebreak_tau,
-    indifference_rule,
-    induce_opinion,
-    lexcel_rank,
-    max_of,
-    support_rank,
-)
-from .choice import nurmi_first, nurmi_second
+from .aggregators import AXIOM_KINDS
 from .model import (
     AltSubset,
     CriterionTable,
@@ -46,11 +33,8 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
-    column_sums,
     iter_bits,
 )
-
-AXIOM_KINDS = ("nt", "iws", "ibs", "wivip", "inui")
 
 Aggregator = Callable[[OpinionState], Ranking[int]]
 
@@ -554,137 +538,38 @@ def indifference_wivip_witness() -> AxiomInstance:
     return AxiomInstance("wivip", OpinionState.from_support(3, {0b011: 1}))
 
 
-# ---------------------------------------------------------------------------
-# Rule registry
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One ranking rule, with the axiom it is built to break.
-
-    A rule is itself an aggregator: ``rule(state, order)`` calls ``rank``,
-    passing ``order`` (the identity order when None) only when
-    ``takes_order`` is set.  ``target`` is the one axiom a rival rule
-    breaks while keeping the other four, or None for rules outside the
-    independence argument.
-
-    ``witnesses`` is (literal story, repaired instance or None).  The first
-    entry is the literal story aimed at the target axiom.  For the two
-    tie-break rules it places its tie in a band the rule keeps tied (the
-    ceiling score for the order rule, score zero for the running-total
-    rule), so the rule reports no violation on it; the second entry is the
-    repaired instance with the tie moved out of that band, which does bite.
-    For the other rival rules the first entry bites and the second is None.
-    """
-
-    name: str
-    rank: Callable[..., Ranking[int]]
-    takes_order: bool = False
-    target: str | None = None
-    witnesses: tuple[Callable[[], AxiomInstance],
-                     Callable[[], AxiomInstance] | None] | None = None
-
-    def __call__(self, state: OpinionState,
-                 order: Sequence[int] | None = None) -> Ranking[int]:
-        if not self.takes_order:
-            return self.rank(state)
-        return self.rank(state, tuple(range(state.universe)) if order is None else order)
-
-
-RULES: dict[str, Rule] = {rule.name: rule for rule in (
-    Rule("iis", iis_rank),
-    Rule("support", support_rank),
-    Rule("lexcel", lexcel_rank),
-    Rule("iis-tb-order", iis_tiebreak_order, takes_order=True, target="nt",
-         witnesses=(order_tiebreak_nt_witness, order_tiebreak_nt_witness_interior)),
-    Rule("iis-tb-tau", iis_tiebreak_tau, target="inui",
-         witnesses=(tau_tiebreak_inui_witness, tau_tiebreak_inui_witness_scored)),
-    Rule("f1", coarse_f1, target="ibs", witnesses=(band_rule_ibs_witness, None)),
-    Rule("f2", coarse_f2, target="iws", witnesses=(ceiling_rule_iws_witness, None)),
-    Rule("indifferent", indifference_rule, target="wivip",
-         witnesses=(indifference_wivip_witness, None)),
-)}
+# Per rival rule of ``critrank.aggregators.RULES``: (literal story, repaired
+# instance or None).  The literal story is aimed at the rule's target axiom.
+# For the two tie-break rules it places its tie in a band the rule keeps
+# tied (the ceiling score for the order rule, score zero for the
+# running-total rule), so the rule reports no violation on it; the repaired
+# instance moves the tie out of that band and does bite.  For the other
+# rival rules the literal story bites and there is no repaired instance.
+WITNESSES: dict[str, tuple[Callable[[], AxiomInstance],
+                           Callable[[], AxiomInstance] | None]] = {
+    "iis-tb-order": (order_tiebreak_nt_witness, order_tiebreak_nt_witness_interior),
+    "iis-tb-tau": (tau_tiebreak_inui_witness, tau_tiebreak_inui_witness_scored),
+    "f1": (band_rule_ibs_witness, None),
+    "f2": (ceiling_rule_iws_witness, None),
+    "indifferent": (indifference_wivip_witness, None),
+}
 
 
 # ---------------------------------------------------------------------------
-# Choice-method equivalence
-
-
-@dataclass(frozen=True)
-class ChoiceEquivalence:
-    """Side-by-side outcomes of the choice methods and their aggregator routes.
-
-    ``score_matches`` is None when the table is not symmetric: the identity
-    for the score-based method is only claimed under a constant number of
-    satisfied criteria per alternative, so nothing is tested then.
-    """
-
-    cascade_choice: AltSubset
-    excellence_choice: AltSubset
-    cascade_matches: bool
-    symmetric: bool
-    score_choice: AltSubset
-    support_choice: AltSubset
-    score_matches: bool | None
-
-
-def check_choice_equivalence(table: CriterionTable,
-                             profile: PreferenceProfile) -> ChoiceEquivalence:
-    state = induce_opinion(table, profile)
-    cascade = nurmi_first(table, profile)
-    excellence = max_of(iis_rank(state))
-    score = nurmi_second(table, profile)
-    support_top = max_of(support_rank(state))
-    symmetric = table.is_symmetric()
-    return ChoiceEquivalence(
-        cascade_choice=cascade,
-        excellence_choice=excellence,
-        cascade_matches=cascade == excellence,
-        symmetric=symmetric,
-        score_choice=score,
-        support_choice=support_top,
-        score_matches=(score == support_top) if symmetric else None,
-    )
+# Random tables and profiles
 
 
 def random_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
+    """Alternatives x0, x1, ... and criteria c1, c2, ... with distinct
+    random satisfier sets."""
     top = (1 << universe) - 1
     if n_criteria > top:
         raise ValidationError("more criteria requested than distinct nonempty subsets")
-    return _table_from_masks(universe, _distinct_masks(rng, top, n_criteria))
-
-
-def _table_from_masks(universe: int, masks: Sequence[int]) -> CriterionTable:
-    """Alternatives x0, x1, ... and criteria c1, c2, ... satisfied by ``masks``."""
+    masks = _distinct_masks(rng, top, n_criteria)
     alternatives = tuple(f"x{i}" for i in range(universe))
     criteria = tuple(f"c{j + 1}" for j in range(len(masks)))
     tr = {c: AltSubset(m, universe) for c, m in zip(criteria, masks)}
     return CriterionTable(alternatives, criteria, tr)
-
-
-def _columns_constant(masks: Iterable[int], universe: int) -> bool:
-    return len(set(column_sums(universe, zip(masks, repeat(1))))) == 1
-
-
-def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
-    """Random table where every alternative satisfies equally many criteria."""
-    top = (1 << universe) - 1
-    for _ in range(200):
-        masks = _distinct_masks(rng, top, n_criteria)
-        if _columns_constant(masks, universe):
-            break
-    else:
-        # fallback: complement pairs cover every alternative exactly once per
-        # pair, and the full set once more when the count is odd
-        masks_set: set[int] = {top} if n_criteria % 2 else set()
-        while len(masks_set) < n_criteria:
-            b = rng.randint(1, top - 1)
-            if b in masks_set or (top ^ b) in masks_set:
-                continue
-            masks_set.add(b)
-            masks_set.add(top ^ b)
-        masks = sorted(masks_set)
-    return _table_from_masks(universe, masks)
 
 
 def random_profile(rng: Random, table: CriterionTable, n_voters: int) -> PreferenceProfile:
@@ -696,16 +581,3 @@ def random_profile(rng: Random, table: CriterionTable, n_voters: int) -> Prefere
         orders.append(tuple(order))
     return PreferenceProfile(voters, tuple(orders))
 
-
-def trailing_merge_sequence(state: OpinionState) -> list[OpinionState]:
-    """States keeping a shrinking prefix of the support classes intact.
-
-    Entry j keeps the strongest len(classes) - j explicit classes and drops
-    every later subset to support zero, merging the tail into the residual.
-    Excellence scores clamp to the kept depth: each merged state scores
-    min(original score, kept classes) for every alternative, so rankings of
-    alternatives scoring within the kept prefix are untouched.
-    """
-    classes = [c.members for c in state.quotient.classes]
-    return [_state_from_class_masks(state.universe, classes[:keep])
-            for keep in range(len(classes), -1, -1)]

@@ -24,6 +24,7 @@ mismatch.
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -31,12 +32,13 @@ from pathlib import Path
 from typing import NoReturn
 
 from .aggregators import (
+    AXIOM_KINDS,
+    RULES,
     induce_opinion,
     iis_rank,
     lexcel_rank,
     support_rank,
 )
-from .axioms import AXIOM_KINDS, RULES, sweep_axiom
 from .choice import (
     borda_criterion_scores,
     borda_ranking,
@@ -53,7 +55,6 @@ from .model import (
     ValidationError,
     iter_bits,
 )
-from .oracle import differential_sweep
 
 
 class ParseError(Exception):
@@ -428,6 +429,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .axioms import sweep_axiom  # only check needs the axiom suite
+
     result = sweep_axiom(RULES[args.rule], args.axiom,
                          args.alternatives, args.seed, args.trials)
     fields = [(key, key, value) for key, value in (
@@ -443,6 +446,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .oracle import differential_sweep  # only selftest needs the oracle
+
     fields: list[tuple] = [(None, "trials", args.trials)]
     failed = False
     for universe in (3, 4, 5):
@@ -545,7 +550,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first ``main`` call and reused:
+    parsing leaves it unchanged."""
     parser = _Parser(prog="critrank",
                      description="Rank alternatives from opinions on criteria.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -158,6 +158,10 @@ class PreferenceProfile:
             raise ValidationError("need exactly one order per voter")
         base = set(self.orders[0])
         for voter, order in zip(self.voters, self.orders):
+            # one set check accepts an order; only a failing one is searched
+            # for its first fault
+            if order and len(order) == len(base) and set(order) == base:
+                continue
             if not order:
                 raise ValidationError(f"voter {voter!r} has an empty order")
             if len(set(order)) != len(order):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .axioms import RULES, random_state, random_support_state
+from .aggregators import RULES
+from .axioms import random_state, random_support_state
 from .model import OpinionState, ValidationError
 
 ORACLE_MAX_UNIVERSE = 6

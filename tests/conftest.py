@@ -1,11 +1,14 @@
+from dataclasses import dataclass
 from random import Random
 
 import pytest
 from hypothesis import strategies as st
 
-from critrank.axioms import random_state, random_support_state
+from critrank.axioms import random_state, random_support_state, random_table
+from critrank.choice import nurmi_first, nurmi_second
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, parse_criterion_table, parse_profile
-from critrank.aggregators import induce_opinion
+from critrank.aggregators import iis_rank, induce_opinion, max_of, support_rank
+from critrank.model import AltSubset, CriterionTable, OpinionState, PreferenceProfile
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +46,78 @@ def opinion_states(draw, min_universe: int = 3, max_universe: int = 5):
     if draw(st.booleans()):
         return random_state(rng, universe)
     return random_support_state(rng, universe)
+
+
+@dataclass(frozen=True)
+class ChoiceEquivalence:
+    """Side-by-side outcomes of the choice methods and their aggregator routes.
+
+    ``score_matches`` is None when the table is not symmetric: the identity
+    for the score-based method is only claimed under a constant number of
+    satisfied criteria per alternative, so nothing is tested then.
+    """
+
+    cascade_choice: AltSubset
+    excellence_choice: AltSubset
+    cascade_matches: bool
+    symmetric: bool
+    score_choice: AltSubset
+    support_choice: AltSubset
+    score_matches: bool | None
+
+
+def check_choice_equivalence(table: CriterionTable,
+                             profile: PreferenceProfile) -> ChoiceEquivalence:
+    state = induce_opinion(table, profile)
+    cascade = nurmi_first(table, profile)
+    excellence = max_of(iis_rank(state))
+    score = nurmi_second(table, profile)
+    support_top = max_of(support_rank(state))
+    symmetric = table.is_symmetric()
+    return ChoiceEquivalence(
+        cascade_choice=cascade,
+        excellence_choice=excellence,
+        cascade_matches=cascade == excellence,
+        symmetric=symmetric,
+        score_choice=score,
+        support_choice=support_top,
+        score_matches=(score == support_top) if symmetric else None,
+    )
+
+
+def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> CriterionTable:
+    """Random table where every alternative satisfies equally many criteria.
+
+    Draws tables as ``random_table`` does until one is symmetric.  After 200
+    misses it builds one from complement pairs, which cover every
+    alternative once per pair, plus the full set when the count is odd.
+    """
+    for _ in range(200):
+        table = random_table(rng, universe, n_criteria)
+        if table.is_symmetric():
+            return table
+    top = (1 << universe) - 1
+    masks = {top} if n_criteria % 2 else set()
+    while len(masks) < n_criteria:
+        b = rng.randint(1, top - 1)
+        if b not in masks and top ^ b not in masks:
+            masks |= {b, top ^ b}
+    criteria = tuple(f"c{j + 1}" for j in range(n_criteria))
+    tr = {c: AltSubset(m, universe) for c, m in zip(criteria, sorted(masks))}
+    return CriterionTable(tuple(f"x{i}" for i in range(universe)), criteria, tr)
+
+
+def trailing_merge_sequence(state: OpinionState) -> list[OpinionState]:
+    """States keeping a shrinking prefix of the support classes intact.
+
+    Entry j keeps the strongest len(classes) - j explicit classes, with
+    supports keep, keep - 1, ..., 1, and drops every later subset to support
+    zero, merging the tail into the residual.  Excellence scores clamp to
+    the kept depth: each merged state scores min(original score, kept
+    classes) for every alternative, so rankings of alternatives scoring
+    within the kept prefix are untouched.
+    """
+    classes = [c.members for c in state.quotient.classes]
+    return [OpinionState.from_support(state.universe, {
+                m: keep - i for i, members in enumerate(classes[:keep]) for m in members})
+            for keep in range(len(classes), -1, -1)]

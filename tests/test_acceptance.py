@@ -2,8 +2,8 @@
 
 Each test prints one summary line "acceptance <n> (<label>): PASS|FAIL"
 plus a detail line per failed sub-check.  The rival-rule criterion reads
-each rival rule's (literal story, repaired instance) pair from its
-``Rule.witnesses`` in ``RULES``.  For the two tie-break rules it asserts
+each rival rule's (literal story, repaired instance) pair from
+``critrank.axioms.WITNESSES``.  For the two tie-break rules it asserts
 that the literal story, whose tie sits in a band the rule keeps tied, is
 not a violation, which pins those kept bands, and that the repaired
 instance is one.  For the other rival rules the literal story must be a
@@ -16,22 +16,21 @@ from random import Random
 import pytest
 
 from critrank.aggregators import (
+    AXIOM_KINDS,
+    RULES,
     induce_opinion,
     iis_rank,
     lexcel_rank,
     support_rank,
 )
 from critrank.axioms import (
-    AXIOM_KINDS,
-    RULES,
+    WITNESSES,
     check_axiom,
-    check_choice_equivalence,
     generate_instances,
     permute_state,
     random_profile,
     random_state,
     random_support_state,
-    random_symmetric_table,
     random_table,
 )
 from critrank.choice import (
@@ -45,7 +44,7 @@ from critrank.cli import main
 from critrank.model import AltSubset, iter_bits
 from critrank.oracle import differential_sweep
 
-from conftest import bits, top_k
+from conftest import bits, check_choice_equivalence, random_symmetric_table, top_k
 
 SWEEP_SEED = 20240
 SWEEP_SIZES = (3, 4, 5)
@@ -177,7 +176,7 @@ def test_rival_rules_break_exactly_their_axiom(instance_batches):
     for variant in sorted(name for name, rule in RULES.items() if rule.target is not None):
         rule = RULES[variant]
         target = rule.target
-        primary, adjusted = rule.witnesses
+        primary, adjusted = WITNESSES[variant]
         if adjusted is None:
             checks.append(
                 (f"{variant}: {target} witness reported as a violation",

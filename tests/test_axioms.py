@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from critrank.aggregators import (
+    AXIOM_KINDS,
+    RULES,
     coarse_f1,
     coarse_f2,
     indifference_rule,
@@ -17,14 +19,12 @@ from critrank.aggregators import (
     iis_tiebreak_tau,
 )
 from critrank.axioms import (
-    AXIOM_KINDS,
     AxiomInstance,
     InvalidInstanceError,
-    RULES,
+    WITNESSES,
     band_rule_ibs_witness,
     ceiling_rule_iws_witness,
     check_axiom,
-    check_choice_equivalence,
     generate_instances,
     indifference_wivip_witness,
     order_tiebreak_nt_witness,
@@ -32,17 +32,21 @@ from critrank.axioms import (
     permute_state,
     random_profile,
     random_state,
-    random_symmetric_table,
     random_table,
     sweep_axiom,
     tau_tiebreak_inui_witness,
     tau_tiebreak_inui_witness_scored,
-    trailing_merge_sequence,
     validate_instance,
 )
 from critrank.model import OpinionState, ValidationError, iter_bits
 
-from conftest import bits, opinion_states
+from conftest import (
+    bits,
+    check_choice_equivalence,
+    opinion_states,
+    random_symmetric_table,
+    trailing_merge_sequence,
+)
 
 
 class TestPermutation:
@@ -215,6 +219,9 @@ class TestRuleRegistry:
         state = order_tiebreak_nt_witness_interior().o1
         assert rule(state) == iis_tiebreak_order(state, (0, 1, 2))
         assert rule(state, (2, 1, 0)) == iis_tiebreak_order(state, (2, 1, 0))
+
+    def test_every_rival_rule_has_witnesses(self):
+        assert set(WITNESSES) == {name for name, rule in RULES.items() if rule.target}
 
     def test_plain_rules_ignore_an_order(self):
         state = order_tiebreak_nt_witness_interior().o1

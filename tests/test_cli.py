@@ -12,6 +12,7 @@ from critrank.cli import (
     DEMO_PROFILE_TEXT,
     DEMO_TABLE_TEXT,
     ParseError,
+    _build_parser,
     format_opinion_state,
     format_ranking,
     format_subset,
@@ -20,8 +21,7 @@ from critrank.cli import (
     parse_opinion_state,
     parse_profile,
 )
-from critrank.aggregators import iis_rank, support_rank
-from critrank.axioms import RULES, Rule
+from critrank.aggregators import RULES, Rule, iis_rank, support_rank
 from critrank.choice import cascade_sets
 from critrank.model import AltSubset, OpinionState, Ranking, ValidationError, iter_bits
 
@@ -410,6 +410,19 @@ class TestMainExitCodes:
         assert main(["frobnicate"]) == 1
         assert main(["demo", "--bogus"]) == 1
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; a usage error in between
+        # must leave the next call's defaults as a fresh parser has them
+        check = ["check", "--axiom", "nt", "--trials", "5", "--format", "lines"]
+        assert main([*check, "--rule", "f2"]) == 0
+        assert "rule=f2" in capsys.readouterr().out
+        assert main(["rank", "--rule", "nope", "--opinions", "o.txt"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument --rule: invalid choice: 'nope'")
+        assert main(check) == 0
+        assert "rule=iis" in capsys.readouterr().out
+        assert _build_parser() is _build_parser()
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0

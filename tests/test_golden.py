@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from critrank.axioms import RULES
+from critrank.aggregators import RULES
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, main
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -78,6 +78,17 @@ class TestPreferenceProfile:
         with pytest.raises(ValidationError):
             PreferenceProfile(("v1",), (("a", "a"),))
 
+    @pytest.mark.parametrize("orders, message", [
+        ((("a", "b"), ()), "voter 'v2' has an empty order"),
+        ((("a", "a"), ("a", "b")), "voter 'v1' ranks a criterion twice"),
+        ((("a", "b"), ("a", "b", "a")), "voter 'v2' ranks a criterion twice"),
+        ((("a", "b"), ("a", "c")), "voter 'v2' ranks a different criterion set"),
+        ((("a", "b"), ("b",)), "voter 'v2' ranks a different criterion set"),
+    ])
+    def test_each_order_fault_has_its_message(self, orders, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            PreferenceProfile(("v1", "v2"), orders)
+
     def test_orders_list_best_first(self):
         p = PreferenceProfile(("v1", "v2"), (("a", "b"), ("b", "a")))
         assert [order.index("a") for order in p.orders] == [0, 1]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from critrank.aggregators import (
+    RULES,
+    Rule,
     coarse_f1,
     coarse_f2,
     iis_rank,
@@ -12,7 +14,6 @@ from critrank.aggregators import (
     lexcel_rank,
     support_rank,
 )
-from critrank.axioms import RULES, Rule
 from critrank.model import (
     Ranking,
     OpinionState,

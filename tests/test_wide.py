@@ -15,14 +15,8 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critrank.aggregators import iis_tiebreak_tau, lexcel_rank, support_rank
-from critrank.axioms import (
-    RULES,
-    check_axiom,
-    generate_instances,
-    permute_state,
-    trailing_merge_sequence,
-)
+from critrank.aggregators import RULES, iis_tiebreak_tau, lexcel_rank, support_rank
+from critrank.axioms import check_axiom, generate_instances, permute_state
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     OpinionState,
@@ -33,7 +27,7 @@ from critrank.model import (
     score_groups,
 )
 
-from conftest import top_k
+from conftest import top_k, trailing_merge_sequence
 
 
 def nested_core_support(rng: Random, universe: int, n_subsets: int,
