@@ -17,6 +17,13 @@ opinion state (raw counts, not tied to any table)::
     alternatives: <name> <name> ...
     opinion {a,b} >= {c} : 3
 
+An opinion line is the word ``opinion``, a brace group, ``>=``, a brace
+group and ``:`` followed by the count, with optional whitespace between
+these tokens.  A brace group holds no ``{`` or ``}``; its comma-separated
+names may be padded, and blank names are skipped.  The count is one or
+more decimal digits (``str.isdecimal``, so ``٣`` reads as 3 and ``²`` is
+rejected); whitespace is what ``str.isspace`` accepts.
+
 Exit codes: 0 success, 1 usage or parse error or a closed output pipe,
 2 validation error, 3 failed assertion, axiom violation, or self-test
 mismatch.
@@ -26,7 +33,6 @@ import argparse
 import contextlib
 import functools
 import os
-import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -96,8 +102,22 @@ def _alternatives_header(lineno: int, body: str, previous: tuple[str, ...] | Non
     return names, bits
 
 
-def _members_mask(bits: dict[str, int], parts: list[str], where: str) -> int:
-    """OR of the named alternatives' bits; blank parts are skipped."""
+def _members_mask(bits: dict[str, int], parts: list[str], where: str,
+                  arg: object) -> int:
+    """OR of the named alternatives' bits; blank parts are skipped.
+
+    ``where.format(arg)`` locates an unknown name in its error, built only
+    when the error is raised.
+    """
+    # the common case, distinct known names, in one call: the sum of
+    # distinct bits has one set bit per part
+    try:
+        mask = sum(map(bits.__getitem__, parts))
+    except KeyError:
+        pass
+    else:
+        if mask.bit_count() == len(parts):
+            return mask
     mask = 0
     for part in parts:
         bit = bits.get(part)
@@ -109,7 +129,7 @@ def _members_mask(bits: dict[str, int], parts: list[str], where: str) -> int:
                 continue
             bit = bits.get(name)
             if bit is None:
-                raise ValidationError(f"{where} unknown alternative '{name}'")
+                raise ValidationError(f"{where.format(arg)} unknown alternative '{name}'")
         mask |= bit
     return mask
 
@@ -137,7 +157,7 @@ def parse_criterion_table(text: str) -> CriterionTable:
             members = body.split()
             if not members:
                 raise ValidationError(f"criterion '{name}' is satisfied by nothing")
-            mask = _members_mask(bits, members, f"criterion '{name}' references")
+            mask = _members_mask(bits, members, "criterion '{}' references", name)
             criteria.append(name)
             tr[name] = AltSubset(mask, len(alternatives))
         else:
@@ -192,8 +212,23 @@ def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],
     raise ValidationError(f"voter '{voter}' omits criteria: {', '.join(missing)}")
 
 
-_OPINION_RE = re.compile(
-    r"opinion\s*\{([^{}]*)\}\s*>=\s*\{([^{}]*)\}\s*:\s*(\d+)$")
+def _split_opinion(line: str) -> tuple[str, str, str] | None:
+    """The left subset text, right subset text and count digits of an
+    opinion line, or None if the line breaks the grammar in the module
+    docstring."""
+    head, _, rest = line.partition("{")
+    left, _, rest = rest.partition("}")
+    middle, _, rest = rest.partition("{")
+    right, closed, rest = rest.partition("}")
+    before, _, count = rest.partition(":")
+    count = count.lstrip()
+    # a missing brace empties everything after it, so `closed` is set only
+    # when all four braces were found
+    if (closed and count.isdecimal() and head.startswith("opinion")
+            and not head[7:].strip() and middle.strip() == ">="
+            and not before.strip() and "{" not in left and "{" not in right):
+        return left, right, count
+    return None
 
 
 def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
@@ -208,7 +243,7 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     def subset(lineno: int, inner: str) -> int:
         mask = masks.get(inner)
         if mask is None:
-            mask = _members_mask(bits, inner.split(","), f"line {lineno}:")
+            mask = _members_mask(bits, inner.split(","), "line {}:", lineno)
             if not mask:
                 raise ValidationError(f"line {lineno}: empty subset in opinion")
             masks[inner] = mask
@@ -224,13 +259,14 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
             if names is None:
                 raise ParseError(
                     f"line {lineno}: 'alternatives:' header must come first")
-            match = _OPINION_RE.fullmatch(line)
-            if match is None:
+            fields = _split_opinion(line)
+            if fields is None:
                 raise ParseError(
                     f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
-            key = (subset(lineno, match.group(1)), subset(lineno, match.group(2)))
+            left, right, digits = fields
+            key = (subset(lineno, left), subset(lineno, right))
             try:
-                count = int(match.group(3))
+                count = int(digits)
             except ValueError:  # more digits than int() converts
                 raise ValidationError(
                     f"line {lineno}: opinion count has too many digits") from None

@@ -1,11 +1,14 @@
 import errno
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import critrank
 from critrank.cli import (
@@ -13,6 +16,7 @@ from critrank.cli import (
     DEMO_TABLE_TEXT,
     ParseError,
     _build_parser,
+    _split_opinion,
     format_opinion_state,
     format_ranking,
     format_subset,
@@ -268,6 +272,94 @@ class TestOpinionParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "invalid input: line 2: opinion count has too many digits\n"
+
+
+# the regex the opinion-line grammar was first written as, kept as the
+# reference for the partition split that replaced it
+_OPINION_RE = re.compile(
+    r"opinion\s*\{([^{}]*)\}\s*>=\s*\{([^{}]*)\}\s*:\s*(\d+)$")
+_TOKENS = ("opinion", " ", "\t", "\xa0", "{", "}", ",", ">", "=", ":",
+           "1", "\u0663", "\u00b2", "x")
+_any_text = st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join)
+
+
+def _run(*tokens, min_size=0):
+    return st.lists(st.sampled_from(tokens), min_size=min_size, max_size=3).map("".join)
+
+
+_space = _run(" ", "\t", "\xa0")
+_inner = _run("x", ",", " ")
+# grammar-shaped lines, valid unless the count holds a '²'
+_shaped = st.tuples(_space, _inner, _space, _space, _inner, _space, _space,
+                    _run("1", "\u0663", "\u00b2", min_size=1)).map(
+    lambda gaps: "opinion{}{{{}}}{}>={}{{{}}}{}:{}{}".format(*gaps))
+# a shaped line with one token put in anywhere: the near misses
+_near_miss = st.tuples(_shaped, st.integers(0, 40), st.sampled_from(_TOKENS)).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+
+
+def _rank_lines(tmp_path, capsys, text):
+    opinions = tmp_path / "ops.txt"
+    opinions.write_text(text, encoding="utf-8")
+    status = main(["rank", "--rule", "iis", "--format", "lines", "--opinions", str(opinions)])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+class TestOpinionGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_any_text, _shaped, _near_miss))
+    @example("opinion{x}>={y}:1")
+    @example("opinion {x} >= {y} : 1\n")
+    def test_split_accepts_what_the_regex_accepts(self, line):
+        match = _OPINION_RE.fullmatch(line)
+        assert _split_opinion(line) == (match.groups() if match else None)
+
+    @pytest.mark.parametrize("line, count", (
+        ("opinion{x}>={y}:1", 1),
+        ("opinion\t{x}\t>=\t{y}\t:\t3", 3),
+        ("opinion\xa0{x} >= {y} : 1", 1),
+        ("opinion\xa0{x} >= {y} : \u0663", 3),
+    ))
+    def test_accepted_edges(self, line, count, tmp_path, capsys):
+        status, out, err = _rank_lines(tmp_path, capsys, f"alternatives: x y\n{line}\n")
+        assert (status, err) == (0, "")
+        assert (status, out, err) == _rank_lines(
+            tmp_path, capsys, f"alternatives: x y\nopinion {{x}} >= {{y}} : {count}\n")
+        assert parse_opinion_state(f"alternatives: x y\n{line}\n")[1].counts == {
+            (0b01, 0b10): count}
+
+    @pytest.mark.parametrize("line", (
+        "opinion {x} >= {y} : \u00b2",
+        "opinion {x} >= {y} :",
+        "opinion {x} >= {y} : -1",
+        "opinion {x} >= {y} : 1 2",
+        "opinion {x}} >= {y} : 1",
+        "opinion {{x} >= {y} : 1",
+        "opinion x >= {y} : 1",
+        "opinion {x} >= {y} :: 1",
+        "opinion {x} => {y} : 1",
+        "opinion {x} >= {y} : 1 # c",
+    ))
+    def test_rejected_edges_are_exit_1(self, line, tmp_path, capsys):
+        assert _rank_lines(tmp_path, capsys, f"alternatives: x y\n{line}\n") == (
+            1, "", "error: line 2: expected 'opinion {a,b} >= {c} : N'\n")
+
+    def test_a_repeated_top_name_reads_as_its_bit(self, tmp_path, capsys):
+        names = " ".join(f"a{i}" for i in range(64))
+        text = f"alternatives: {names}\nopinion {{a63,a63}} >= {{a0}} : 1\n"
+        assert parse_opinion_state(text)[1].counts == {(1 << 63, 1): 1}
+        status, out, err = _rank_lines(tmp_path, capsys, text)
+        assert (status, err) == (0, "")
+        assert out
+
+    def test_an_unknown_name_is_reported_before_a_later_malformed_line(
+            self, tmp_path, capsys):
+        text = ("alternatives: x y\n"
+                "opinion {x,q} >= {y} : 1\n"
+                "opinion {x} >= {y}\n")
+        assert _rank_lines(tmp_path, capsys, text) == (
+            2, "", "invalid input: line 2: unknown alternative 'q'\n")
 
 
 class TestRoundTrips:
