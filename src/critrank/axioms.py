@@ -181,10 +181,15 @@ def validate_instance(inst: AxiomInstance) -> None:
 
 @dataclass(frozen=True)
 class AxiomVerdict:
-    kind: str
-    passed: bool
+    """A rule's verdict on one instance: the first pair (x, y) that breaks
+    the axiom and why, or no witness when the rule passes."""
+
     witness: tuple[int, int] | None = None
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
@@ -194,65 +199,56 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
 
 
 def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
-    """The rule's verdict on an instance that has passed validation."""
+    """The rule's verdict on an instance that has passed validation: the
+    first broken pair, x before y, each ascending (wivip's x in set order)."""
     u = inst.o1.universe
     kind = inst.kind
-    if kind == "nt":
-        r1 = agg(inst.o1)
-        r2 = agg(inst.o2)
-        pi = inst.permutation
-        for x in range(u):
-            for y in range(u):
-                if x != y and r1.weakly_above(x, y) != r2.weakly_above(pi[x], pi[y]):
-                    return AxiomVerdict(kind, False, (x, y),
-                                        "relabeling changed the pair's standing")
-        return AxiomVerdict(kind, True)
-    if kind in ("iws", "ibs"):
-        end = "worst" if kind == "iws" else "best"
-        r1 = agg(inst.o1)
-        r2 = agg(inst.o2)
-        for x in range(u):
-            for y in range(u):
-                if x != y and r1.strictly_above(x, y) and not r2.strictly_above(x, y):
-                    return AxiomVerdict(kind, False, (x, y),
-                                        f"strict preference lost after the {end}-class split")
-        return AxiomVerdict(kind, True)
-    if kind == "wivip":
-        r = agg(inst.o1)
-        veto = {x for x, e in enumerate(inst.o1.e_vector) if e >= 1}
-        for x in veto:
-            for y in range(u):
-                if y not in veto and not r.strictly_above(x, y):
-                    return AxiomVerdict(kind, False, (x, y),
-                                        "veto element not ranked strictly above a non-veto one")
-        return AxiomVerdict(kind, True)
-    # inui: pairs outside the promoted family's intersection must stand as before
-    inter = (1 << u) - 1
-    for m in inst.promoted:
-        inter &= m
-    qualifying = [z for z in range(u) if not inter >> z & 1]
     r1 = agg(inst.o1)
-    r2 = agg(inst.o2)
-    for x in qualifying:
-        for y in qualifying:
-            if x != y and r1.weakly_above(x, y) != r2.weakly_above(x, y):
-                return AxiomVerdict(kind, False, (x, y),
-                                    "promotion moved a pair it should not reach")
-    return AxiomVerdict(kind, True)
+    at1 = [r1.class_of(x) for x in range(u)]
+    if kind == "wivip":
+        veto = {x for x, e in enumerate(inst.o1.e_vector) if e >= 1}
+        broken = ((x, y) for x in veto for y in range(u)
+                  if y not in veto and at1[x] >= at1[y])
+        note = "veto element not ranked strictly above a non-veto one"
+    else:
+        r2 = agg(inst.o2)
+        at2 = [r2.class_of(x) for x in range(u)]
+        if kind == "nt":
+            pi = inst.permutation
+            broken = ((x, y) for x in range(u) for y in range(u)
+                      if x != y and (at1[x] <= at1[y]) != (at2[pi[x]] <= at2[pi[y]]))
+            note = "relabeling changed the pair's standing"
+        elif kind in ("iws", "ibs"):
+            broken = ((x, y) for x in range(u) for y in range(u)
+                      if at1[x] < at1[y] and at2[x] >= at2[y])
+            end = "worst" if kind == "iws" else "best"
+            note = f"strict preference lost after the {end}-class split"
+        else:
+            # inui: pairs outside the promoted family's intersection must
+            # stand as before
+            inter = (1 << u) - 1
+            for m in inst.promoted:
+                inter &= m
+            qualifying = [z for z in range(u) if not inter >> z & 1]
+            broken = ((x, y) for x in qualifying for y in qualifying
+                      if x != y and (at1[x] <= at1[y]) != (at2[x] <= at2[y]))
+            note = "promotion moved a pair it should not reach"
+    witness = next(broken, None)
+    return AxiomVerdict() if witness is None else AxiomVerdict(witness, note)
 
 
 # ---------------------------------------------------------------------------
 # Random generation
 
 
-def random_state(rng: Random, universe: int, max_entries: int = 10,
-                 max_count: int = 4) -> OpinionState:
-    """Random state with entry-level structure (off-diagonal opinions too)."""
+def random_state(rng: Random, universe: int) -> OpinionState:
+    """Random state with entry-level structure (off-diagonal opinions too):
+    up to 10 opinions, each adding 1 to 4 to its pair's count."""
     top = (1 << universe) - 1
     counts: dict[tuple[int, int], int] = {}
-    for _ in range(rng.randint(0, max_entries)):
+    for _ in range(rng.randint(0, 10)):
         pair = (rng.randint(1, top), rng.randint(1, top))
-        counts[pair] = counts.get(pair, 0) + rng.randint(1, max_count)
+        counts[pair] = counts.get(pair, 0) + rng.randint(1, 4)
     return OpinionState(universe, counts)
 
 
@@ -271,13 +267,13 @@ def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
     return list(drawn)
 
 
-def random_support_state(rng: Random, universe: int, max_subsets: int = 8,
-                         max_value: int = 5) -> OpinionState:
-    """Random state built from a support assignment; small values force ties."""
+def random_support_state(rng: Random, universe: int) -> OpinionState:
+    """Random state built from a support assignment: up to 8 subsets with
+    support 1 to 5, values small enough to force ties."""
     top = (1 << universe) - 1
-    n = rng.randint(0, min(max_subsets, top))
+    n = rng.randint(0, min(8, top))
     masks = _distinct_masks(rng, top, n)
-    support = {m: rng.randint(1, max_value) for m in masks}
+    support = {m: rng.randint(1, 5) for m in masks}
     return OpinionState.from_support(universe, support)
 
 
@@ -442,8 +438,6 @@ def generate_instances(kind: str, universe_size: int, seed: int,
 
 @dataclass(frozen=True)
 class SweepResult:
-    kind: str
-    universe: int
     requested: int
     checked: int
     violations: int
@@ -462,8 +456,7 @@ def sweep_axiom(agg: Aggregator, kind: str, universe_size: int, seed: int,
             violations += 1
             if len(examples) < 3:
                 examples.append(verdict)
-    return SweepResult(kind, universe_size, count, len(instances), violations,
-                       tuple(examples))
+    return SweepResult(count, len(instances), violations, tuple(examples))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .model import (
     ValidationError,
     column_sums,
     ranking_from_scores,
+    running_intersections,
 )
 
 
@@ -61,13 +62,9 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int
     empty once it is.
     """
     ranking = borda_ranking(borda_criterion_scores(table, profile))
-    current = (1 << table.universe) - 1
-    stages = []
-    for cls_ in ranking.classes:
-        for c in cls_:
-            current &= table.tr[c].mask
-        stages.append(current)
-    return tuple(stages)
+    tr = table.tr
+    return tuple(running_intersections(
+        table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking.classes)))
 
 
 def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:

@@ -231,6 +231,15 @@ def _split_opinion(line: str) -> tuple[str, str, str] | None:
     return None
 
 
+def _new_mask(bits: dict[str, int], masks: dict[str, int], inner: str, lineno: int) -> int:
+    """Parse a subset text not seen before and cache its mask."""
+    mask = _members_mask(bits, inner.split(","), "line {}:", lineno)
+    if not mask:
+        raise ValidationError(f"line {lineno}: empty subset in opinion")
+    masks[inner] = mask
+    return mask
+
+
 def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     """Read raw opinion counts; returns the alternative names and the state."""
     names: tuple[str, ...] | None = None
@@ -239,16 +248,6 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     # subset text -> mask: a criterion-induced state repeats each of its few
     # subsets on many lines, so most texts are looked up, not parsed
     masks: dict[str, int] = {}
-
-    def subset(lineno: int, inner: str) -> int:
-        mask = masks.get(inner)
-        if mask is None:
-            mask = _members_mask(bits, inner.split(","), "line {}:", lineno)
-            if not mask:
-                raise ValidationError(f"line {lineno}: empty subset in opinion")
-            masks[inner] = mask
-        return mask
-
     for lineno, line in _content_lines(text):
         if line.startswith("alternatives"):
             head, body = _split_directive(lineno, line)
@@ -264,7 +263,9 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                 raise ParseError(
                     f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
             left, right, digits = fields
-            key = (subset(lineno, left), subset(lineno, right))
+            # masks are never 0, so `or` falls through only on a miss
+            key = (masks.get(left) or _new_mask(bits, masks, left, lineno),
+                   masks.get(right) or _new_mask(bits, masks, right, lineno))
             try:
                 count = int(digits)
             except ValueError:  # more digits than int() converts

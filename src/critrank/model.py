@@ -312,19 +312,18 @@ class QuotientOrder:
     """Support classes in strictly decreasing order, plus an implicit residual.
 
     The residual class collects every subset not listed in ``classes``; it is
-    last (its value is below every explicit value) and is only represented by
-    the ``residual_present`` flag, never materialized.  Its support is zero,
-    so explicit classes then carry positive values.
+    last (its value is below every explicit value) and never materialized:
+    construction derives its size, ``residual_size``, and whether it is
+    nonempty, ``residual_present``.  Its support is zero, so explicit classes
+    then carry positive values.
     """
 
     universe: int
     classes: tuple[SupportClass, ...]
-    residual_present: bool = True
 
     def __post_init__(self) -> None:
         _check_universe(self.universe)
         capacity = (1 << self.universe) - 1
-        total = 0
         seen: set[int] = set()
         prev = None
         for cls_ in self.classes:
@@ -336,42 +335,42 @@ class QuotientOrder:
                 if mask in seen:
                     raise ValidationError("support classes must be disjoint")
                 seen.add(mask)
-            total += len(cls_.members)
             if prev is not None and cls_.value >= prev:
                 raise ValidationError("class values must strictly decrease")
             prev = cls_.value
-        if self.residual_present:
-            if total >= capacity:
-                raise ValidationError("residual class marked present but empty")
-            if prev is not None and prev <= 0:
-                raise ValidationError("residual value must fall below the last explicit class")
-        elif total != capacity:
-            raise ValidationError("without a residual the classes must cover every subset")
+        residual = capacity - len(seen)
+        if residual and prev is not None and prev <= 0:
+            raise ValidationError("residual value must fall below the last explicit class")
+        # plain attributes, not properties: ``depth`` reads the flag on every access
+        object.__setattr__(self, "residual_size", residual)
+        object.__setattr__(self, "residual_present", residual > 0)
 
     @property
     def depth(self) -> int:
         """Number of classes, counting the residual when present."""
         return len(self.classes) + (1 if self.residual_present else 0)
 
-    @property
-    def residual_size(self) -> int:
-        if not self.residual_present:
-            return 0
-        return (1 << self.universe) - 1 - sum(len(c.members) for c in self.classes)
-
 
 def _quotient_from_support(universe: int, support: Mapping[int, int]) -> QuotientOrder:
     classes = tuple(SupportClass(v, frozenset(masks)) for v, masks in score_groups(support))
-    return QuotientOrder(universe, classes, len(support) < (1 << universe) - 1)
+    return QuotientOrder(universe, classes)
+
+
+def running_intersections(universe: int, families: Iterable[Iterable[int]]):
+    """After each family, yield the intersection of every mask so far, from
+    the whole universe down: the excellence walk over the support classes and
+    Nurmi's cascade over the criterion score classes, strongest first."""
+    inter = (1 << universe) - 1
+    for family in families:
+        for mask in family:
+            inter &= mask
+        yield inter
 
 
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     e = [0] * q.universe
-    inter = (1 << q.universe) - 1
     depth = 0
-    for cls_ in q.classes:
-        for mask in cls_.members:
-            inter &= mask
+    for inter in running_intersections(q.universe, (c.members for c in q.classes)):
         if not inter:
             return tuple(e)
         depth += 1

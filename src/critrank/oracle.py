@@ -190,9 +190,7 @@ def dense_rankings(d: DenseState) -> DenseRankings:
 
 @dataclass(frozen=True)
 class SweepReport:
-    universe: int
     trials: int
-    seed: int
     mismatches: int
     details: tuple[str, ...]
 
@@ -278,4 +276,4 @@ def differential_sweep(universe: int, trials: int, seed: int) -> SweepReport:
             mismatches += 1
             if len(details) < 5:
                 details.append(f"trial {trial}: " + ", ".join(problems))
-    return SweepReport(universe, trials, seed, mismatches, tuple(details))
+    return SweepReport(trials, mismatches, tuple(details))

@@ -599,8 +599,22 @@ LEXCEL_ORDER = ("{Copeland,Kemeny} > {Maximin} > {Plurality} > {Borda} "
 # universe -> (mismatches, trials listed in the details)
 SELFTEST_DETAILS = {3: (3, (0, 7, 16)), 4: (11, (0, 3, 5, 6, 9)),
                     5: (9, (0, 6, 11, 12, 13))}
-WITNESSES = ("x=1 y=0", "x=1 y=0", "x=0 y=1")
-WITNESS_NOTE = "strict preference lost after the worst-class split"
+WORST_SPLIT = "strict preference lost after the worst-class split"
+# (rule, axiom, alternatives) -> violations, printed witnesses and their
+# note under `check --trials 80`: each rival rule on its target axiom
+CHECK_WITNESSES = {
+    ("f2", "iws", 3): (16, ("x=1 y=0", "x=1 y=0", "x=0 y=1"), WORST_SPLIT),
+    ("iis-tb-order", "nt", 12): (40, ("x=7 y=9", "x=0 y=1", "x=0 y=7"),
+                                 "relabeling changed the pair's standing"),
+    ("iis-tb-tau", "inui", 12): (2, ("x=0 y=5", "x=1 y=0"),
+                                 "promotion moved a pair it should not reach"),
+    ("f1", "ibs", 12): (2, ("x=11 y=7", "x=7 y=9"),
+                        "strict preference lost after the best-class split"),
+    ("f2", "iws", 12): (31, ("x=6 y=1", "x=2 y=1", "x=1 y=0"), WORST_SPLIT),
+    # veto sets iterate in set order, which past 8 alternatives is not ascending
+    ("indifferent", "wivip", 12): (68, ("x=9 y=0",) * 3,
+                                   "veto element not ranked strictly above a non-veto one"),
+}
 
 
 class TestFailurePathOutput:
@@ -647,15 +661,17 @@ class TestFailurePathOutput:
             assert main(["selftest", "--trials", "30", "--format", fmt]) == 3
             assert capsys.readouterr().out == "\n".join(want) + "\n"
 
-    def test_check_witnesses(self, capsys):
-        fields = [("axiom", "iws"), ("rule", "f2"), ("alternatives", 3),
-                  ("requested", 80), ("checked", 80), ("violations", 16)]
+    @pytest.mark.parametrize("rule, axiom, n", CHECK_WITNESSES)
+    def test_check_witnesses(self, capsys, rule, axiom, n):
+        violations, witnesses, note = CHECK_WITNESSES[rule, axiom, n]
+        fields = [("axiom", axiom), ("rule", rule), ("alternatives", n),
+                  ("requested", 80), ("checked", 80), ("violations", violations)]
         text = [f"{key}: {value}" for key, value in fields]
-        text += [f"witness: {w}: {WITNESS_NOTE}" for w in WITNESSES] + ["result: fail"]
+        text += [f"witness: {w}: {note}" for w in witnesses] + ["result: fail"]
         lines = ["seed=0"] + [f"{key}={value}" for key, value in fields]
-        lines += [f"witness-{i}={w}: {WITNESS_NOTE}" for i, w in enumerate(WITNESSES, 1)]
+        lines += [f"witness-{i}={w}: {note}" for i, w in enumerate(witnesses, 1)]
         lines.append("result=fail")
         for fmt, want in (("text", text), ("lines", lines)):
-            assert main(["check", "--axiom", "iws", "--rule", "f2", "--trials", "80",
-                         "--alternatives", "3", "--format", fmt]) == 3
+            assert main(["check", "--axiom", axiom, "--rule", rule, "--trials", "80",
+                         "--alternatives", str(n), "--format", fmt]) == 3
             assert capsys.readouterr().out == "\n".join(want) + "\n"

@@ -213,6 +213,19 @@ class TestQuotientOrder:
         assert len(q.classes) == 7
         assert all(len(c.members) == 1 for c in q.classes)
 
+    def test_residual_is_derived_from_the_cover(self):
+        full = tuple(SupportClass(8 - m, frozenset({m})) for m in range(1, 8))
+        q = QuotientOrder(3, full)
+        assert not q.residual_present
+        assert q.depth == len(q.classes) == 7
+        assert q.residual_size == 0
+        partial = QuotientOrder(3, full[:5])
+        assert partial.residual_present
+        assert partial.depth == 6
+        assert partial.residual_size == 2
+        with pytest.raises(ValidationError, match="residual value"):
+            QuotientOrder(3, full[:4] + (SupportClass(0, frozenset({0b101})),))
+
     def test_values_strictly_decreasing(self):
         state = OpinionState.from_support(3, {0b001: 2, 0b010: 2, 0b100: 1})
         q = state.quotient
