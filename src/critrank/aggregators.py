@@ -19,7 +19,6 @@ run without loading the axiom and oracle modules.
 """
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from .model import (
     AltSubset,
@@ -28,6 +27,8 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
+    _Record,
+    _set,
     column_sums,
     ranking_from_scores,
 )
@@ -142,8 +143,7 @@ def max_of(ranking: Ranking[int]) -> AltSubset:
 AXIOM_KINDS = ("nt", "iws", "ibs", "wivip", "inui")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """One ranking rule, with the axiom it is built to break.
 
     A rule is itself an aggregator: ``rule(state, order)`` calls ``rank``,
@@ -154,10 +154,14 @@ class Rule:
     each rival rule's named instances.
     """
 
-    name: str
-    rank: Callable[..., Ranking[int]]
-    takes_order: bool = False
-    target: str | None = None
+    __slots__ = _fields = ("name", "rank", "takes_order", "target")
+
+    def __init__(self, name: str, rank: Callable[..., Ranking[int]],
+                 takes_order: bool = False, target: str | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "rank", rank)
+        _set(self, "takes_order", takes_order)
+        _set(self, "target", target)
 
     def __call__(self, state: OpinionState,
                  order: Sequence[int] | None = None) -> Ranking[int]:

@@ -21,7 +21,6 @@ generators used to test the choice methods.
 
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from random import Random
 
 from .aggregators import AXIOM_KINDS
@@ -33,6 +32,8 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
+    _Record,
+    _set,
     iter_bits,
 )
 
@@ -43,8 +44,7 @@ class InvalidInstanceError(ValidationError):
     """An axiom instance fails its structural side-conditions."""
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
+class AxiomInstance(_Record):
     """One concrete test case for an axiom.
 
     ``kind`` selects the axiom; ``o2`` carries the restructured state for
@@ -53,11 +53,16 @@ class AxiomInstance:
     the non-unanimous-improvement axiom.
     """
 
-    kind: str
-    o1: OpinionState
-    o2: OpinionState | None = None
-    permutation: tuple[int, ...] | None = None
-    promoted: frozenset[int] | None = None
+    __slots__ = _fields = ("kind", "o1", "o2", "permutation", "promoted")
+
+    def __init__(self, kind: str, o1: OpinionState, o2: OpinionState | None = None,
+                 permutation: tuple[int, ...] | None = None,
+                 promoted: frozenset[int] | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "o1", o1)
+        _set(self, "o2", o2)
+        _set(self, "permutation", permutation)
+        _set(self, "promoted", promoted)
 
 
 def _check_permutation(pi: Sequence[int], universe: int) -> None:
@@ -179,13 +184,15 @@ def validate_instance(inst: AxiomInstance) -> None:
                      "second state must promote exactly the given family one level")
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(_Record):
     """A rule's verdict on one instance: the first pair (x, y) that breaks
     the axiom and why, or no witness when the rule passes."""
 
-    witness: tuple[int, int] | None = None
-    note: str = ""
+    __slots__ = _fields = ("witness", "note")
+
+    def __init__(self, witness: tuple[int, int] | None = None, note: str = "") -> None:
+        _set(self, "witness", witness)
+        _set(self, "note", note)
 
     @property
     def passed(self) -> bool:
@@ -436,12 +443,18 @@ def generate_instances(kind: str, universe_size: int, seed: int,
     return out
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    requested: int
-    checked: int
-    violations: int
-    examples: tuple[AxiomVerdict, ...]
+class SweepResult(_Record):
+    """How many instances were asked for, built and violated, with the
+    first few violating verdicts."""
+
+    __slots__ = _fields = ("requested", "checked", "violations", "examples")
+
+    def __init__(self, requested: int, checked: int, violations: int,
+                 examples: tuple[AxiomVerdict, ...]) -> None:
+        _set(self, "requested", requested)
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
+        _set(self, "examples", examples)
 
 
 def sweep_axiom(agg: Aggregator, kind: str, universe_size: int, seed: int,

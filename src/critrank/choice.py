@@ -8,8 +8,6 @@ intersection would die, the other scores each alternative by the total score
 of the criteria it satisfies.
 """
 
-from dataclasses import dataclass
-
 from .model import (
     AltSubset,
     CriterionTable,
@@ -18,16 +16,21 @@ from .model import (
     ValidationError,
     column_sums,
     ranking_from_scores,
+    _Record,
+    _set,
     running_intersections,
 )
 
 
-@dataclass(frozen=True)
-class BordaTally:
+class BordaTally(_Record):
     """Positional scores: per criterion, and summed per alternative."""
 
-    criterion_scores: dict[str, int]
-    alternative_scores: tuple[int, ...]
+    __slots__ = _fields = ("criterion_scores", "alternative_scores")
+
+    def __init__(self, criterion_scores: dict[str, int],
+                 alternative_scores: tuple[int, ...]) -> None:
+        _set(self, "criterion_scores", criterion_scores)
+        _set(self, "alternative_scores", alternative_scores)
 
 
 def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) -> BordaTally:

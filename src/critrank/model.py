@@ -18,13 +18,18 @@ that are needed, its size and how many of its subsets contain each
 alternative, are closed-form counts rather than enumerations.
 
 Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+functions, so values can be shared freely across threads.  Every record type
+of the package subclasses :class:`_Record` rather than using ``dataclasses``,
+which would load ``inspect`` and ``exec`` generated methods on every start of
+the CLI: a record names its public fields in ``_fields``, stores them in its
+own ``__init__`` through ``_set`` (``object.__setattr__``) and checks them
+there.  Test-only questions (``strictly_above``, ``weakly_above``, ``tied``,
+``satisfied_counts``, ``is_symmetric``) live in ``tests/conftest.py``.
 """
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from operator import attrgetter
 from typing import Generic, Hashable, TypeVar
 
 MAX_UNIVERSE = 64
@@ -71,25 +76,59 @@ def column_sums(universe: int, weighted_masks: Iterable[tuple[int, int]]) -> lis
     return sums
 
 
-@dataclass(frozen=True)
-class AltSubset:
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record with value equality.
+
+    Instances of the same class are equal when their ``_fields`` are, and
+    hash and print as those fields; values a subclass caches in its
+    ``__dict__`` take no part.  Assigning or deleting any attribute raises
+    :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AltSubset(_Record):
     """A nonempty subset of the alternatives, stored as a bit vector."""
 
-    mask: int
-    universe: int
+    __slots__ = _fields = ("mask", "universe")
 
-    def __post_init__(self) -> None:
-        _check_universe(self.universe)
-        if self.mask == 0:
+    def __init__(self, mask: int, universe: int) -> None:
+        _check_universe(universe)
+        if mask == 0:
             raise ValidationError("subset of alternatives must be nonempty")
-        if not 0 < self.mask < (1 << self.universe):
-            raise ValidationError(
-                f"mask {self.mask:#x} out of range for universe of {self.universe}"
-            )
+        if not 0 < mask < (1 << universe):
+            raise ValidationError(f"mask {mask:#x} out of range for universe of {universe}")
+        _set(self, "mask", mask)
+        _set(self, "universe", universe)
 
 
-@dataclass(frozen=True)
-class CriterionTable:
+class CriterionTable(_Record):
     """Which alternatives satisfy which criteria.
 
     ``tr[c]`` is the set of alternatives satisfying criterion ``c``.  Every
@@ -98,26 +137,25 @@ class CriterionTable:
     subsets is injective.
     """
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    tr: Mapping[str, AltSubset]
+    __slots__ = _fields = ("alternatives", "criteria", "tr")
 
-    def __post_init__(self) -> None:
-        if len(self.alternatives) < 3:
+    def __init__(self, alternatives: tuple[str, ...], criteria: tuple[str, ...],
+                 tr: Mapping[str, AltSubset]) -> None:
+        if len(alternatives) < 3:
             raise ValidationError("need at least 3 alternatives")
-        _check_universe(len(self.alternatives))
-        if len(set(self.alternatives)) != len(self.alternatives):
+        _check_universe(len(alternatives))
+        if len(set(alternatives)) != len(alternatives):
             raise ValidationError("alternative names must be distinct")
-        if not self.criteria:
+        if not criteria:
             raise ValidationError("need at least one criterion")
-        if len(set(self.criteria)) != len(self.criteria):
+        if len(set(criteria)) != len(criteria):
             raise ValidationError("criterion names must be distinct")
-        if set(self.tr) != set(self.criteria):
+        if set(tr) != set(criteria):
             raise ValidationError("tr must map exactly the listed criteria")
-        n = len(self.alternatives)
+        n = len(alternatives)
         seen: dict[int, str] = {}
-        for c in self.criteria:
-            s = self.tr[c]
+        for c in criteria:
+            s = tr[c]
             if s.universe != n:
                 raise ValidationError(f"criterion {c!r} has subset over a different universe")
             if s.mask in seen:
@@ -126,38 +164,29 @@ class CriterionTable:
                     "both are satisfied by exactly the same alternatives"
                 )
             seen[s.mask] = c
+        _set(self, "alternatives", alternatives)
+        _set(self, "criteria", criteria)
+        _set(self, "tr", tr)
 
     @property
     def universe(self) -> int:
         return len(self.alternatives)
 
-    def satisfied_counts(self) -> tuple[int, ...]:
-        """How many criteria each alternative satisfies."""
-        masks = (self.tr[c].mask for c in self.criteria)
-        return tuple(column_sums(self.universe, zip(masks, repeat(1))))
 
-    def is_symmetric(self) -> bool:
-        """True when every alternative satisfies the same number of criteria."""
-        counts = self.satisfied_counts()
-        return len(set(counts)) == 1
-
-
-@dataclass(frozen=True)
-class PreferenceProfile:
+class PreferenceProfile(_Record):
     """One linear order over the criteria per voter, best first."""
 
-    voters: tuple[str, ...]
-    orders: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("voters", "orders")
 
-    def __post_init__(self) -> None:
-        if not self.voters:
+    def __init__(self, voters: tuple[str, ...], orders: tuple[tuple[str, ...], ...]) -> None:
+        if not voters:
             raise ValidationError("need at least one voter")
-        if len(set(self.voters)) != len(self.voters):
+        if len(set(voters)) != len(voters):
             raise ValidationError("voter ids must be distinct")
-        if len(self.orders) != len(self.voters):
+        if len(orders) != len(voters):
             raise ValidationError("need exactly one order per voter")
-        base = set(self.orders[0])
-        for voter, order in zip(self.voters, self.orders):
+        base = set(orders[0])
+        for voter, order in zip(voters, orders):
             # one set check accepts an order; only a failing one is searched
             # for its first fault
             if order and len(order) == len(base) and set(order) == base:
@@ -170,14 +199,15 @@ class PreferenceProfile:
                 raise ValidationError(
                     f"voter {voter!r} ranks a different criterion set than the others"
                 )
+        _set(self, "voters", voters)
+        _set(self, "orders", orders)
 
     @property
     def criteria_set(self) -> frozenset[str]:
         return frozenset(self.orders[0])
 
 
-@dataclass(frozen=True)
-class OpinionState:
+class OpinionState(_Record):
     """A sparse state of opinion.
 
     ``counts[(s, t)]`` counts how many expressed opinions hold the subset
@@ -186,10 +216,16 @@ class OpinionState:
     equality of the positive counts.
     """
 
-    universe: int
-    counts: Mapping[tuple[int, int], int]
+    _fields = ("universe", "counts")
+
+    def __init__(self, universe: int, counts: Mapping[tuple[int, int], int]) -> None:
+        _set(self, "universe", universe)
+        _set(self, "counts", counts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the counts and keep the positive ones; a method of its own so
+        that the benchmark's traced run can time it."""
         _check_universe(self.universe)
         top = 1 << self.universe
         clean: dict[tuple[int, int], int] = {}
@@ -204,7 +240,7 @@ class OpinionState:
                 raise ValidationError(f"opinion counts must be nonnegative integers, got {count!r}")
             if count:
                 clean[pair] = count
-        object.__setattr__(self, "counts", clean)
+        _set(self, "counts", clean)
 
     @classmethod
     def from_support(cls, universe: int, support: Mapping[int, int]) -> "OpinionState":
@@ -299,16 +335,17 @@ class OpinionState:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SupportClass:
+class SupportClass(_Record):
     """One equivalence class of equally supported subsets, as masks."""
 
-    value: int
-    members: frozenset[int]
+    __slots__ = _fields = ("value", "members")
+
+    def __init__(self, value: int, members: frozenset[int]) -> None:
+        _set(self, "value", value)
+        _set(self, "members", members)
 
 
-@dataclass(frozen=True)
-class QuotientOrder:
+class QuotientOrder(_Record):
     """Support classes in strictly decreasing order, plus an implicit residual.
 
     The residual class collects every subset not listed in ``classes``; it is
@@ -318,15 +355,15 @@ class QuotientOrder:
     then carry positive values.
     """
 
-    universe: int
-    classes: tuple[SupportClass, ...]
+    _fields = ("universe", "classes")
+    __slots__ = _fields + ("residual_size", "residual_present")
 
-    def __post_init__(self) -> None:
-        _check_universe(self.universe)
-        capacity = (1 << self.universe) - 1
+    def __init__(self, universe: int, classes: tuple[SupportClass, ...]) -> None:
+        _check_universe(universe)
+        capacity = (1 << universe) - 1
         seen: set[int] = set()
         prev = None
-        for cls_ in self.classes:
+        for cls_ in classes:
             if not cls_.members:
                 raise ValidationError("support classes must be nonempty")
             for mask in cls_.members:
@@ -341,9 +378,11 @@ class QuotientOrder:
         residual = capacity - len(seen)
         if residual and prev is not None and prev <= 0:
             raise ValidationError("residual value must fall below the last explicit class")
+        _set(self, "universe", universe)
+        _set(self, "classes", classes)
         # plain attributes, not properties: ``depth`` reads the flag on every access
-        object.__setattr__(self, "residual_size", residual)
-        object.__setattr__(self, "residual_present", residual > 0)
+        _set(self, "residual_size", residual)
+        _set(self, "residual_present", residual > 0)
 
     @property
     def depth(self) -> int:
@@ -370,7 +409,7 @@ def running_intersections(universe: int, families: Iterable[Iterable[int]]):
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     e = [0] * q.universe
     depth = 0
-    for inter in running_intersections(q.universe, (c.members for c in q.classes)):
+    for inter in running_intersections(q.universe, map(attrgetter("members"), q.classes)):
         if not inter:
             return tuple(e)
         depth += 1
@@ -383,21 +422,21 @@ def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     return tuple(e)
 
 
-@dataclass(frozen=True)
-class Ranking(Generic[L]):
+class Ranking(_Record, Generic[L]):
     """A weak order presented as its ordered partition, best class first."""
 
-    classes: tuple[tuple[L, ...], ...]
+    _fields = ("classes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, classes: tuple[tuple[L, ...], ...]) -> None:
         seen: set[L] = set()
-        for cls_ in self.classes:
+        for cls_ in classes:
             if not cls_:
                 raise ValidationError("ranking classes must be nonempty")
             for label in cls_:
                 if label in seen:
                     raise ValidationError(f"label {label!r} appears in two classes")
                 seen.add(label)
+        _set(self, "classes", classes)
 
     @cached_property
     def _position(self) -> dict[L, int]:
@@ -408,15 +447,6 @@ class Ranking(Generic[L]):
             return self._position[label]
         except KeyError:
             raise ValidationError(f"label {label!r} not ranked") from None
-
-    def strictly_above(self, a: L, b: L) -> bool:
-        return self.class_of(a) < self.class_of(b)
-
-    def weakly_above(self, a: L, b: L) -> bool:
-        return self.class_of(a) <= self.class_of(b)
-
-    def tied(self, a: L, b: L) -> bool:
-        return self.class_of(a) == self.class_of(b)
 
     @property
     def top(self) -> tuple[L, ...]:

@@ -8,13 +8,12 @@ compares the two routes field by field on random states; the oracle is the
 authority, the sparse path is the accused.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
 from .aggregators import RULES
 from .axioms import random_state, random_support_state
-from .model import OpinionState, ValidationError
+from .model import OpinionState, ValidationError, _Record, _set
 
 ORACLE_MAX_UNIVERSE = 6
 
@@ -23,24 +22,24 @@ def _indices(mask: int, universe: int) -> frozenset[int]:
     return frozenset(i for i in range(universe) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class DenseState:
+class DenseState(_Record):
     """Support of every nonempty subset, in mask order (mask 1 first).
 
     The classes and top intersections are enumerated once per state.
     """
 
-    universe: int
-    support: tuple[int, ...]
+    _fields = ("universe", "support")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.universe <= ORACLE_MAX_UNIVERSE:
+    def __init__(self, universe: int, support: tuple[int, ...]) -> None:
+        if not 1 <= universe <= ORACLE_MAX_UNIVERSE:
             raise ValidationError(
                 f"oracle handles at most {ORACLE_MAX_UNIVERSE} alternatives")
-        if len(self.support) != (1 << self.universe) - 1:
+        if len(support) != (1 << universe) - 1:
             raise ValidationError("support array must cover every nonempty subset")
-        if any(not isinstance(v, int) or v < 0 for v in self.support):
+        if any(not isinstance(v, int) or v < 0 for v in support):
             raise ValidationError("support values must be nonnegative integers")
+        _set(self, "universe", universe)
+        _set(self, "support", support)
 
     @classmethod
     def from_sparse(cls, state: OpinionState) -> "DenseState":
@@ -167,14 +166,20 @@ def dense_f2(d: DenseState) -> tuple[tuple[int, ...], ...]:
     return tuple(b for b in bands if b)
 
 
-@dataclass(frozen=True)
-class DenseRankings:
-    iis: tuple[tuple[int, ...], ...]
-    support: tuple[tuple[int, ...], ...]
-    lexcel: tuple[tuple[int, ...], ...]
-    iis_tau: tuple[tuple[int, ...], ...]
-    f1: tuple[tuple[int, ...], ...]
-    f2: tuple[tuple[int, ...], ...]
+class DenseRankings(_Record):
+    """The dense route's ranking classes for the order-free rules."""
+
+    __slots__ = _fields = ("iis", "support", "lexcel", "iis_tau", "f1", "f2")
+
+    def __init__(self, iis: tuple[tuple[int, ...], ...], support: tuple[tuple[int, ...], ...],
+                 lexcel: tuple[tuple[int, ...], ...], iis_tau: tuple[tuple[int, ...], ...],
+                 f1: tuple[tuple[int, ...], ...], f2: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "iis", iis)
+        _set(self, "support", support)
+        _set(self, "lexcel", lexcel)
+        _set(self, "iis_tau", iis_tau)
+        _set(self, "f1", f1)
+        _set(self, "f2", f2)
 
 
 def dense_rankings(d: DenseState) -> DenseRankings:
@@ -188,11 +193,16 @@ def dense_rankings(d: DenseState) -> DenseRankings:
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    trials: int
-    mismatches: int
-    details: tuple[str, ...]
+class SweepReport(_Record):
+    """How many random states were compared, how many disagreed, and the
+    first few disagreements."""
+
+    __slots__ = _fields = ("trials", "mismatches", "details")
+
+    def __init__(self, trials: int, mismatches: int, details: tuple[str, ...]) -> None:
+        _set(self, "trials", trials)
+        _set(self, "mismatches", mismatches)
+        _set(self, "details", details)
 
     @property
     def clean(self) -> bool:

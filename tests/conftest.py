@@ -8,7 +8,14 @@ from critrank.axioms import random_state, random_support_state, random_table
 from critrank.choice import nurmi_first, nurmi_second
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, parse_criterion_table, parse_profile
 from critrank.aggregators import iis_rank, induce_opinion, max_of, support_rank
-from critrank.model import AltSubset, CriterionTable, OpinionState, PreferenceProfile
+from critrank.model import (
+    AltSubset,
+    CriterionTable,
+    OpinionState,
+    PreferenceProfile,
+    Ranking,
+    column_sums,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +36,28 @@ def demo_state(demo_table, demo_profile):
 def bits(*indices: int) -> int:
     """The mask of the listed alternative indices."""
     return sum(1 << i for i in indices)
+
+
+def strictly_above(ranking: Ranking, a, b) -> bool:
+    return ranking.class_of(a) < ranking.class_of(b)
+
+
+def weakly_above(ranking: Ranking, a, b) -> bool:
+    return ranking.class_of(a) <= ranking.class_of(b)
+
+
+def tied(ranking: Ranking, a, b) -> bool:
+    return ranking.class_of(a) == ranking.class_of(b)
+
+
+def satisfied_counts(table: CriterionTable) -> tuple[int, ...]:
+    """How many criteria each alternative satisfies."""
+    return tuple(column_sums(table.universe, ((table.tr[c].mask, 1) for c in table.criteria)))
+
+
+def is_symmetric(table: CriterionTable) -> bool:
+    """True when every alternative satisfies the same number of criteria."""
+    return len(set(satisfied_counts(table))) == 1
 
 
 def top_k(state, k: int) -> frozenset[int]:
@@ -73,7 +102,7 @@ def check_choice_equivalence(table: CriterionTable,
     excellence = max_of(iis_rank(state))
     score = nurmi_second(table, profile)
     support_top = max_of(support_rank(state))
-    symmetric = table.is_symmetric()
+    symmetric = is_symmetric(table)
     return ChoiceEquivalence(
         cascade_choice=cascade,
         excellence_choice=excellence,
@@ -94,7 +123,7 @@ def random_symmetric_table(rng: Random, universe: int, n_criteria: int) -> Crite
     """
     for _ in range(200):
         table = random_table(rng, universe, n_criteria)
-        if table.is_symmetric():
+        if is_symmetric(table):
             return table
     top = (1 << universe) - 1
     masks = {top} if n_criteria % 2 else set()

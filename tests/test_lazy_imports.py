@@ -1,10 +1,13 @@
-"""The ranking commands never load the axiom suite or the oracle.
+"""The ranking commands never load the axiom suite or the oracle, and no
+command loads ``dataclasses`` or ``inspect``.
 
 ``critrank.cli`` imports ``sweep_axiom`` inside ``check`` and
 ``differential_sweep`` inside ``selftest``, so a one-shot ``rank``,
 ``induce``, ``choose`` or ``demo`` skips compiling and running
-``critrank.axioms`` and ``critrank.oracle``.  Each check runs in a fresh
-interpreter, since this test process has long since loaded both.
+``critrank.axioms`` and ``critrank.oracle``.  The records are hand-written
+(``critrank.model._Record``), so no start pays for ``dataclasses`` and the
+``inspect`` it imports.  Each check runs in a fresh interpreter, since this
+test process has long since loaded all of them.
 """
 
 import os
@@ -15,13 +18,15 @@ from pathlib import Path
 import critrank
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT
 
-# Prepended to every script: which of the two modules are loaded, or "-".
+# Prepended to every script: which of the WATCH modules are loaded, or "-".
+# A script may rebind WATCH before it calls loaded().
 LOADED = """
 import sys
 
+WATCH = ("critrank.axioms", "critrank.oracle")
+
 def loaded():
-    return ",".join(m for m in ("critrank.axioms", "critrank.oracle")
-                    if m in sys.modules) or "-"
+    return ",".join(m for m in WATCH if m in sys.modules) or "-"
 """
 
 
@@ -54,12 +59,18 @@ for argv in (["demo"], ["rank", "--rule", "iis", "--opinions", opinions],
 """
 
 
+def command_files(tmp_path) -> list[str]:
+    """Paths of the demo table, the demo profile and a small opinion file."""
+    paths = [tmp_path / name for name in ("t.txt", "p.txt", "o.txt")]
+    texts = (DEMO_TABLE_TEXT, DEMO_PROFILE_TEXT,
+             "alternatives: a b c\nopinion {a,b} >= {c} : 2\n")
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return [str(path) for path in paths]
+
+
 def test_only_check_and_selftest_load_axioms_and_oracle(tmp_path):
-    table, profile, opinions = (tmp_path / name for name in ("t.txt", "p.txt", "o.txt"))
-    table.write_text(DEMO_TABLE_TEXT)
-    profile.write_text(DEMO_PROFILE_TEXT)
-    opinions.write_text("alternatives: a b c\nopinion {a,b} >= {c} : 2\n")
-    assert fresh_python(COMMANDS, str(table), str(profile), str(opinions)) == [
+    assert fresh_python(COMMANDS, *command_files(tmp_path)) == [
         "import -",
         "demo 0 -",
         "rank 0 -",
@@ -68,6 +79,21 @@ def test_only_check_and_selftest_load_axioms_and_oracle(tmp_path):
         "choose 0 -",
         "check 0 critrank.axioms",
         "selftest 0 critrank.axioms,critrank.oracle",
+    ]
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    code = 'WATCH = ("dataclasses", "inspect")\nprint("start", loaded())\n' + COMMANDS
+    assert fresh_python(code, *command_files(tmp_path)) == [
+        "start -",
+        "import -",
+        "demo 0 -",
+        "rank 0 -",
+        "rank 0 -",
+        "induce 0 -",
+        "choose 0 -",
+        "check 0 -",
+        "selftest 0 -",
     ]
 
 

@@ -17,7 +17,16 @@ from critrank.model import (
     ranking_from_scores,
 )
 
-from conftest import bits, opinion_states, top_k
+from conftest import (
+    bits,
+    is_symmetric,
+    opinion_states,
+    satisfied_counts,
+    strictly_above,
+    tied,
+    top_k,
+    weakly_above,
+)
 
 
 def subset(universe, *indices):
@@ -64,9 +73,9 @@ class TestCriterionTable:
 
     def test_symmetry_detection(self):
         sym = self.make([(0, 1), (2, 3), (0, 2), (1, 3)])
-        assert sym.is_symmetric()
-        assert sym.satisfied_counts() == (2, 2, 2, 2)
-        assert not self.make([(0, 1), (2,)]).is_symmetric()
+        assert is_symmetric(sym)
+        assert satisfied_counts(sym) == (2, 2, 2, 2)
+        assert not is_symmetric(self.make([(0, 1), (2,)]))
 
 
 class TestPreferenceProfile:
@@ -323,10 +332,10 @@ class TestRanking:
 
     def test_comparisons(self):
         r = Ranking(((2,), (0, 1)))
-        assert r.strictly_above(2, 0)
-        assert r.tied(0, 1)
-        assert r.weakly_above(1, 0)
-        assert not r.weakly_above(0, 2)
+        assert strictly_above(r, 2, 0)
+        assert tied(r, 0, 1)
+        assert weakly_above(r, 1, 0)
+        assert not weakly_above(r, 0, 2)
         assert r.top == (2,)
 
     def test_from_scores_groups_descending(self):

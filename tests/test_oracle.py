@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -147,7 +146,7 @@ class TestDifferentialSweep:
                 return Ranking(tuple((x,) for x in classes[0]))
             return Ranking(classes[1:] + classes[:1])
 
-        monkeypatch.setitem(RULES, name, replace(rule, rank=wrong))
+        monkeypatch.setitem(RULES, name, Rule(rule.name, wrong, rule.takes_order, rule.target))
         report = differential_sweep(3, 10, 0)
         assert report.mismatches == 10
         for detail in report.details:
