@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from critrank.aggregators import AXIOM_KINDS, RULES
 from critrank.axioms import WITNESSES, check_axiom, sweep_axiom
+from critrank.model import MAX_UNIVERSE
 
 
 def violation_row(rule, sizes, seed, trials):
@@ -41,6 +42,11 @@ def main(argv=None):
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    for size in args.sizes:
+        if not 3 <= size <= MAX_UNIVERSE:
+            parser.error(f"--sizes must lie in 3..{MAX_UNIVERSE}, got {size}")
 
     width = max(len(name) for name in RULES) + 2
     header = "".join(f"{kind:>8}" for kind in AXIOM_KINDS)

@@ -19,7 +19,6 @@ rival rule's target axiom (the rules themselves are registered in
 generators used to test the choice methods.
 """
 
-import sys
 from collections.abc import Callable, Iterable, Sequence
 from random import Random
 
@@ -33,8 +32,11 @@ from .model import (
     Ranking,
     ValidationError,
     _Record,
+    _distinct_masks,
     _set,
     iter_bits,
+    random_state,
+    random_support_state,
 )
 
 Aggregator = Callable[[OpinionState], Ranking[int]]
@@ -96,7 +98,7 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
 # explicit class, None for the trailing residual class.
 def _full_classes(state: OpinionState) -> list:
     q = state.quotient
-    return [c.members for c in q.classes] + ([None] if q.residual_present else [])
+    return list(q.classes) + ([None] if q.residual_present else [])
 
 
 def _residual_equals_masks(residual_state: OpinionState, masks: frozenset[int]) -> bool:
@@ -248,42 +250,6 @@ def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
 # Random generation
 
 
-def random_state(rng: Random, universe: int) -> OpinionState:
-    """Random state with entry-level structure (off-diagonal opinions too):
-    up to 10 opinions, each adding 1 to 4 to its pair's count."""
-    top = (1 << universe) - 1
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(rng.randint(0, 10)):
-        pair = (rng.randint(1, top), rng.randint(1, top))
-        counts[pair] = counts.get(pair, 0) + rng.randint(1, 4)
-    return OpinionState(universe, counts)
-
-
-def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
-    """n distinct masks drawn from 1 .. top.
-
-    ``rng.sample`` needs the range's length to fit a machine word, which
-    fails only for the full 64-alternative range; that case draws until n
-    distinct masks are found, keeping draw order.
-    """
-    if top <= sys.maxsize:
-        return rng.sample(range(1, top + 1), n)
-    drawn: dict[int, None] = {}
-    while len(drawn) < n:
-        drawn[rng.randint(1, top)] = None
-    return list(drawn)
-
-
-def random_support_state(rng: Random, universe: int) -> OpinionState:
-    """Random state built from a support assignment: up to 8 subsets with
-    support 1 to 5, values small enough to force ties."""
-    top = (1 << universe) - 1
-    n = rng.randint(0, min(8, top))
-    masks = _distinct_masks(rng, top, n)
-    support = {m: rng.randint(1, 5) for m in masks}
-    return OpinionState.from_support(universe, support)
-
-
 def _state_from_class_masks(universe: int, class_masks: Sequence[Iterable[int]]) -> OpinionState:
     """Realize an explicit class list (strongest first) as a state."""
     blocks = [list(masks) for masks in class_masks]
@@ -336,7 +302,7 @@ def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
         # single class: the worst class is the whole family, so any state
         # realizes a restructuring of it
         return AxiomInstance("iws", o1, random_support_state(rng, universe))
-    classes = [c.members for c in o1.quotient.classes]
+    classes = list(o1.quotient.classes)
     if o1.quotient.residual_present:
         taken = frozenset().union(*classes) if classes else frozenset()
         extra = _sample_residual_masks(rng, universe, taken, rng.randint(0, 4))
@@ -357,7 +323,7 @@ def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
         if o1.quotient.depth > 1:
             o1 = OpinionState(universe, {})
         return AxiomInstance("ibs", o1, random_support_state(rng, universe))
-    classes = [c.members for c in o1.quotient.classes]
+    classes = list(o1.quotient.classes)
     first = sorted(classes[0])
     blocks = _chunk(rng, first, rng.randint(1, min(3, len(first))))
     return AxiomInstance("ibs", o1,
@@ -390,7 +356,7 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
 def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
     for _ in range(40):
         o1 = random_support_state(rng, universe)
-        classes = [c.members for c in o1.quotient.classes]
+        classes = list(o1.quotient.classes)
         last_ok = len(classes) if o1.quotient.residual_present else len(classes) - 1
         eligible = [i for i in range(last_ok) if len(classes[i]) >= 2]
         if not eligible:

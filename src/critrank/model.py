@@ -11,11 +11,14 @@ only keys criterion tables and the lazy ``entries`` view of a state, and is
 what the choice methods return.
 
 Opinion states are sparse: only pairs of subsets with a positive count are
-stored.  The exponentially large family of subsets with zero support is never
-materialized; :class:`QuotientOrder` represents it as an implicit residual
-class.  The excellence scores never need its members, and the two facts
-that are needed, its size and how many of its subsets contain each
-alternative, are closed-form counts rather than enumerations.
+stored.  Their support quotient, :class:`QuotientOrder`, is an ordered
+partition of the supported subsets, strongest class first; the rules and
+axioms read only that order, so it keeps no support values.  The
+exponentially large family of subsets with zero support is never
+materialized; the quotient represents it as an implicit residual class.
+The excellence scores never need its members, and the two facts that are
+needed, its size and how many of its subsets contain each alternative, are
+closed-form counts rather than enumerations.
 
 Everything here is immutable after construction and all operations are pure
 functions, so values can be shared freely across threads.  Every record type
@@ -24,12 +27,15 @@ which would load ``inspect`` and ``exec`` generated methods on every start of
 the CLI: a record names its public fields in ``_fields``, stores them in its
 own ``__init__`` through ``_set`` (``object.__setattr__``) and checks them
 there.  Test-only questions (``strictly_above``, ``weakly_above``, ``tied``,
-``satisfied_counts``, ``is_symmetric``) live in ``tests/conftest.py``.
+``satisfied_counts``, ``is_symmetric``) live in ``tests/conftest.py``.  The
+seeded random states that the axiom generators and the oracle's sweeps draw
+from are here, so the oracle runs without loading the axiom suite.
 """
 
+import sys
 from collections.abc import Iterable, Mapping
 from functools import cached_property
-from operator import attrgetter
+from random import Random
 from typing import Generic, Hashable, TypeVar
 
 MAX_UNIVERSE = 64
@@ -268,7 +274,8 @@ class OpinionState(_Record):
     @cached_property
     def quotient(self) -> "QuotientOrder":
         """Subsets grouped into equal-support classes, strongest first."""
-        return _quotient_from_support(self.universe, self.support_map)
+        classes = tuple(frozenset(masks) for _v, masks in score_groups(self.support_map))
+        return QuotientOrder(self.universe, classes)
 
     @cached_property
     def e_vector(self) -> tuple[int, ...]:
@@ -291,9 +298,9 @@ class OpinionState(_Record):
         64-bit rows of one int, and x's key holds bit x of every row.
         """
         rows: list[int] = []
-        for cls_ in self.quotient.classes:
+        for members in self.quotient.classes:
             planes: list[int] = []
-            for carry in cls_.members:
+            for carry in members:
                 for j, plane in enumerate(planes):
                     planes[j] = plane ^ carry
                     carry &= plane
@@ -301,7 +308,7 @@ class OpinionState(_Record):
                         break
                 else:
                     planes.append(carry)
-            rows += [0] * (len(cls_.members).bit_length() - len(planes)) + planes[::-1]
+            rows += [0] * (len(members).bit_length() - len(planes)) + planes[::-1]
         packed = int.from_bytes(b"".join(row.to_bytes(8, "big") for row in rows), "big")
         low_bits = int.from_bytes((bytes(7) + b"\1") * len(rows), "big")
         return tuple(packed >> x & low_bits for x in range(self.universe))
@@ -316,7 +323,7 @@ class OpinionState(_Record):
         residual class when present, computed by complement counting.
         """
         q = self.quotient
-        widths = [len(cls_.members).bit_length() for cls_ in q.classes]
+        widths = [len(members).bit_length() for members in q.classes]
         top = 64 * sum(widths)
         rows = []
         for key in self.class_count_keys:
@@ -335,49 +342,33 @@ class OpinionState(_Record):
         return tuple(rows)
 
 
-class SupportClass(_Record):
-    """One equivalence class of equally supported subsets, as masks."""
-
-    __slots__ = _fields = ("value", "members")
-
-    def __init__(self, value: int, members: frozenset[int]) -> None:
-        _set(self, "value", value)
-        _set(self, "members", members)
-
-
 class QuotientOrder(_Record):
-    """Support classes in strictly decreasing order, plus an implicit residual.
+    """The support quotient as an ordered partition, plus an implicit residual.
 
-    The residual class collects every subset not listed in ``classes``; it is
-    last (its value is below every explicit value) and never materialized:
-    construction derives its size, ``residual_size``, and whether it is
-    nonempty, ``residual_present``.  Its support is zero, so explicit classes
-    then carry positive values.
+    ``classes`` holds one frozenset of masks per explicit class, strongest
+    first; only their order matters, not the support values that produced
+    it.  The residual class collects every subset not listed in ``classes``;
+    it is last and never materialized: construction derives its size,
+    ``residual_size``, and whether it is nonempty, ``residual_present``.
     """
 
     _fields = ("universe", "classes")
     __slots__ = _fields + ("residual_size", "residual_present")
 
-    def __init__(self, universe: int, classes: tuple[SupportClass, ...]) -> None:
+    def __init__(self, universe: int, classes: tuple[frozenset[int], ...]) -> None:
         _check_universe(universe)
         capacity = (1 << universe) - 1
         seen: set[int] = set()
-        prev = None
-        for cls_ in classes:
-            if not cls_.members:
+        for members in classes:
+            if not members:
                 raise ValidationError("support classes must be nonempty")
-            for mask in cls_.members:
+            for mask in members:
                 if not 0 < mask <= capacity:
                     raise ValidationError("class member out of range for the universe")
                 if mask in seen:
                     raise ValidationError("support classes must be disjoint")
                 seen.add(mask)
-            if prev is not None and cls_.value >= prev:
-                raise ValidationError("class values must strictly decrease")
-            prev = cls_.value
         residual = capacity - len(seen)
-        if residual and prev is not None and prev <= 0:
-            raise ValidationError("residual value must fall below the last explicit class")
         _set(self, "universe", universe)
         _set(self, "classes", classes)
         # plain attributes, not properties: ``depth`` reads the flag on every access
@@ -388,11 +379,6 @@ class QuotientOrder(_Record):
     def depth(self) -> int:
         """Number of classes, counting the residual when present."""
         return len(self.classes) + (1 if self.residual_present else 0)
-
-
-def _quotient_from_support(universe: int, support: Mapping[int, int]) -> QuotientOrder:
-    classes = tuple(SupportClass(v, frozenset(masks)) for v, masks in score_groups(support))
-    return QuotientOrder(universe, classes)
 
 
 def running_intersections(universe: int, families: Iterable[Iterable[int]]):
@@ -409,7 +395,7 @@ def running_intersections(universe: int, families: Iterable[Iterable[int]]):
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
     e = [0] * q.universe
     depth = 0
-    for inter in running_intersections(q.universe, map(attrgetter("members"), q.classes)):
+    for inter in running_intersections(q.universe, q.classes):
         if not inter:
             return tuple(e)
         depth += 1
@@ -469,3 +455,43 @@ def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:
 def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
     """Group labels with equal scores, highest score first."""
     return Ranking(tuple(tuple(labels) for _v, labels in score_groups(scores)))
+
+
+# ---------------------------------------------------------------------------
+# Random states, shared by the axiom generators and the oracle's sweeps
+
+
+def random_state(rng: Random, universe: int) -> OpinionState:
+    """Random state with entry-level structure (off-diagonal opinions too):
+    up to 10 opinions, each adding 1 to 4 to its pair's count."""
+    top = (1 << universe) - 1
+    counts: dict[tuple[int, int], int] = {}
+    for _ in range(rng.randint(0, 10)):
+        pair = (rng.randint(1, top), rng.randint(1, top))
+        counts[pair] = counts.get(pair, 0) + rng.randint(1, 4)
+    return OpinionState(universe, counts)
+
+
+def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
+    """n distinct masks drawn from 1 .. top.
+
+    ``rng.sample`` needs the range's length to fit a machine word, which
+    fails only for the full 64-alternative range; that case draws until n
+    distinct masks are found, keeping draw order.
+    """
+    if top <= sys.maxsize:
+        return rng.sample(range(1, top + 1), n)
+    drawn: dict[int, None] = {}
+    while len(drawn) < n:
+        drawn[rng.randint(1, top)] = None
+    return list(drawn)
+
+
+def random_support_state(rng: Random, universe: int) -> OpinionState:
+    """Random state built from a support assignment: up to 8 subsets with
+    support 1 to 5, values small enough to force ties."""
+    top = (1 << universe) - 1
+    n = rng.randint(0, min(8, top))
+    masks = _distinct_masks(rng, top, n)
+    support = {m: rng.randint(1, 5) for m in masks}
+    return OpinionState.from_support(universe, support)

@@ -12,8 +12,14 @@ from functools import cached_property
 from random import Random
 
 from .aggregators import RULES
-from .axioms import random_state, random_support_state
-from .model import OpinionState, ValidationError, _Record, _set
+from .model import (
+    OpinionState,
+    ValidationError,
+    _Record,
+    _set,
+    random_state,
+    random_support_state,
+)
 
 ORACLE_MAX_UNIVERSE = 6
 
@@ -221,10 +227,9 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
 
     q = state.quotient
     dcls = dense_classes(d)
-    dense_positive = [(v, sorted(members, key=sorted)) for v, members in dcls if v > 0]
-    sparse_positive = [
-        (c.value, sorted((_indices(m, u) for m in c.members), key=sorted))
-        for c in q.classes]
+    dense_positive = [sorted(members, key=sorted) for v, members in dcls if v > 0]
+    sparse_positive = [sorted((_indices(m, u) for m in members), key=sorted)
+                       for members in q.classes]
     if sparse_positive != dense_positive:
         problems.append("quotient-classes")
     dense_zero = sum(len(members) for v, members in dcls if v == 0)

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import strategies as st
 
-from critrank.axioms import random_state, random_support_state, random_table
+from critrank.axioms import random_table
 from critrank.choice import nurmi_first, nurmi_second
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, parse_criterion_table, parse_profile
 from critrank.aggregators import iis_rank, induce_opinion, max_of, support_rank
@@ -15,6 +15,8 @@ from critrank.model import (
     PreferenceProfile,
     Ranking,
     column_sums,
+    random_state,
+    random_support_state,
 )
 
 
@@ -146,7 +148,7 @@ def trailing_merge_sequence(state: OpinionState) -> list[OpinionState]:
     classes) for every alternative, so rankings of alternatives scoring
     within the kept prefix are untouched.
     """
-    classes = [c.members for c in state.quotient.classes]
+    classes = list(state.quotient.classes)
     return [OpinionState.from_support(state.universe, {
                 m: keep - i for i, members in enumerate(classes[:keep]) for m in members})
             for keep in range(len(classes), -1, -1)]

@@ -31,14 +31,13 @@ from critrank.axioms import (
     order_tiebreak_nt_witness_interior,
     permute_state,
     random_profile,
-    random_state,
     random_table,
     sweep_axiom,
     tau_tiebreak_inui_witness,
     tau_tiebreak_inui_witness_scored,
     validate_instance,
 )
-from critrank.model import OpinionState, ValidationError, iter_bits
+from critrank.model import OpinionState, ValidationError, iter_bits, random_state
 
 from conftest import (
     bits,
@@ -237,6 +236,24 @@ class TestRuleRegistry:
         rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                 if line.split() and line.split()[0] in RULES]
         assert rows == list(RULES)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-3"], "--trials must be at least 1, got -3"),
+        (["--sizes", "2"], "--sizes must lie in 3..64, got 2"),
+        (["--sizes", "3", "65"], "--sizes must lie in 3..64, got 65"),
+    ])
+    def test_axiom_matrix_rejects_empty_sweeps_and_bad_sizes(self, capsys, argv, message):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_matrix.py"
+        spec = importlib.util.spec_from_file_location("axiom_matrix", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        with pytest.raises(SystemExit) as info:
+            script.main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"error: {message}")
 
     def test_axiom_matrix_runs_outside_the_repository(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / "axiom_matrix.py"

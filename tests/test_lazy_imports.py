@@ -4,9 +4,10 @@ command loads ``dataclasses`` or ``inspect``.
 ``critrank.cli`` imports ``sweep_axiom`` inside ``check`` and
 ``differential_sweep`` inside ``selftest``, so a one-shot ``rank``,
 ``induce``, ``choose`` or ``demo`` skips compiling and running
-``critrank.axioms`` and ``critrank.oracle``.  The records are hand-written
-(``critrank.model._Record``), so no start pays for ``dataclasses`` and the
-``inspect`` it imports.  Each check runs in a fresh interpreter, since this
+``critrank.axioms`` and ``critrank.oracle``.  The oracle draws its random
+states from ``critrank.model``, so ``selftest`` alone leaves the axiom suite
+unloaded.  The records are hand-written (``critrank.model._Record``), so no
+start pays for ``dataclasses`` and the ``inspect`` it imports.  Each check runs in a fresh interpreter, since this
 test process has long since loaded all of them.
 """
 
@@ -80,6 +81,18 @@ def test_only_check_and_selftest_load_axioms_and_oracle(tmp_path):
         "check 0 critrank.axioms",
         "selftest 0 critrank.axioms,critrank.oracle",
     ]
+
+
+def test_selftest_alone_leaves_the_axiom_suite_unloaded():
+    lines = fresh_python("""
+import contextlib, io
+import critrank.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = critrank.cli.main(["selftest", "--trials", "5"])
+print(code, loaded())
+""")
+    assert lines == ["0 critrank.oracle"]
 
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):

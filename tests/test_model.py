@@ -2,6 +2,7 @@ from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critrank.model import (
     AltSubset,
@@ -10,7 +11,6 @@ from critrank.model import (
     PreferenceProfile,
     QuotientOrder,
     Ranking,
-    SupportClass,
     ValidationError,
     column_sums,
     iter_bits,
@@ -220,10 +220,10 @@ class TestQuotientOrder:
         q = OpinionState.from_support(universe, support).quotient
         assert not q.residual_present
         assert len(q.classes) == 7
-        assert all(len(c.members) == 1 for c in q.classes)
+        assert all(len(members) == 1 for members in q.classes)
 
     def test_residual_is_derived_from_the_cover(self):
-        full = tuple(SupportClass(8 - m, frozenset({m})) for m in range(1, 8))
+        full = tuple(frozenset({m}) for m in range(1, 8))
         q = QuotientOrder(3, full)
         assert not q.residual_present
         assert q.depth == len(q.classes) == 7
@@ -232,33 +232,50 @@ class TestQuotientOrder:
         assert partial.residual_present
         assert partial.depth == 6
         assert partial.residual_size == 2
-        with pytest.raises(ValidationError, match="residual value"):
-            QuotientOrder(3, full[:4] + (SupportClass(0, frozenset({0b101})),))
 
     def test_values_strictly_decreasing(self):
         state = OpinionState.from_support(3, {0b001: 2, 0b010: 2, 0b100: 1})
         q = state.quotient
-        assert [c.value for c in q.classes] == [2, 1]
-        assert q.classes[0].members == {0b001, 0b010}
-
-    def test_rejects_nondecreasing_class_values(self):
-        cls = (SupportClass(1, frozenset({0b001})), SupportClass(2, frozenset({0b010})))
-        with pytest.raises(ValidationError):
-            QuotientOrder(3, cls)
+        assert q.classes == (frozenset({0b001, 0b010}), frozenset({0b100}))
+        assert [state.support_map[min(members)] for members in q.classes] == [2, 1]
 
     @pytest.mark.parametrize("mask", (0, 0b1000))
     def test_rejects_members_outside_the_universe(self, mask):
         with pytest.raises(ValidationError, match="out of range"):
-            QuotientOrder(3, (SupportClass(1, frozenset({0b001, mask})),))
+            QuotientOrder(3, (frozenset({0b001, mask}),))
 
     @settings(max_examples=150, deadline=None)
     @given(opinion_states())
     def test_flattening_reproduces_supports(self, state):
         q = state.quotient
-        rebuilt = {m: c.value for c in q.classes for m in c.members}
-        assert rebuilt == state.support_map
-        total = sum(len(c.members) for c in q.classes) + q.residual_size
+        support = state.support_map
+        values = []
+        for members in q.classes:
+            in_class = {support[m] for m in members}
+            assert len(in_class) == 1
+            values += in_class
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert sorted(m for members in q.classes for m in members) == sorted(support)
+        total = sum(len(members) for members in q.classes) + q.residual_size
         assert total == 2 ** state.universe - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.permutations(range(1, 8)), st.sets(st.integers(1, 6), max_size=6),
+           st.integers(0, 7))
+    def test_an_ordered_partition_round_trips_through_its_support(self, masks, cuts, kept):
+        """Masks cut into ordered blocks and realized with support len..1 come
+        back as exactly those blocks, whatever is left to the residual."""
+        bounds = [0, *sorted(c for c in cuts if c < kept), kept]
+        classes = tuple(frozenset(masks[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b)
+        support = {m: len(classes) - i for i, members in enumerate(classes) for m in members}
+        state = OpinionState.from_support(3, support)
+        assert state.quotient.classes == classes
+        assert QuotientOrder(3, classes) == state.quotient
+
+    @settings(max_examples=100, deadline=None)
+    @given(opinion_states())
+    def test_a_quotient_is_rebuilt_from_its_classes(self, state):
+        assert QuotientOrder(state.universe, state.quotient.classes) == state.quotient
 
 
 class TestClassUnionIntersection:

@@ -18,7 +18,6 @@ from critrank.model import (
     PreferenceProfile,
     QuotientOrder,
     Ranking,
-    SupportClass,
 )
 from critrank.oracle import DenseRankings, DenseState, SweepReport
 
@@ -32,8 +31,7 @@ RECORDS = [
                                   tr={"c1": AltSubset(0b101, 3)}), False),
     (PreferenceProfile, lambda: dict(voters=("v1",), orders=(("c1", "c2"),)), True),
     (OpinionState, lambda: dict(universe=3, counts={(0b011, 0b100): 2}), False),
-    (SupportClass, lambda: dict(value=2, members=frozenset({0b011})), True),
-    (QuotientOrder, lambda: dict(universe=3, classes=(SupportClass(2, frozenset({3})),)), True),
+    (QuotientOrder, lambda: dict(universe=3, classes=(frozenset({3}),)), True),
     (Ranking, lambda: dict(classes=BANDS), True),
     (BordaTally, lambda: dict(criterion_scores={"c1": 2}, alternative_scores=(2, 0, 2)), False),
     (Rule, lambda: dict(name="iis", rank=iis_rank, takes_order=False, target=None), True),

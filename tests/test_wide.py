@@ -83,7 +83,7 @@ def test_prefix_intersection_is_a_plain_and_of_the_top_classes(state):
     q = state.quotient
     top = (1 << state.universe) - 1
     for k in range(1, len(q.classes) + 1):
-        plain = reduce(and_, (m for c in q.classes[:k] for m in c.members), top)
+        plain = reduce(and_, (m for members in q.classes[:k] for m in members), top)
         assert top_k(state, k) == frozenset(iter_bits(plain))
     # a few hundred explicit subsets leave singletons in the residual
     assert top_k(state, q.depth) == frozenset()
@@ -137,7 +137,7 @@ def plain_rows(state):
     n, classes = state.universe, state.quotient.classes
     rows = []
     for x in range(n):
-        row = [sum(1 for m in cls_.members if m >> x & 1) for cls_ in classes]
+        row = [sum(1 for m in members if m >> x & 1) for members in classes]
         rows.append(tuple(row + [2 ** (n - 1) - sum(row)]))
     return rows
 
@@ -145,7 +145,7 @@ def plain_rows(state):
 @settings(max_examples=20, deadline=None)
 @given(wide_states_with_a_big_class())
 def test_class_counts_and_their_rules_match_per_subset_counts(state):
-    assert max(len(cls_.members) for cls_ in state.quotient.classes) >= 256
+    assert max(len(members) for members in state.quotient.classes) >= 256
     rows = plain_rows(state)
     assert list(state.class_count_rows) == rows
     assert lexcel_rank(state) == ranking_from_scores(dict(enumerate(rows)))
