@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import critrank
+import critrank.cli
 from critrank.cli import (
     DEMO_PROFILE_TEXT,
     DEMO_TABLE_TEXT,
     ParseError,
     _build_parser,
+    _parse_lines,
     _split_opinion,
     format_opinion_state,
     format_ranking,
@@ -360,6 +362,133 @@ class TestOpinionGrammar:
                 "opinion {x} >= {y}\n")
         assert _rank_lines(tmp_path, capsys, text) == (
             2, "", "invalid input: line 2: unknown alternative 'q'\n")
+
+
+# every break str.splitlines knows but '\n', the bulk reader's own
+_break = st.sampled_from(("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                          "\u2028", "\u2029"))
+_known = st.lists(st.sampled_from(("x", "a", "b")), min_size=1, max_size=3, unique=True)
+# padded, blank, unknown and repeated names among the known ones
+_any_names = st.lists(st.sampled_from(("x", "a", "b", " a", "b ", "", "q")),
+                      min_size=1, max_size=3)
+
+
+def _opinion_line(subset, tail=st.just("")):
+    return st.tuples(subset.map(",".join), subset.map(",".join), st.integers(0, 3), tail).map(
+        lambda t: "opinion {{{}}} >= {{{}}} : {}{}".format(*t))
+
+
+_comment = st.sampled_from(("", "#", "# support {x,a} = 2"))
+_good_header = st.just("alternatives: x a b")
+_header = st.one_of(_good_header, _good_header, _good_header, st.sampled_from((
+    "alternatives:  b a x\t", "alternatives: x x", "alternatives: a,b x", "alternatives x a b",
+    " alternatives: x a b", "alternatives x: x a b", "# alternatives: x a b",
+    "alternatives: x a\x1cb", "")))
+# a known-names line with one token or line break put in anywhere
+_spoilt = st.tuples(_opinion_line(_known), st.integers(0, 30),
+                    st.one_of(st.sampled_from(_TOKENS + ("\n", "+", "_", "-")), _break)).map(
+    lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+# a line the bulk reader must leave to the per-line parser, or may read
+# only because the per-line parser reads it the same
+_odd = st.one_of(
+    _spoilt, _opinion_line(_any_names, st.sampled_from(("", " ", "\t"))), _shaped, _near_miss,
+    st.sampled_from(("  ", "  # indented", "alternatives: x a b", " opinion {x} >= {a} : 1")))
+@st.composite
+def _opinion_files(draw):
+    """A file of the bulk shape, with up to two lines, breaks or spaces
+    spoilt."""
+    lines = [draw(_header), *draw(st.lists(_comment, max_size=2)),
+             *draw(st.lists(_opinion_line(_known), max_size=6))]
+    breaks = ["\n"] * len(lines)
+    any_break = st.one_of(st.just("\n"), _break)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        spoil = draw(st.sampled_from(("insert", "replace", "break", "space")))
+        if spoil == "insert" or at == len(lines):
+            lines.insert(at, draw(_odd))
+            breaks.insert(at, "\n")
+        elif spoil == "replace":
+            lines[at] = draw(_odd)
+        elif spoil == "break":
+            breaks[at] = draw(_break)
+        elif " " in lines[at]:
+            line = lines[at]
+            cut = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == " "]))
+            lines[at] = line[:cut] + draw(any_break) + line[cut + 1:]
+    if draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(map("".join, zip(lines, breaks)))
+
+
+def _outcome(parse, text):
+    try:
+        names, state = parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return names, state.counts
+
+
+def _wide_text(lines):
+    """A benchmark-shaped file; opinion k's pair comes back as opinion k + 120."""
+    names = [f"a{i}" for i in range(60)]
+    return "alternatives: " + " ".join(names) + "\n" + "".join(
+        f"opinion {{{','.join(names[k % 40:k % 40 + 20])}}} >= {{{names[k % 60]}}}"
+        f" : {k % 5 + 1}\n" for k in range(lines))
+
+
+class TestBulkReading:
+    @settings(max_examples=300, deadline=None)
+    @given(_opinion_files())
+    @example("alternatives: x\nopinion\n {x} >= {x} : 1\n")
+    def test_bulk_and_per_line_agree(self, text):
+        assert _outcome(parse_opinion_state, text) == _outcome(_parse_lines, text)
+
+    # one file per condition of the bulk shape, each a single fault away
+    # from it
+    @pytest.mark.parametrize("text", (
+        "alternatives x: x\nopinion {x} >= {x} : 1\n",
+        "alternatives: x\x1cy\nopinion {x} >= {x} : 1\n",
+        "alternatives: x\nalternatives: x\nopinion {x} >= {x} : 1\n",
+        "alternatives: x\nopinionx {x} >= {x} : 1\n",
+        "alternatives: x\nopinion {x} => {x} : 1\n",
+        "alternatives: x\nopinion {x} >= {x} x: 1\n",
+        "alternatives: x\nopinion {x} >= {x} : +1\n",
+        "alternatives: x y\nopinion {x,x} >= {y} : 1\n",
+        "alternatives: x\nopinion {x} >= {x} : 1\n\n",
+    ))
+    def test_near_misses_agree(self, text):
+        assert _outcome(parse_opinion_state, text) == _outcome(_parse_lines, text)
+
+    def test_the_bulk_path_reads_these_files_alone(self, demo_table, demo_state, monkeypatch):
+        wide = _wide_text(900)
+        assert len(wide) > 2 * critrank.cli._SLICE
+        expected = _parse_lines(wide)
+        assert expected[1].counts[((1 << 20) - 1, 0b1)] == sum(
+            k % 5 + 1 for k in range(0, 900, 120))
+        names = demo_table.alternatives
+        plain = format_opinion_state(names, demo_state)
+        induced = format_opinion_state(names, demo_state, include_supports=True)
+        assert "\n# support" in induced
+
+        def refuse(text):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(critrank.cli, "_parse_lines", refuse)
+        assert parse_opinion_state(wide) == expected
+        assert parse_opinion_state(plain) == (names, demo_state)
+        assert parse_opinion_state(induced) == (names, demo_state)
+
+    @pytest.mark.parametrize("line, status, err", (
+        ("opinion {a1,q} >= {a2} : 1", 2, "invalid input: line 4001: unknown alternative 'q'\n"),
+        ("opinion {a1} >= {a2} 1", 1, "error: line 4001: expected 'opinion {a,b} >= {c} : N'\n"),
+    ))
+    def test_errors_past_the_first_slice_keep_their_line(self, line, status, err,
+                                                          tmp_path, capsys):
+        lines = _wide_text(5000).split("\n")
+        assert len("\n".join(lines[:4000])) > critrank.cli._SLICE
+        lines[4000] = line
+        assert len(lines) == 5002 and lines[-1] == ""  # 5,001 lines, each ended
+        assert _rank_lines(tmp_path, capsys, "\n".join(lines)) == (status, "", err)
 
 
 class TestRoundTrips:
