@@ -207,21 +207,28 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
     return _verdict(agg, inst)
 
 
+def _class_indices(ranking: Ranking[int], universe: int) -> list[int]:
+    """Each alternative's class index in the ranking, read off its label map;
+    an alternative the ranking leaves out raises like ``class_of``."""
+    try:
+        return list(map(ranking._position.__getitem__, range(universe)))
+    except KeyError as miss:
+        raise ValidationError(f"label {miss.args[0]!r} not ranked") from None
+
+
 def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
     """The rule's verdict on an instance that has passed validation: the
     first broken pair, x before y, each ascending (wivip's x in set order)."""
     u = inst.o1.universe
     kind = inst.kind
-    r1 = agg(inst.o1)
-    at1 = [r1.class_of(x) for x in range(u)]
+    at1 = _class_indices(agg(inst.o1), u)
     if kind == "wivip":
         veto = {x for x, e in enumerate(inst.o1.e_vector) if e >= 1}
         broken = ((x, y) for x in veto for y in range(u)
                   if y not in veto and at1[x] >= at1[y])
         note = "veto element not ranked strictly above a non-veto one"
     else:
-        r2 = agg(inst.o2)
-        at2 = [r2.class_of(x) for x in range(u)]
+        at2 = _class_indices(agg(inst.o2), u)
         if kind == "nt":
             pi = inst.permutation
             broken = ((x, y) for x in range(u) for y in range(u)

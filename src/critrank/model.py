@@ -21,7 +21,9 @@ needed, its size and how many of its subsets contain each alternative, are
 closed-form counts rather than enumerations.
 
 Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.  Every record type
+functions, so values can be shared freely across threads.  A first read of a
+cached value that races another may compute it twice; both results are equal
+and immutable, and either may be kept.  Every record type
 of the package subclasses :class:`_Record` rather than using ``dataclasses``,
 which would load ``inspect`` and ``exec`` generated methods on every start of
 the CLI: a record names its public fields in ``_fields``, stores them in its
@@ -32,9 +34,9 @@ seeded random states that the axiom generators and the oracle's sweeps draw
 from are here, so the oracle runs without loading the axiom suite.
 """
 
+import functools
 import sys
 from collections.abc import Iterable, Mapping
-from functools import cached_property
 from random import Random
 from typing import Generic, Hashable, TypeVar
 
@@ -83,6 +85,25 @@ def column_sums(universe: int, weighted_masks: Iterable[tuple[int, int]]) -> lis
 
 
 _set = object.__setattr__
+
+
+class cached_property(functools.cached_property):
+    """A :class:`functools.cached_property` without the lock.
+
+    On Python 3.10 and 3.11 the functools descriptor takes one class-wide
+    ``RLock`` on every first read, about a seventh of the cost of building
+    a tiny state of an axiom sweep and reading its values.  This one stores
+    ``self.func(instance)`` in the instance ``__dict__`` unguarded, as
+    Python 3.12 does; later reads find the value there and skip the
+    descriptor.  ``func`` stays writable, so a wrapper can be swapped in and
+    out.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__[self.attrname] = value = self.func(instance)
+        return value
 
 
 class _Record:
@@ -412,21 +433,20 @@ class Ranking(_Record, Generic[L]):
     """A weak order presented as its ordered partition, best class first."""
 
     _fields = ("classes",)
+    # ``_position`` maps each label to the index of its class
+    __slots__ = _fields + ("_position",)
 
     def __init__(self, classes: tuple[tuple[L, ...], ...]) -> None:
-        seen: set[L] = set()
-        for cls_ in classes:
+        position: dict[L, int] = {}
+        for i, cls_ in enumerate(classes):
             if not cls_:
                 raise ValidationError("ranking classes must be nonempty")
             for label in cls_:
-                if label in seen:
+                if label in position:
                     raise ValidationError(f"label {label!r} appears in two classes")
-                seen.add(label)
+                position[label] = i
         _set(self, "classes", classes)
-
-    @cached_property
-    def _position(self) -> dict[L, int]:
-        return {label: i for i, cls_ in enumerate(self.classes) for label in cls_}
+        _set(self, "_position", position)
 
     def class_of(self, label: L) -> int:
         try:
@@ -449,7 +469,8 @@ def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:
     groups: dict[object, list[L]] = {}
     for label, score in scores.items():
         groups.setdefault(score, []).append(label)
-    return [(v, groups[v]) for v in sorted(groups, reverse=True)]
+    # scores are distinct keys, so the sort never compares two label lists
+    return sorted(groups.items(), reverse=True)
 
 
 def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:

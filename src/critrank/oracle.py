@@ -8,7 +8,6 @@ compares the two routes field by field on random states; the oracle is the
 authority, the sparse path is the accused.
 """
 
-from functools import cached_property
 from random import Random
 
 from .aggregators import RULES
@@ -17,6 +16,7 @@ from .model import (
     ValidationError,
     _Record,
     _set,
+    cached_property,
     random_state,
     random_support_state,
 )

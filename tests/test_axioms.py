@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from critrank.aggregators import (
     AXIOM_KINDS,
     RULES,
+    Rule,
     coarse_f1,
     coarse_f2,
     indifference_rule,
@@ -37,7 +38,7 @@ from critrank.axioms import (
     tau_tiebreak_inui_witness_scored,
     validate_instance,
 )
-from critrank.model import OpinionState, ValidationError, iter_bits, random_state
+from critrank.model import OpinionState, Ranking, ValidationError, iter_bits, random_state
 
 from conftest import (
     bits,
@@ -213,6 +214,38 @@ class TestNamedWitnesses:
         assert not check_axiom(indifference_rule, indifference_wivip_witness()).passed
 
 
+class TestIncompleteRanking:
+    """A rule whose ranking leaves out an alternative fails the check by name."""
+
+    @staticmethod
+    def register(monkeypatch, incomplete):
+        # the rule ranks by iis but drops the last alternative from the
+        # rankings of the states that ``incomplete`` picks
+        def rank(state):
+            full = iis_rank(state)
+            if not incomplete(state):
+                return full
+            gone = state.universe - 1
+            kept = (tuple(x for x in members if x != gone) for members in full.classes)
+            return Ranking(tuple(members for members in kept if members))
+
+        monkeypatch.setitem(RULES, "incomplete", Rule("incomplete", rank))
+        return RULES["incomplete"]
+
+    @pytest.mark.parametrize("witness", [indifference_wivip_witness,
+                                         order_tiebreak_nt_witness_interior])
+    def test_every_ranking_incomplete(self, witness, monkeypatch):
+        rule = self.register(monkeypatch, lambda state: True)
+        with pytest.raises(ValidationError, match="label 2 not ranked"):
+            check_axiom(rule, witness())
+
+    def test_only_the_second_ranking_incomplete(self, monkeypatch):
+        inst = order_tiebreak_nt_witness_interior()
+        rule = self.register(monkeypatch, lambda state: state is inst.o2)
+        with pytest.raises(ValidationError, match="label 2 not ranked"):
+            check_axiom(rule, inst)
+
+
 class TestRuleRegistry:
     def test_order_rules_default_to_the_identity_order(self):
         rule = RULES["iis-tb-order"]
@@ -236,6 +269,15 @@ class TestRuleRegistry:
         rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                 if line.split() and line.split()[0] in RULES]
         assert rows == list(RULES)
+
+    def test_output_digest_covers_every_rule_and_axiom(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+        spec = importlib.util.spec_from_file_location("output_digest", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert len(script.runs()) == len(RULES) * len(AXIOM_KINDS) * 3 * 2 * 2 + 4
+        demo = [["demo"], ["demo", "--format", "lines"]]
+        assert script.digest(demo) == script.digest(demo) != script.digest(demo[::-1])
 
     @pytest.mark.parametrize("argv, message", [
         (["--trials", "0"], "--trials must be at least 1, got 0"),

@@ -1,4 +1,7 @@
+import sys
+import threading
 from functools import cached_property
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from critrank.model import (
     ValidationError,
     column_sums,
     iter_bits,
+    random_state,
     ranking_from_scores,
 )
 
@@ -336,6 +340,66 @@ class TestEScore:
     def test_depth_bound(self, state):
         q = state.quotient
         assert all(e < q.depth for e in state.e_vector)
+
+
+class TestCachedValuesAcrossThreads:
+    CACHED = ("support_map", "quotient", "e_vector", "class_count_keys")
+
+    def test_racing_first_reads_agree_with_one_thread(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows, all reading the same fresh states in different orders
+        rng = Random(19)
+        drawn = [random_state(rng, rng.randint(3, 6)) for _ in range(150)]
+        expected = [tuple(getattr(OpinionState(s.universe, dict(s.counts)), name)
+                          for name in self.CACHED) for s in drawn]
+        shared = [OpinionState(s.universe, dict(s.counts)) for s in drawn]
+        n_threads = 8
+        start = threading.Barrier(n_threads)
+        seen = [[] for _ in range(n_threads)]
+
+        def read(k):
+            start.wait(timeout=10)
+            order = range(len(shared))
+            for i in (order if k % 2 else reversed(order)):
+                seen[k].append((i, tuple(getattr(shared[i], name) for name in self.CACHED)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for reads in seen:
+            assert len(reads) == len(shared)
+            for i, values in reads:
+                assert values == expected[i]
+
+    def test_the_quotient_builder_can_be_swapped_and_restored(self):
+        # the traced benchmark run wraps ``func`` in place and puts it back
+        prop = OpinionState.__dict__["quotient"]
+        assert isinstance(prop, cached_property)
+        build = prop.func
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return build(state)
+
+        prop.func = counted
+        try:
+            state = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+            assert state.quotient == QuotientOrder(3, (frozenset({0b011}), frozenset({0b100})))
+            assert state.quotient is state.quotient and calls == [state]
+        finally:
+            prop.func = build
+        assert OpinionState.__dict__["quotient"].func is build
+        assert OpinionState.from_support(3, {0b011: 2}).quotient.depth == 2
+        assert calls == [state]
 
 
 class TestRanking:

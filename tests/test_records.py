@@ -46,7 +46,7 @@ RECORDS = [
     (SweepReport, lambda: dict(trials=3, mismatches=0, details=()), True),
 ]
 # The records with a cached property keep a ``__dict__``; the rest use slots.
-CACHING = (OpinionState, Ranking, DenseState)
+CACHING = (OpinionState, DenseState)
 
 
 @pytest.fixture(params=RECORDS, ids=lambda case: case[0].__name__)
