@@ -2,12 +2,17 @@
 
 The runs are ``check`` for every rule and axiom at 4, 5 and 12
 alternatives, seeds 0 and 1, ``--trials 60``, then ``selftest --trials 40``
-and ``demo``, each in both output formats.  For every run, in that order,
-the digest takes its exit code and its stdout.  Two checkouts whose CLI
-output is byte-identical on these runs print the same digest, so comparing
-the line printed by a change with the one printed by its parent shows
-whether the change moved any output.  Takes no arguments; run it from any
-directory:
+and ``demo``.  Then, on one seeded random criterion table and profile per
+voter count (1, 127, 128, 255 and 256 voters, written to a temporary
+directory), ``rank --table/--profile`` for every rule, ``induce`` and
+``choose --method n1`` and ``n2``.  The profiles separate criteria with
+``" > "``, ``">"`` and padded ``">"`` in turn, so both of the profile
+reader's paths are read.  Every run is made in both output formats.  For
+every run, in that order, the digest takes its exit code and its stdout.
+Two checkouts whose CLI output is byte-identical on these runs print the
+same digest, so comparing the line printed by a change with the one
+printed by its parent shows whether the change moved any output.  Takes no
+arguments; run it from any directory:
 
     python3 scripts/output_digest.py
 """
@@ -16,7 +21,9 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
+from random import Random
 
 # the package source beside this script, whatever the working directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,10 +32,34 @@ from critrank.aggregators import AXIOM_KINDS, RULES
 from critrank.cli import main
 
 FORMATS = ("text", "lines")
+VOTER_COUNTS = (1, 127, 128, 255, 256)
+SEPARATORS = (" > ", ">", "  >\t")
 
 
-def runs() -> list[list[str]]:
-    """The argv of every run, in digest order."""
+def table_and_profile(rng: Random, n_voters: int) -> tuple[str, str]:
+    """Texts of a random table (5 to 8 alternatives, 3 to 7 criteria with
+    distinct satisfier sets) and of ``n_voters`` random orders of it."""
+    names = [f"x{i}" for i in range(rng.randint(5, 8))]
+    criteria = [f"c{j + 1}" for j in range(rng.randint(3, 7))]
+    masks: list[int] = []
+    while len(masks) < len(criteria):
+        mask = rng.getrandbits(len(names))
+        if mask and mask not in masks:
+            masks.append(mask)
+    table = ["alternatives: " + " ".join(names)]
+    table += [f"criterion {c}: " + " ".join(x for i, x in enumerate(names) if m >> i & 1)
+              for c, m in zip(criteria, masks)]
+    profile = []
+    for v in range(n_voters):
+        order = criteria[:]
+        rng.shuffle(order)
+        profile.append(f"voter v{v + 1}: " + SEPARATORS[v % len(SEPARATORS)].join(order))
+    return "\n".join(table) + "\n", "\n".join(profile) + "\n"
+
+
+def runs(workdir: str) -> list[list[str]]:
+    """The argv of every run, in digest order; writes the table and profile
+    files the runs read into ``workdir``."""
     out = []
     for rule in RULES:
         for kind in AXIOM_KINDS:
@@ -42,6 +73,19 @@ def runs() -> list[list[str]]:
         out.append(["selftest", "--trials", "40", "--format", fmt])
     for fmt in FORMATS:
         out.append(["demo", "--format", fmt])
+    for n_voters in VOTER_COUNTS:
+        table, profile = table_and_profile(Random(f"digest/{n_voters}"), n_voters)
+        tpath = Path(workdir, f"table-{n_voters}.txt")
+        ppath = Path(workdir, f"profile-{n_voters}.txt")
+        tpath.write_text(table)
+        ppath.write_text(profile)
+        files = ["--table", str(tpath), "--profile", str(ppath)]
+        commands = [["rank", *files, "--rule", rule] for rule in RULES]
+        commands.append(["induce", *files])
+        commands += [["choose", *files, "--method", method] for method in ("n1", "n2")]
+        for command in commands:
+            for fmt in FORMATS:
+                out.append([*command, "--format", fmt])
     return out
 
 
@@ -60,4 +104,5 @@ def digest(argvs: list[list[str]]) -> str:
 if __name__ == "__main__":
     if sys.argv[1:]:
         sys.exit("usage: python3 scripts/output_digest.py (takes no arguments)")
-    print(digest(runs()))
+    with tempfile.TemporaryDirectory() as workdir:
+        print(digest(runs(workdir)))

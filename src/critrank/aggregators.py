@@ -18,7 +18,9 @@ witness instances.  Keeping the registry here lets the ranking commands
 run without loading the axiom and oracle modules.
 """
 
+import sys
 from collections.abc import Callable, Sequence
+from itertools import repeat
 
 from .model import (
     AltSubset,
@@ -41,30 +43,36 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     is held by every voter who weakly prefers c to d; linear orders make the
     diagonal unanimous.
 
-    ``rows[c]`` packs one counter per criterion d, ``width`` bits each in
-    table order, of the voters ranking c above d.  No counter exceeds the
-    voter count, so none carries into the next.  Walking each order from
-    worst to best, c's row gains the units of every criterion already walked.
+    ``rows[j]`` packs, for the j-th criterion c, one counter per criterion d
+    in table order: the voters ranking c above d.  A counter is a native
+    unsigned int of 1, 2, 4 or 8 bytes.  None exceeds the voter count, so
+    none carries into the next, and each row reads out with one
+    ``to_bytes``.  Walking each order by criterion index from worst to
+    best, a row gains the units of every criterion already walked.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
     n_voters = len(profile.voters)
-    width = n_voters.bit_length()
-    unit = {c: 1 << width * j for j, c in enumerate(table.criteria)}
-    rows = dict.fromkeys(table.criteria, 0)
+    size = 1
+    while n_voters >> 8 * size:
+        size *= 2
+    m = len(table.criteria)
+    index = {c: j for j, c in enumerate(table.criteria)}
+    units = [1 << 8 * size * j for j in range(m)]
+    rows = [0] * m
     for order in profile.orders:
         below = 0
-        for c in reversed(order):
-            rows[c] += below
-            below |= unit[c]
-    field = (1 << width) - 1
+        for j in map(index.__getitem__, reversed(order)):
+            rows[j] += below
+            below |= units[j]
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
     masks = [table.tr[c].mask for c in table.criteria]
-    shifts = range(0, width * len(masks), width)
     counts: dict[tuple[int, int], int] = {}
-    for s, row in zip(masks, rows.values()):
-        for t, shift in zip(masks, shifts):
-            # satisfier masks are distinct, so s == t is the diagonal c == d
-            counts[(s, t)] = n_voters if s == t else row >> shift & field
+    for s, row in zip(masks, rows):
+        fields = memoryview(row.to_bytes(size * m, sys.byteorder)).cast(fmt)
+        counts.update(zip(zip(repeat(s), masks), fields))
+        # a criterion is never below itself, so its own field is 0 until set
+        counts[(s, s)] = n_voters
     return OpinionState(table.universe, counts)
 
 

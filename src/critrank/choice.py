@@ -44,12 +44,15 @@ def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) ->
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
     m = len(table.criteria)
-    scores = {c: 0 for c in table.criteria}
+    index = {c: j for j, c in enumerate(table.criteria)}
+    totals = [0] * m
+    points = range(m, 0, -1)
     for order in profile.orders:
-        for p, c in enumerate(order):
-            scores[c] += m - p
-    alt = column_sums(table.universe, ((table.tr[c].mask, score) for c, score in scores.items()))
-    return BordaTally(scores, tuple(alt))
+        for j, p in zip(map(index.__getitem__, order), points):
+            totals[j] += p
+    masks = [table.tr[c].mask for c in table.criteria]
+    alt = column_sums(table.universe, zip(masks, totals))
+    return BordaTally(dict(zip(table.criteria, totals)), tuple(alt))
 
 
 def borda_ranking(tally: BordaTally) -> Ranking[str]:

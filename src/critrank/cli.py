@@ -12,6 +12,13 @@ preference profile (one line per voter, best criterion first)::
 
     voter <id>: <crit> > <crit> > ... > <crit>
 
+A profile order is read by splitting it on the exact separator ``" > "``
+first.  When that gives every criterion of the table once, it is taken as
+is: criterion names hold no ``>`` and no whitespace, so splitting on ``>``
+and stripping each part would give the same order.  Any other order, and
+every order of a table built in code with such a name, is split on ``>``
+and stripped, with the same errors.
+
 opinion state (raw counts, not tied to any table)::
 
     alternatives: <name> <name> ...
@@ -178,9 +185,12 @@ def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
     """Read voter lines, each a strict order over the table's criteria.
 
     A line naming every criterion once passes one set check; only a line
-    that fails it is searched for its first fault.
+    that fails it is searched for its first fault.  The exact-separator
+    split of the module docstring is tried only when every criterion name
+    is free of ``>`` and whitespace, as a parsed table's names are.
     """
     known = set(table.criteria)
+    exact = all(">" not in c and c.split() == [c] for c in known)
     seen_voters: set[str] = set()
     voters: list[str] = []
     orders: list[tuple[str, ...]] = []
@@ -191,9 +201,11 @@ def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
         voter = head[1]
         if voter in seen_voters:
             raise ParseError(f"line {lineno}: voter '{voter}' listed twice")
-        order = tuple(map(str.strip, body.split(">")))
-        if len(order) != len(known) or set(order) != known:
-            _order_fault(lineno, voter, body, order, known)
+        order = tuple(body.split(" > "))
+        if not exact or len(order) != len(known) or set(order) != known:
+            order = tuple(map(str.strip, body.split(">")))
+            if len(order) != len(known) or set(order) != known:
+                _order_fault(lineno, voter, body, order, known)
         seen_voters.add(voter)
         voters.append(voter)
         orders.append(order)
@@ -206,7 +218,7 @@ def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],
                  known: set[str]) -> NoReturn:
     """Raise for the first fault of an order that is not the known criteria
     once each."""
-    if any(not part or " " in part for part in order):
+    if any(part.split() != [part] for part in order):
         raise ParseError(f"line {lineno}: malformed order {body!r}")
     seen = set()
     for c in order:

@@ -18,6 +18,7 @@ from critrank.aggregators import (
 )
 from critrank.axioms import random_profile, random_table
 from critrank.choice import borda_criterion_scores
+from critrank.cli import parse_profile
 from critrank.model import (
     AltSubset,
     OpinionState,
@@ -31,6 +32,22 @@ from conftest import bits, opinion_states, strictly_above, tied
 
 def classes_of(ranking: Ranking) -> tuple:
     return tuple(frozenset(c) for c in ranking.classes)
+
+
+def naive_pairwise_counts(table, profile) -> dict:
+    """The induced counts, one voter and criterion pair at a time, with
+    zero counts left out, in table order."""
+    n_voters = len(profile.voters)
+    positions = [{c: i for i, c in enumerate(order)} for order in profile.orders]
+    expected = {}
+    for c in table.criteria:
+        pos_c = [pos[c] for pos in positions]
+        for d in table.criteria:
+            pos_d = [pos[d] for pos in positions]
+            count = n_voters if c == d else sum(map(lt, pos_c, pos_d))
+            if count:
+                expected[(table.tr[c].mask, table.tr[d].mask)] = count
+    return expected
 
 
 class TestInduceOpinion:
@@ -100,16 +117,27 @@ class TestInduceOpinion:
             profile = random_profile(rng, table, n_voters)
             if trial % 2:
                 profile = PreferenceProfile(profile.voters, (profile.orders[0],) * n_voters)
-            positions = [{c: i for i, c in enumerate(order)} for order in profile.orders]
-            expected = {}
-            for c in table.criteria:
-                pos_c = [pos[c] for pos in positions]
-                for d in table.criteria:
-                    pos_d = [pos[d] for pos in positions]
-                    count = n_voters if c == d else sum(map(lt, pos_c, pos_d))
-                    if count:
-                        expected[(table.tr[c].mask, table.tr[d].mask)] = count
+            expected = naive_pairwise_counts(table, profile)
             state = induce_opinion(table, profile)
+            assert state.counts == expected
+            assert list(state.counts) == list(expected)
+
+    @pytest.mark.parametrize("n_voters", (1, 127, 128, 255, 256))
+    def test_matches_a_naive_count_on_parsed_profiles(self, n_voters):
+        # the profile comes through the reader, with exact and other
+        # separators, at the edges of one- and two-byte counters
+        rng = Random(f"agg/parsed/{n_voters}")
+        for trial in range(4):
+            table = random_table(rng, rng.randint(3, 8), rng.randint(2, 7))
+            orders = random_profile(rng, table, n_voters).orders
+            if trial % 2:
+                orders = (orders[0],) * n_voters
+            text = "".join(f"voter {v}: {(' > ', '>', ' >  ')[v % 3].join(order)}\n"
+                           for v, order in enumerate(orders))
+            profile = parse_profile(text, table)
+            assert profile.orders == orders
+            state = induce_opinion(table, profile)
+            expected = naive_pairwise_counts(table, profile)
             assert state.counts == expected
             assert list(state.counts) == list(expected)
 

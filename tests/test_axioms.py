@@ -270,12 +270,23 @@ class TestRuleRegistry:
                 if line.split() and line.split()[0] in RULES]
         assert rows == list(RULES)
 
-    def test_output_digest_covers_every_rule_and_axiom(self):
+    def test_output_digest_covers_every_rule_and_axiom(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
         spec = importlib.util.spec_from_file_location("output_digest", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        assert len(script.runs()) == len(RULES) * len(AXIOM_KINDS) * 3 * 2 * 2 + 4
+        argvs = script.runs(str(tmp_path))
+        checks = len(RULES) * len(AXIOM_KINDS) * 3 * 2 * 2
+        # per voter count: every rule, induce, and both choose methods
+        profile_runs = (len(RULES) + 1 + 2) * 2
+        assert len(argvs) == checks + 4 + len(script.VOTER_COUNTS) * profile_runs
+        assert script.VOTER_COUNTS == (1, 127, 128, 255, 256)
+        ranked = {argv[argv.index("--rule") + 1] for argv in argvs[checks + 4:]
+                  if argv[0] == "rank"}
+        assert ranked == set(RULES)
+        for n_voters in script.VOTER_COUNTS:
+            profile = (tmp_path / f"profile-{n_voters}.txt").read_text()
+            assert len(profile.splitlines()) == n_voters
         demo = [["demo"], ["demo", "--format", "lines"]]
         assert script.digest(demo) == script.digest(demo) != script.digest(demo[::-1])
 

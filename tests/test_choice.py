@@ -73,6 +73,23 @@ class TestCriterionScores:
                              for c in table.criteria if table.tr[c].mask >> x & 1)
                 assert tally.alternative_scores[x] == direct
 
+    def test_keys_follow_table_order_whatever_the_first_voter(self):
+        # borda_ranking keeps this order inside a tie, so the first voter's
+        # order must not leak into it
+        rng = Random("choice/keyorder")
+        for _ in range(40):
+            table = random_table(rng, rng.randint(3, 6), rng.randint(3, 6))
+            profile = random_profile(rng, table, rng.randint(1, 6))
+            first = list(table.criteria)
+            while first == list(table.criteria):
+                rng.shuffle(first)
+            profile = PreferenceProfile(profile.voters, (tuple(first),) + profile.orders[1:])
+            tally = borda_criterion_scores(table, profile)
+            assert tuple(tally.criterion_scores) == table.criteria
+            position = {c: i for i, c in enumerate(table.criteria)}
+            for cls_ in borda_ranking(tally).classes:
+                assert list(cls_) == sorted(cls_, key=position.__getitem__)
+
 
 class TestCriteriaRanking:
     def test_worked_example_order(self, demo_table, demo_profile):

@@ -29,7 +29,15 @@ from critrank.cli import (
 )
 from critrank.aggregators import RULES, Rule, iis_rank, support_rank
 from critrank.choice import cascade_sets
-from critrank.model import AltSubset, OpinionState, Ranking, ValidationError, iter_bits
+from critrank.model import (
+    AltSubset,
+    CriterionTable,
+    OpinionState,
+    PreferenceProfile,
+    Ranking,
+    ValidationError,
+    iter_bits,
+)
 
 from conftest import bits
 
@@ -152,6 +160,7 @@ class TestProfileParsing:
         ("voter 1: j > z > j\n", ValidationError, "voter '1' ranks unknown criterion 'z'"),
         ("voter 1: j >  > k\n", ParseError, "line 1: malformed order 'j >  > k'"),
         ("voter 1: j > k k\n", ParseError, "line 1: malformed order 'j > k k'"),
+        ("voter 1: j > k\tk\n", ParseError, "line 1: malformed order 'j > k\\tk'"),
         ("voter 1: k\n", ValidationError, "voter '1' omits criteria: j"),
         ("voter 1: j > k\nvoter 1: k > j\n", ParseError, "line 2: voter '1' listed twice"),
     ))
@@ -162,6 +171,143 @@ class TestProfileParsing:
             parse_profile(text, self.fixture_table())
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+def _strip_path_profile(text: str, table: CriterionTable) -> PreferenceProfile:
+    """``parse_profile`` without its exact-separator split: every order is
+    split on ``>`` and its parts stripped, and an order that is not the
+    table's criteria once each is searched for its first fault."""
+    known = set(table.criteria)
+    seen: set[str] = set()
+    voters, orders = [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, sep, body = line.partition(":")
+        if not sep:
+            raise ParseError(f"line {lineno}: expected '<directive>: ...', got {line!r}")
+        head, body = head.split(), body.strip()
+        if len(head) != 2 or head[0] != "voter":
+            raise ParseError(f"line {lineno}: expected 'voter <id>: ...', got {line!r}")
+        voter = head[1]
+        if voter in seen:
+            raise ParseError(f"line {lineno}: voter '{voter}' listed twice")
+        order = tuple(part.strip() for part in body.split(">"))
+        if len(order) != len(known) or set(order) != known:
+            if any(part.split() != [part] for part in order):
+                raise ParseError(f"line {lineno}: malformed order {body!r}")
+            ranked: set[str] = set()
+            for c in order:
+                if c not in known:
+                    raise ValidationError(f"voter '{voter}' ranks unknown criterion '{c}'")
+                if c in ranked:
+                    raise ValidationError(f"voter '{voter}' ranks criterion '{c}' twice")
+                ranked.add(c)
+            missing = ", ".join(sorted(known - ranked))
+            raise ValidationError(f"voter '{voter}' omits criteria: {missing}")
+        seen.add(voter)
+        voters.append(voter)
+        orders.append(order)
+    if not voters:
+        raise ParseError("profile lists no voters")
+    return PreferenceProfile(tuple(voters), tuple(orders))
+
+
+def _profile_outcome(read, text: str, table: CriterionTable):
+    """The profile ``read`` returns, or the type and message it raises."""
+    try:
+        return read(text, table)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+_JKL_TABLE = parse_criterion_table(
+    "alternatives: a b c\ncriterion j: a\ncriterion k: b\ncriterion l: c\n")
+_SEPARATORS = (" > ", ">", "  > ", " >  ", "\t>\t", " >\t", "\t> ")
+
+
+@st.composite
+def _order_texts(draw, clean: bool):
+    """Orders over j, k and l joined by exact, padded, tab or unspaced
+    separators: every criterion once when ``clean``, else often with one
+    fault, a trailing separator, or any parts at all."""
+    if clean or draw(st.booleans()):
+        parts = list(draw(st.permutations("jkl")))
+        edit = "keep" if clean else draw(st.sampled_from(
+            ("keep", "drop", "repeat", "unknown", "extra")))
+        if edit == "drop":
+            parts.pop()
+        elif edit == "repeat":
+            parts[-1] = parts[0]
+        elif edit == "unknown":
+            parts[-1] = "z"
+        elif edit == "extra":
+            parts.append(draw(st.sampled_from(("j", "z"))))
+    else:
+        parts = draw(st.lists(st.sampled_from(("j", "k", "l", "z", "jk", "", " ", "k k", "k\tk")),
+                              min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS),
+                         min_size=len(parts) - 1, max_size=len(parts) - 1))
+    text = parts[0] + "".join(sep + part for sep, part in zip(seps, parts[1:]))
+    return text if clean else text + draw(st.sampled_from(("", " >", " > ", ">")))
+
+
+@st.composite
+def _profile_texts(draw):
+    """Voter lines, comments and blank lines, ended by LF or CRLF.  A clean
+    profile has distinct voters and orders naming j, k and l once each;
+    any other repeats voter ids and adds faulty orders and malformed lines."""
+    clean = draw(st.booleans())
+    kinds = ("voter", "voter", "comment", "blank") + (() if clean else ("bad",))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        if kind == "voter":
+            voter = len(lines) if clean else draw(st.integers(1, 4))
+            lines.append(f"voter {voter}:{draw(st.sampled_from((' ', '', '  ')))}"
+                         f"{draw(_order_texts(clean))}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(("# voter 9: j", "  # note", "#"))))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(("", "   ", "\t"))))
+        else:
+            lines.append(draw(st.sampled_from(("ballot 1: j > k > l", "voter 1 j > k > l",
+                                               "voter: j > k > l", "voter 1 2: j > k > l"))))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + draw(st.sampled_from(("", eol)))
+
+
+class TestProfileFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(_profile_texts())
+    @example("voter 1: j > k > l\r\nvoter 2: l>k>j\r\n")
+    @example("voter 1: j > k\tk > l\n")
+    def test_matches_the_strip_path(self, text):
+        assert (_profile_outcome(parse_profile, text, _JKL_TABLE)
+                == _profile_outcome(_strip_path_profile, text, _JKL_TABLE))
+
+    # one case per way the exact split can be refused; the plain table
+    # names j, k and l, the others a criterion holding '>' or a space
+    @pytest.mark.parametrize("names, order, expected", (
+        ("jkl", "j>k>l", ("j", "k", "l")),
+        ("jkl", "j  > k > l", ("j", "k", "l")),
+        ("jkl", "j\t>\tk > l", ("j", "k", "l")),
+        ("jkl", "j > k > l >", (ParseError, "line 1: malformed order 'j > k > l >'")),
+        ("jkl", "j > k > k", (ValidationError, "voter '1' ranks criterion 'k' twice")),
+        ("jkl", "j > k > z", (ValidationError, "voter '1' ranks unknown criterion 'z'")),
+        ("jkl", "j > k", (ValidationError, "voter '1' omits criteria: l")),
+        (("j>k", "l"), "j>k > l", (ValidationError, "voter '1' ranks unknown criterion 'j'")),
+        (("j k", "l"), "j k > l", ("j k", "l")),
+    ))
+    def test_near_misses_take_the_strip_path(self, names, order, expected):
+        table = CriterionTable(("a", "b", "c"), tuple(names),
+                               {c: AltSubset(1 << i, 3) for i, c in enumerate(names)})
+        text = f"voter 1: {order}\n"
+        outcome = _profile_outcome(parse_profile, text, table)
+        assert outcome == _profile_outcome(_strip_path_profile, text, table)
+        if isinstance(outcome, PreferenceProfile):
+            outcome = outcome.orders[0]
+        assert outcome == expected
 
 
 class TestOpinionParsing:
@@ -584,6 +730,16 @@ class TestMainExitCodes:
         assert main(["rank", "--rule", "iis", "--table", table,
                      "--profile", profile, "--opinions", str(opinions)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("part", ("k k", "k\tk"))
+    def test_whitespace_inside_an_order_part_is_exit_1(self, part, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("alternatives: a b c\ncriterion j: a\ncriterion k: b\n")
+        profile = tmp_path / "profile.txt"
+        profile.write_text(f"voter 1: j > {part}\n")
+        assert main(["rank", "--table", str(table), "--profile", str(profile),
+                     "--rule", "iis"]) == 1
+        assert capsys.readouterr().err == f"error: line 1: malformed order {'j > ' + part!r}\n"
 
     def test_missing_file(self, capsys):
         assert main(["rank", "--rule", "iis", "--opinions", "/no/such/file"]) == 1
