@@ -9,8 +9,8 @@ tie-breaking refinements of the excellence rule, two deliberately coarse
 rules, and total indifference.
 
 ``induce_opinion`` is the bridge from voting: a criterion table plus a
-preference profile yields the state whose subsets are the satisfier sets and
-whose counts are pairwise voter majorities.
+preference profile yields the state of the satisfier sets' pairwise voter
+majorities; ``criterion_score_state`` gives its supports from the scores alone.
 
 ``RULES`` registers every rule by name, with the axiom a rival rule is
 built to break; ``critrank.axioms`` holds the axioms and the named
@@ -22,8 +22,8 @@ import sys
 from collections.abc import Callable, Sequence
 from itertools import repeat
 
+from .choice import borda_criterion_scores
 from .model import (
-    AltSubset,
     CriterionTable,
     OpinionState,
     PreferenceProfile,
@@ -74,6 +74,19 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
         # a criterion is never below itself, so its own field is 0 until set
         counts[(s, s)] = n_voters
     return OpinionState(table.universe, counts)
+
+
+def criterion_score_state(table: CriterionTable, profile: PreferenceProfile) -> OpinionState:
+    """One reflexive entry per satisfier set, holding its criterion's Borda score.
+
+    That score is the set's support in ``induce_opinion``'s state: the
+    diagonal ``n_voters`` plus, per voter, the criteria ranked below.  The
+    masks are distinct (``CriterionTable`` enforces it), every score is at
+    least ``n_voters`` > 0 and keys follow table order, so ``support_map``
+    equals the induced one, key order included, and every rule ranks alike.
+    """
+    scores = borda_criterion_scores(table, profile).criterion_scores.items()
+    return OpinionState.from_support(table.universe, {table.tr[c].mask: v for c, v in scores})
 
 
 def iis_rank(state: OpinionState) -> Ranking[int]:
@@ -139,14 +152,6 @@ def indifference_rule(state: OpinionState) -> Ranking[int]:
     return Ranking((tuple(range(state.universe)),))
 
 
-def max_of(ranking: Ranking[int]) -> AltSubset:
-    """Top class of an index ranking, as a subset of the universe."""
-    n = sum(len(c) for c in ranking.classes)
-    if {x for cls_ in ranking.classes for x in cls_} != set(range(n)):
-        raise ValidationError("ranking labels must be exactly the alternative indices")
-    return AltSubset(sum(1 << x for x in ranking.top), n)
-
-
 # Short names of the five axioms of ``critrank.axioms``, in report order.
 AXIOM_KINDS = ("nt", "iws", "ibs", "wivip", "inui")
 
@@ -155,11 +160,10 @@ class Rule(_Record):
     """One ranking rule, with the axiom it is built to break.
 
     A rule is itself an aggregator: ``rule(state, order)`` calls ``rank``,
-    passing ``order`` (the identity order when None) only when
-    ``takes_order`` is set.  ``target`` is the one axiom of ``AXIOM_KINDS``
-    a rival rule breaks while keeping the other four, or None for rules
-    outside the independence argument; ``critrank.axioms.WITNESSES`` holds
-    each rival rule's named instances.
+    passing ``order`` (the identity order when None) only when ``takes_order``
+    is set.  ``target`` is the one axiom of ``AXIOM_KINDS`` a rival rule
+    breaks while keeping the other four, or None for rules outside the
+    independence argument; ``critrank.axioms.WITNESSES`` holds its instances.
     """
 
     __slots__ = _fields = ("name", "rank", "takes_order", "target")

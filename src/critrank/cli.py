@@ -54,6 +54,7 @@ from typing import NoReturn
 from .aggregators import (
     AXIOM_KINDS,
     RULES,
+    criterion_score_state,
     induce_opinion,
     iis_rank,
     lexcel_rank,
@@ -541,7 +542,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         if args.table is None or args.profile is None:
             raise ParseError("rank needs --opinions, or both --table and --profile")
         table, profile = _load_pair(args)
-        names, state = table.alternatives, induce_opinion(table, profile)
+        names, state = table.alternatives, criterion_score_state(table, profile)
     order = None if args.order is None else _parse_order(args.order, names)
     rendered = format_ranking(rule(state, order), names)
     _emit(args, [(None, "rule", args.rule), ("ranking", "ranking", rendered)])

@@ -88,16 +88,11 @@ _set = object.__setattr__
 
 
 class cached_property(functools.cached_property):
-    """A :class:`functools.cached_property` without the lock.
-
-    On Python 3.10 and 3.11 the functools descriptor takes one class-wide
-    ``RLock`` on every first read, about a seventh of the cost of building
-    a tiny state of an axiom sweep and reading its values.  This one stores
-    ``self.func(instance)`` in the instance ``__dict__`` unguarded, as
-    Python 3.12 does; later reads find the value there and skip the
-    descriptor.  ``func`` stays writable, so a wrapper can be swapped in and
-    out.
-    """
+    """A :class:`functools.cached_property` without the class-wide ``RLock``
+    that Python 3.10 and 3.11 take on every first read: ``self.func(instance)``
+    goes into the instance ``__dict__`` unguarded, as Python 3.12 does, so
+    later reads skip the descriptor.  ``func`` stays writable, so a wrapper
+    can be swapped in and out."""
 
     def __get__(self, instance, owner=None):
         if instance is None:

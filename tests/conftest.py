@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from critrank.axioms import random_table
 from critrank.choice import nurmi_first, nurmi_second
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, parse_criterion_table, parse_profile
-from critrank.aggregators import iis_rank, induce_opinion, max_of, support_rank
+from critrank.aggregators import iis_rank, induce_opinion, support_rank
 from critrank.model import (
     AltSubset,
     CriterionTable,
     OpinionState,
     PreferenceProfile,
     Ranking,
+    ValidationError,
     column_sums,
     random_state,
     random_support_state,
@@ -50,6 +51,14 @@ def weakly_above(ranking: Ranking, a, b) -> bool:
 
 def tied(ranking: Ranking, a, b) -> bool:
     return ranking.class_of(a) == ranking.class_of(b)
+
+
+def max_of(ranking: Ranking[int]) -> AltSubset:
+    """Top class of an index ranking, as a subset of the universe."""
+    n = sum(len(c) for c in ranking.classes)
+    if {x for cls_ in ranking.classes for x in cls_} != set(range(n)):
+        raise ValidationError("ranking labels must be exactly the alternative indices")
+    return AltSubset(sum(1 << x for x in ranking.top), n)
 
 
 def satisfied_counts(table: CriterionTable) -> tuple[int, ...]:

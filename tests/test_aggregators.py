@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from critrank.aggregators import (
+    RULES,
     coarse_f1,
     coarse_f2,
+    criterion_score_state,
     indifference_rule,
     induce_opinion,
     iis_rank,
     iis_tiebreak_order,
     iis_tiebreak_tau,
     lexcel_rank,
-    max_of,
     support_rank,
 )
 from critrank.axioms import random_profile, random_table
@@ -27,7 +28,7 @@ from critrank.model import (
     ValidationError,
 )
 
-from conftest import bits, opinion_states, strictly_above, tied
+from conftest import bits, max_of, opinion_states, strictly_above, tied
 
 
 def classes_of(ranking: Ranking) -> tuple:
@@ -48,6 +49,12 @@ def naive_pairwise_counts(table, profile) -> dict:
             if count:
                 expected[(table.tr[c].mask, table.tr[d].mask)] = count
     return expected
+
+
+def profile_text(orders) -> str:
+    """A profile file of ``orders``, with exact and other separators in turn."""
+    return "".join(f"voter {v}: {(' > ', '>', ' >  ')[v % 3].join(order)}\n"
+                   for v, order in enumerate(orders))
 
 
 class TestInduceOpinion:
@@ -132,14 +139,60 @@ class TestInduceOpinion:
             orders = random_profile(rng, table, n_voters).orders
             if trial % 2:
                 orders = (orders[0],) * n_voters
-            text = "".join(f"voter {v}: {(' > ', '>', ' >  ')[v % 3].join(order)}\n"
-                           for v, order in enumerate(orders))
-            profile = parse_profile(text, table)
+            profile = parse_profile(profile_text(orders), table)
             assert profile.orders == orders
             state = induce_opinion(table, profile)
             expected = naive_pairwise_counts(table, profile)
             assert state.counts == expected
             assert list(state.counts) == list(expected)
+
+
+class TestCriterionScoreState:
+    """The table route's state, one reflexive entry per criterion, has the
+    induced state's supports in the same key order, so every rule ranks
+    the two alike."""
+
+    @staticmethod
+    def assert_ranks_as_induced(table, profile, rng):
+        induced = induce_opinion(table, profile)
+        scored = criterion_score_state(table, profile)
+        assert list(scored.support_map.items()) == list(induced.support_map.items())
+        assert len(scored.counts) == len(table.criteria)
+        assert all(s == t for s, t in scored.counts)
+        order = list(range(table.universe))
+        rng.shuffle(order)
+        for name, rule in RULES.items():
+            for tb in (None, order):
+                assert rule(scored, tb) == rule(induced, tb), name
+
+    def test_every_rule_on_random_tables(self):
+        rng = Random("agg/scorestate")
+        for trial in range(300):
+            table = random_table(rng, rng.randint(3, 8), rng.randint(1, 7))
+            profile = random_profile(rng, table, rng.randint(1, 9))
+            if trial % 3 == 0:  # unanimous: every score class a singleton
+                profile = PreferenceProfile(profile.voters,
+                                            (profile.orders[0],) * len(profile.voters))
+            self.assert_ranks_as_induced(table, profile, rng)
+
+    @pytest.mark.parametrize("n_voters", (1, 127, 128, 255, 256))
+    def test_every_rule_on_parsed_profiles(self, n_voters):
+        # induce_opinion's counters change width at these voter counts
+        rng = Random(f"agg/scorestate/{n_voters}")
+        for trial in range(4):
+            table = random_table(rng, rng.randint(3, 8), rng.randint(2, 7))
+            orders = random_profile(rng, table, n_voters).orders
+            if trial % 2:
+                orders = (orders[0],) * n_voters
+            profile = parse_profile(profile_text(orders), table)
+            self.assert_ranks_as_induced(table, profile, rng)
+
+    def test_a_profile_over_other_criteria_is_rejected_as_induction_does(self):
+        table = random_table(Random(0), 4, 3)
+        profile = PreferenceProfile(("v1",), (("c1", "c2", "z"),))
+        for route in (induce_opinion, criterion_score_state):
+            with pytest.raises(ValidationError, match="different criterion set"):
+                route(table, profile)
 
 
 class TestEScoreRanking:

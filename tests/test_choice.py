@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from critrank.aggregators import criterion_score_state, support_rank
 from critrank.axioms import random_profile, random_table
 from critrank.choice import (
     borda_criterion_scores,
@@ -15,10 +16,11 @@ from critrank.model import (
     CriterionTable,
     PreferenceProfile,
     ValidationError,
+    column_sums,
     iter_bits,
 )
 
-from conftest import bits
+from conftest import bits, is_symmetric, max_of
 
 
 def table_of(universe, *tr_sets):
@@ -156,6 +158,24 @@ class TestScoreChoice:
         table = table_of(3, (0, 1), (0, 1, 2))
         profile = PreferenceProfile(("v",), (("c0", "c1"),))
         assert nurmi_second(table, profile).mask == bits(0, 1)
+
+    def test_tops_the_support_ranking_on_asymmetric_tables(self):
+        # the support totals of the table route's state are the alternative
+        # scores whatever the table, so no symmetry is needed, unlike the
+        # claim acceptance 6 checks
+        rng = Random("choice/score-asymmetric")
+        asymmetric = 0
+        for _ in range(400):
+            table = random_table(rng, rng.randint(3, 7), rng.randint(1, 6))
+            if is_symmetric(table):
+                continue
+            asymmetric += 1
+            profile = random_profile(rng, table, rng.randint(1, 6))
+            state = criterion_score_state(table, profile)
+            totals = column_sums(table.universe, state.support_map.items())
+            assert tuple(totals) == borda_criterion_scores(table, profile).alternative_scores
+            assert nurmi_second(table, profile) == max_of(support_rank(state))
+        assert asymmetric > 300
 
 
 class TestPermutationEquivariance:

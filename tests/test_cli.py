@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from critrank.cli import (
     parse_profile,
 )
 from critrank.aggregators import RULES, Rule, iis_rank, support_rank
+from critrank.axioms import random_profile, random_table
 from critrank.choice import cascade_sets
 from critrank.model import (
     AltSubset,
@@ -669,6 +671,72 @@ def demo_files(tmp_path):
     table.write_text(DEMO_TABLE_TEXT)
     profile.write_text(DEMO_PROFILE_TEXT)
     return str(table), str(profile)
+
+
+def _table_and_profile_texts(table: CriterionTable, profile: PreferenceProfile):
+    names = table.alternatives
+    lines = ["alternatives: " + " ".join(names)]
+    lines += [f"criterion {c}: " + " ".join(names[i] for i in iter_bits(table.tr[c].mask))
+              for c in table.criteria]
+    voters = [f"voter {v}: " + " > ".join(order)
+              for v, order in zip(profile.voters, profile.orders)]
+    return "\n".join(lines) + "\n", "\n".join(voters) + "\n"
+
+
+def _run_main(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestTableRoute:
+    """``rank --table/--profile`` prints what ``induce``, written to a file,
+    then ``rank --opinions`` on that file prints, for every rule."""
+
+    @pytest.fixture(params=("demo", "random-128"))
+    def pair(self, request, tmp_path):
+        if request.param == "demo":
+            texts = DEMO_TABLE_TEXT, DEMO_PROFILE_TEXT
+        else:
+            rng = Random("cli/table-route")
+            table = random_table(rng, 7, 6)
+            texts = _table_and_profile_texts(table, random_profile(rng, table, 128))
+        paths = [tmp_path / "table.txt", tmp_path / "profile.txt"]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        return [str(path) for path in paths]
+
+    @pytest.mark.parametrize("fmt", ("text", "lines"))
+    def test_every_rule_matches_the_induced_opinion_file(self, pair, fmt, tmp_path, capsys):
+        table, profile = pair
+        code, induced, _ = _run_main(capsys, ["induce", "--table", table, "--profile", profile])
+        assert code == 0
+        opinions = tmp_path / "opinions.txt"
+        opinions.write_text(induced)
+        names = parse_opinion_state(induced)[0]
+        for name, rule in RULES.items():
+            orders = [[]]
+            if rule.takes_order:
+                orders.append(["--order", ",".join(reversed(names))])
+            for order in orders:
+                argv = ["rank", "--rule", name, "--format", fmt, *order]
+                direct = _run_main(capsys, [*argv, "--table", table, "--profile", profile])
+                assert direct[0] == 0
+                assert direct == _run_main(capsys, [*argv, "--opinions", str(opinions)])
+
+    @pytest.mark.parametrize("voter, code, err", (
+        ("voter 1: a > b > c\n", 2, "invalid input: voter '1' omits criteria: d, e, f\n"),
+        ("voter 1: a > b > c > d > e f\n", 1,
+         "error: line 1: malformed order 'a > b > c > d > e f'\n"),
+    ))
+    def test_a_malformed_profile_fails_as_induce_does(self, voter, code, err,
+                                                      demo_files, tmp_path, capsys):
+        table, _ = demo_files
+        profile = tmp_path / "bad.txt"
+        profile.write_text(voter)
+        pair = ["--table", table, "--profile", str(profile)]
+        assert _run_main(capsys, ["rank", "--rule", "iis", *pair]) == (code, "", err)
+        assert _run_main(capsys, ["induce", *pair]) == (code, "", err)
 
 
 class TestMainExitCodes:
