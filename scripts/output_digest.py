@@ -7,8 +7,12 @@ voter count (1, 127, 128, 255 and 256 voters, written to a temporary
 directory), ``rank --table/--profile`` for every rule, ``induce`` and
 ``choose --method n1`` and ``n2``.  The profiles separate criteria with
 ``" > "``, ``">"`` and padded ``">"`` in turn, so both of the profile
-reader's paths are read.  Every run is made in both output formats.  For
-every run, in that order, the digest takes its exit code and its stdout.
+reader's paths are read.  Last, ``rank --opinions`` for every rule on two
+seeded 64-alternative opinion files: one with 5,000 one-member support
+classes ranked by mask, and one with 2,400 subsets in 8 support classes
+whose subsets contain nested cores.  Every run is made in both output
+formats.  For every run, in that order, the digest takes its exit code
+and its stdout.
 Two checkouts whose CLI output is byte-identical on these runs print the
 same digest, so comparing the line printed by a change with the one
 printed by its parent shows whether the change moved any output.  Takes no
@@ -57,6 +61,33 @@ def table_and_profile(rng: Random, n_voters: int) -> tuple[str, str]:
     return "\n".join(table) + "\n", "\n".join(profile) + "\n"
 
 
+def opinion_file(rng: Random, classes: int, per_class: int) -> str:
+    """Text of a random 64-alternative opinion file: ``classes`` support
+    values, each held by ``per_class`` distinct masks.  Class k's masks
+    contain the k-th of a chain of nested cores, so the running intersection
+    survives several classes.  One-member classes get a core of 0 and are
+    ranked by mask, largest strongest, so the top classes share high bits
+    and keep some alternatives tied for many classes."""
+    names = [f"x{i}" for i in range(64)]
+    core = (1 << 64) - 1
+    support: dict[int, int] = {}
+    for value in range(classes, 0, -1):
+        core &= (rng.getrandbits(64) | rng.getrandbits(64)) if per_class > 1 else 0
+        placed = 0
+        while placed < per_class:
+            mask = rng.getrandbits(64) | core
+            if mask and mask not in support:
+                support[mask] = value
+                placed += 1
+    if per_class == 1:
+        support = {mask: value for value, mask in enumerate(sorted(support), 1)}
+    lines = ["alternatives: " + " ".join(names)]
+    for mask, value in support.items():
+        members = ",".join(names[i] for i in range(64) if mask >> i & 1)
+        lines.append(f"opinion {{{members}}} >= {{{names[mask % 64]}}} : {value}")
+    return "\n".join(lines) + "\n"
+
+
 def runs(workdir: str) -> list[list[str]]:
     """The argv of every run, in digest order; writes the table and profile
     files the runs read into ``workdir``."""
@@ -86,6 +117,12 @@ def runs(workdir: str) -> list[list[str]]:
         for command in commands:
             for fmt in FORMATS:
                 out.append([*command, "--format", fmt])
+    for shape, (classes, per_class) in {"wide": (5000, 1), "tied": (8, 300)}.items():
+        path = Path(workdir, f"opinions-{shape}.txt")
+        path.write_text(opinion_file(Random(f"digest/{shape}"), classes, per_class))
+        for rule in RULES:
+            for fmt in FORMATS:
+                out.append(["rank", "--opinions", str(path), "--rule", rule, "--format", fmt])
     return out
 
 

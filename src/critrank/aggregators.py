@@ -22,7 +22,7 @@ import sys
 from collections.abc import Callable, Sequence
 from itertools import repeat
 
-from .choice import borda_criterion_scores
+from .choice import positional_scores
 from .model import (
     CriterionTable,
     OpinionState,
@@ -32,7 +32,10 @@ from .model import (
     _Record,
     _set,
     column_sums,
+    iter_bits,
     ranking_from_scores,
+    refine_by_class_counts,
+    score_groups,
 )
 
 
@@ -85,7 +88,7 @@ def criterion_score_state(table: CriterionTable, profile: PreferenceProfile) -> 
     least ``n_voters`` > 0 and keys follow table order, so ``support_map``
     equals the induced one, key order included, and every rule ranks alike.
     """
-    scores = borda_criterion_scores(table, profile).criterion_scores.items()
+    scores = positional_scores(table, profile).items()
     return OpinionState.from_support(table.universe, {table.tr[c].mask: v for c, v in scores})
 
 
@@ -103,7 +106,8 @@ def support_rank(state: OpinionState) -> Ranking[int]:
 
 def lexcel_rank(state: OpinionState) -> Ranking[int]:
     """Compare per-class membership counts lexicographically, strongest first."""
-    return ranking_from_scores(dict(enumerate(state.class_count_keys)))
+    groups = refine_by_class_counts([(1 << state.universe) - 1], state.quotient.classes)
+    return Ranking(tuple(tuple(iter_bits(g)) for g in groups))
 
 
 def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int]:
@@ -128,12 +132,13 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     Alternatives tied at score 0 stay tied; alternatives tied at a positive
     score are compared lexicographically by their cumulative membership
     counts, strongest class first.  Running totals first differ where the
-    counts do, by the same amount, so the class-count keys order them.  The
-    keys omit the residual count, which never decides: each alternative lies
-    in 2**(n-1) subsets, so equal explicit counts leave equal residuals.
+    counts do, by the same amount, so refining each positive score band by
+    the class counts orders them.
     """
-    keys = state.class_count_keys
-    return ranking_from_scores({x: (e, e and keys[x]) for x, e in enumerate(state.e_vector)})
+    bands = [(e, sum(1 << x for x in xs))
+             for e, xs in score_groups(dict(enumerate(state.e_vector)))]
+    groups = refine_by_class_counts([g for e, g in bands if e], state.quotient.classes)
+    return Ranking(tuple(tuple(iter_bits(g)) for g in groups + [g for e, g in bands if not e]))
 
 
 def coarse_f1(state: OpinionState) -> Ranking[int]:

@@ -33,13 +33,11 @@ class BordaTally(_Record):
         _set(self, "alternative_scores", alternative_scores)
 
 
-def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) -> BordaTally:
-    """Score each criterion positionally, then total scores per alternative.
+def positional_scores(table: CriterionTable, profile: PreferenceProfile) -> dict[str, int]:
+    """Score each criterion positionally, keys in the table's criterion order.
 
     A voter ranking m criteria contributes m points to their top criterion,
-    m-1 to the next, and so on down to 1.  An alternative's score is the sum
-    over the criteria it satisfies.  Criterion keys follow the table's
-    criterion order.
+    m-1 to the next, and so on down to 1.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
@@ -50,9 +48,15 @@ def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) ->
     for order in profile.orders:
         for j, p in zip(map(index.__getitem__, order), points):
             totals[j] += p
-    masks = [table.tr[c].mask for c in table.criteria]
-    alt = column_sums(table.universe, zip(masks, totals))
-    return BordaTally(dict(zip(table.criteria, totals)), tuple(alt))
+    return dict(zip(table.criteria, totals))
+
+
+def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) -> BordaTally:
+    """The :func:`positional_scores`, then total scores per alternative: an
+    alternative's score is the sum over the criteria it satisfies."""
+    scores = positional_scores(table, profile)
+    alt = column_sums(table.universe, [(table.tr[c].mask, v) for c, v in scores.items()])
+    return BordaTally(scores, tuple(alt))
 
 
 def borda_ranking(tally: BordaTally) -> Ranking[str]:

@@ -36,7 +36,7 @@ from are here, so the oracle runs without loading the axiom suite.
 
 import functools
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from random import Random
 from typing import Generic, Hashable, TypeVar
 
@@ -304,58 +304,25 @@ class OpinionState(_Record):
         return _e_scores_from_quotient(self.quotient)
 
     @cached_property
-    def class_count_keys(self) -> tuple[int, ...]:
-        """Per alternative, an int that compares as its explicit class counts
-        compare lexicographically, strongest class first.
-
-        A ripple-carry counter sums each class's members into bit planes (bit
-        x of plane j is bit j of x's count), padded to the class size's bit
-        length.  The planes, strongest class and high plane first, are the
-        64-bit rows of one int, and x's key holds bit x of every row.
-        """
-        rows: list[int] = []
-        for members in self.quotient.classes:
-            planes: list[int] = []
-            for carry in members:
-                for j, plane in enumerate(planes):
-                    planes[j] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    planes.append(carry)
-            rows += [0] * (len(members).bit_length() - len(planes)) + planes[::-1]
-        packed = int.from_bytes(b"".join(row.to_bytes(8, "big") for row in rows), "big")
-        low_bits = int.from_bytes((bytes(7) + b"\1") * len(rows), "big")
-        return tuple(packed >> x & low_bits for x in range(self.universe))
-
-    @cached_property
     def class_count_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per alternative, how many subsets of each support class contain it.
 
-        Column order follows the quotient, strongest class first.  The explicit
-        counts are read off :attr:`class_count_keys`, whose bit ``64 * k`` is
-        row ``k`` counted from the last; the final column is the implicit
-        residual class when present, computed by complement counting.
+        Column order follows the quotient, strongest class first.  Each
+        explicit column is read off its class's :func:`bit_planes`; the final
+        column is the implicit residual class when present, computed by
+        complement counting.
         """
-        q = self.quotient
-        widths = [len(members).bit_length() for members in q.classes]
-        top = 64 * sum(widths)
-        rows = []
-        for key in self.class_count_keys:
-            row = []
-            shift = top
-            for w in widths:
-                count = 0
-                for _ in range(w):  # planes run high to low
-                    shift -= 64
-                    count = count << 1 | key >> shift & 1
-                row.append(count)
-            if q.residual_present:
-                # Each alternative lies in 2**(n-1) subsets of the universe overall.
-                row.append((1 << (self.universe - 1)) - sum(row))
-            rows.append(tuple(row))
-        return tuple(rows)
+        n, q = self.universe, self.quotient
+        rows = [[0] * len(q.classes) for _ in range(n)]
+        for k, members in enumerate(q.classes):
+            for j, plane in enumerate(bit_planes(members)):
+                for x in iter_bits(plane):
+                    rows[x][k] += 1 << j
+        if q.residual_present:
+            # Each alternative lies in 2**(n-1) subsets of the universe overall.
+            for row in rows:
+                row.append((1 << (n - 1)) - sum(row))
+        return tuple(map(tuple, rows))
 
 
 class QuotientOrder(_Record):
@@ -409,19 +376,70 @@ def running_intersections(universe: int, families: Iterable[Iterable[int]]):
 
 
 def _e_scores_from_quotient(q: QuotientOrder) -> tuple[int, ...]:
+    # an alternative's score is set once, at the class that drops it from
+    # the running intersection
     e = [0] * q.universe
+    alive = (1 << q.universe) - 1
     depth = 0
     for inter in running_intersections(q.universe, q.classes):
-        if not inter:
-            return tuple(e)
+        if inter != alive:
+            if depth:  # a score of 0 is already set
+                for x in iter_bits(alive ^ inter):
+                    e[x] = depth
+            if not inter:
+                return tuple(e)
+            alive = inter
         depth += 1
-        for x in iter_bits(inter):
-            e[x] = depth
+    for x in iter_bits(alive):
+        e[x] = depth
     # If x lies in every explicit subset, all 2**(n-1) - 1 subsets missing x
     # sit in the residual, so the residual extends x's run only at n == 1.
     if q.residual_present and q.universe == 1:
         e[0] = depth + 1
     return tuple(e)
+
+
+def bit_planes(members: Iterable[int]) -> list[int]:
+    """Per alternative, how many of the masks contain it, as vertical bit
+    planes, low plane first: bit x of plane j is bit j of x's count.  A
+    ripple-carry counter adds each mask in, so no loop runs per set bit."""
+    planes: list[int] = []
+    for carry in members:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def refine_by_class_counts(groups: list[int],
+                           classes: Iterable[Collection[int]]) -> list[int]:
+    """Refine an ordered partition of the alternatives, given as masks, by
+    the lexicographic order of their explicit class counts, strongest class
+    first; within a group, a higher count comes first.
+
+    Each class is counted into :func:`bit_planes` (a one-member class is its
+    own single plane), and each plane, high first, splits every group it
+    cuts into the members inside the plane, then the rest: a radix sort by
+    count, most significant bit first.  A class after the first difference
+    never decides, so the walk stops reading classes once every group is a
+    single alternative.  The residual class is never read: each alternative
+    lies in 2**(n-1) subsets, so equal explicit counts leave equal residuals.
+    """
+    # the groups are disjoint, so the sum of those of two or more members
+    # is the set of alternatives still sharing a group
+    shared = sum(g for g in groups if g & (g - 1))
+    for members in classes if shared else ():
+        for plane in members if len(members) == 1 else reversed(bit_planes(members)):
+            if 0 < plane & shared != shared:
+                groups = [part for g in groups for part in (g & plane, g & ~plane) if part]
+                shared = sum(g for g in groups if g & (g - 1))
+        if not shared:
+            break
+    return groups
 
 
 class Ranking(_Record, Generic[L]):

@@ -38,6 +38,7 @@ from critrank.axioms import (
     tau_tiebreak_inui_witness_scored,
     validate_instance,
 )
+from critrank.cli import parse_opinion_state
 from critrank.model import OpinionState, Ranking, ValidationError, iter_bits, random_state
 
 from conftest import (
@@ -279,7 +280,10 @@ class TestRuleRegistry:
         checks = len(RULES) * len(AXIOM_KINDS) * 3 * 2 * 2
         # per voter count: every rule, induce, and both choose methods
         profile_runs = (len(RULES) + 1 + 2) * 2
-        assert len(argvs) == checks + 4 + len(script.VOTER_COUNTS) * profile_runs
+        # per opinion file: every rule
+        opinion_runs = 2 * len(RULES) * 2
+        assert len(argvs) == (checks + 4 + len(script.VOTER_COUNTS) * profile_runs
+                              + opinion_runs)
         assert script.VOTER_COUNTS == (1, 127, 128, 255, 256)
         ranked = {argv[argv.index("--rule") + 1] for argv in argvs[checks + 4:]
                   if argv[0] == "rank"}
@@ -287,6 +291,14 @@ class TestRuleRegistry:
         for n_voters in script.VOTER_COUNTS:
             profile = (tmp_path / f"profile-{n_voters}.txt").read_text()
             assert len(profile.splitlines()) == n_voters
+        assert all(argv[:2] == ["rank", "--opinions"] for argv in argvs[-opinion_runs:])
+        for shape, n_classes, size in (("wide", 5000, 1), ("tied", 8, 300)):
+            text = (tmp_path / f"opinions-{shape}.txt").read_text()
+            _names, state = parse_opinion_state(text)
+            classes = state.quotient.classes
+            assert state.universe == 64 and len(classes) == n_classes
+            assert {len(members) for members in classes} == {size}
+            assert any(m >> 63 for members in classes for m in members)
         demo = [["demo"], ["demo", "--format", "lines"]]
         assert script.digest(demo) == script.digest(demo) != script.digest(demo[::-1])
 

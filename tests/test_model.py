@@ -343,7 +343,7 @@ class TestEScore:
 
 
 class TestCachedValuesAcrossThreads:
-    CACHED = ("support_map", "quotient", "e_vector", "class_count_keys")
+    CACHED = ("support_map", "quotient", "e_vector", "class_count_rows")
 
     def test_racing_first_reads_agree_with_one_thread(self):
         # more threads than cores, switching as often as the interpreter

@@ -12,6 +12,7 @@ from itertools import accumulate
 from operator import and_
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,10 +25,11 @@ from critrank.model import (
     column_sums,
     iter_bits,
     ranking_from_scores,
+    refine_by_class_counts,
     score_groups,
 )
 
-from conftest import top_k, trailing_merge_sequence
+from conftest import tied, top_k, trailing_merge_sequence
 
 
 def nested_core_support(rng: Random, universe: int, n_subsets: int,
@@ -142,22 +144,137 @@ def plain_rows(state):
     return rows
 
 
-@settings(max_examples=20, deadline=None)
-@given(wide_states_with_a_big_class())
-def test_class_counts_and_their_rules_match_per_subset_counts(state):
-    assert max(len(members) for members in state.quotient.classes) >= 256
+def plain_e_vector(state):
+    """Per alternative, the deepest k with x in every mask of the top k
+    explicit classes; at 60 or more alternatives the residual never extends
+    that run."""
+    classes = state.quotient.classes
+    return tuple(max(k for k in range(len(classes) + 1)
+                     if all(m >> x & 1 for members in classes[:k] for m in members))
+                 for x in range(state.universe))
+
+
+def plain_rankings(state):
+    """lexcel and tau as first defined, from :func:`plain_rows` and
+    :func:`plain_e_vector`: lexcel ranks by the rows, and tau splits
+    positive-score ties by running totals."""
     rows = plain_rows(state)
-    assert list(state.class_count_rows) == rows
-    assert lexcel_rank(state) == ranking_from_scores(dict(enumerate(rows)))
-    # tau as first defined: positive-score ties split by running totals
     taus = [tuple(accumulate(row)) for row in rows]
     classes = []
-    for value, members in score_groups(dict(enumerate(state.e_vector))):
+    for value, members in score_groups(dict(enumerate(plain_e_vector(state)))):
         if value == 0:
             classes.append(tuple(members))
         else:
             classes += [tuple(tied) for _t, tied in score_groups({x: taus[x] for x in members})]
-    assert iis_tiebreak_tau(state) == Ranking(tuple(classes))
+    return ranking_from_scores(dict(enumerate(rows))), Ranking(tuple(classes))
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_states_with_a_big_class())
+def test_class_counts_and_their_rules_match_per_subset_counts(state):
+    assert max(len(members) for members in state.quotient.classes) >= 256
+    assert list(state.class_count_rows) == plain_rows(state)
+    lexcel, tau = plain_rankings(state)
+    assert lexcel_rank(state) == lexcel
+    assert iis_tiebreak_tau(state) == tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_states())
+def test_e_vector_matches_the_plain_top_k_formula(state):
+    assert state.e_vector == plain_e_vector(state)
+
+
+@st.composite
+def shared_prefix_states(draw, split: bool):
+    """(p, q, k, state): up to 300 one-member classes over 60 to 64
+    alternatives, in which p and the top alternative q agree on membership
+    in the first k classes, and differ at class k when ``split`` is set
+    (when it is not, k is the class count and they never differ)."""
+    n = draw(st.integers(60, 64))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    p, q = draw(st.integers(0, n - 2)), n - 1
+    n_classes = draw(st.integers(1, 300))
+    k = draw(st.integers(0, n_classes - 1)) if split else n_classes
+    masks: dict[int, None] = {}
+    while len(masks) < n_classes:
+        m = rng.getrandbits(n)
+        m = m & ~(1 << q) | (m >> p & 1) << q
+        if len(masks) == k:
+            m ^= 1 << q
+        if m:
+            masks.setdefault(m)
+    # the i-th mask drawn is the i-th class
+    return p, q, k, OpinionState.from_support(n, {m: n_classes - i for i, m in enumerate(masks)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_prefix_states(split=True))
+def test_a_pair_agreeing_on_the_first_k_classes_is_split_by_class_k(drawn):
+    p, q, k, state = drawn
+    rows = plain_rows(state)
+    assert rows[p][:k] == rows[q][:k] and rows[p][k] != rows[q][k]
+    lexcel, tau = plain_rankings(state)
+    assert lexcel_rank(state) == lexcel and not tied(lexcel, p, q)
+    assert iis_tiebreak_tau(state) == tau
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_prefix_states(split=False))
+def test_a_pair_never_split_stays_tied_with_equal_residuals(drawn):
+    p, q, _k, state = drawn
+    rows = plain_rows(state)
+    # the residual column is last, so equal rows mean equal residuals too
+    assert rows[p] == rows[q]
+    lexcel, tau = plain_rankings(state)
+    assert lexcel_rank(state) == lexcel and tied(lexcel, p, q)
+    assert iis_tiebreak_tau(state) == tau and tied(tau, p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(60, 64), st.integers(0, 2**32 - 1), st.booleans())
+def test_tau_keeps_the_zero_score_band_whole(n, seed, everyone_zero):
+    # the strongest class is one mask missing the top alternative, or two
+    # disjoint masks, which leave every score at 0
+    rng = Random(seed)
+    top = (1 << n) - 1
+    head = rng.getrandbits(n) & (top >> 1) or 1
+    first = {head, top ^ head} if everyone_zero else {head}
+    support = dict.fromkeys(first, 1000)
+    while len(support) < 200:
+        support.setdefault(rng.getrandbits(n) or 1, rng.randint(1, 999))
+    state = OpinionState.from_support(n, support)
+    zero = tuple(x for x, e in enumerate(plain_e_vector(state)) if e == 0)
+    assert n - 1 in zero and (len(zero) == n) == everyone_zero
+    lexcel, tau = plain_rankings(state)
+    assert iis_tiebreak_tau(state) == tau and tau.classes[-1] == zero
+    # the band is kept whole although lexcel splits it
+    assert lexcel_rank(state) == lexcel and lexcel.class_of(zero[0]) != lexcel.class_of(n - 1)
+
+
+def counts_then_fail(classes):
+    """Yield ``classes``, then fail the test if a further class is read."""
+    yield from classes
+    raise AssertionError("a class was read after every alternative stood alone")
+
+
+@pytest.mark.parametrize("n", (3, 63, 64))
+def test_the_walk_stops_reading_classes_once_the_alternatives_are_separated(n):
+    width = (n - 1).bit_length()
+    everyone = (1 << n) - 1
+    # one-member classes: class j holds the alternatives whose index has bit
+    # width-1-j set, so x's row is its index in binary, high bit first
+    digits = [frozenset({sum(1 << x for x in range(n) if x >> (width - 1 - j) & 1)})
+              for j in range(width)]
+    singletons = [1 << x for x in reversed(range(n))]
+    assert refine_by_class_counts([everyone], counts_then_fail(digits)) == singletons
+    # one class of n-1 nested masks, counted in bit planes: x lies in x of them
+    ladder = frozenset(everyone >> i << i for i in range(1, n))
+    assert refine_by_class_counts([everyone], counts_then_fail([ladder])) == singletons
+    # bands refine on their own, in their order
+    low = (1 << n // 2) - 1
+    assert refine_by_class_counts([low, everyone ^ low], counts_then_fail([ladder])) == (
+        [1 << x for x in reversed(range(n // 2))] + [1 << x for x in reversed(range(n // 2, n))])
 
 
 def test_lexcel_and_tau_never_read_the_class_count_rows(demo_state, monkeypatch):
