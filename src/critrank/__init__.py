@@ -5,7 +5,8 @@ criteria, and sparse opinion states with their support quotient.  On top of
 it sit two choice methods driven by criterion scores, a family of opinion
 aggregators built around the deepest-intersection score, an executable
 axiom suite, and a brute-force oracle used for differential testing.
-Import each name from its submodule, e.g. ``critrank.model``.
+Import each name from its submodule, e.g. ``critrank.model``.  The package
+imports none of them, so ``python3 -m critrank.cli`` runs without a warning.
 """
 
 __version__ = "0.1.0"

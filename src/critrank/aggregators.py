@@ -51,7 +51,9 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     unsigned int of 1, 2, 4 or 8 bytes.  None exceeds the voter count, so
     none carries into the next, and each row reads out with one
     ``to_bytes``.  Walking each order by criterion index from worst to
-    best, a row gains the units of every criterion already walked.
+    best, a row gains the units of every criterion already walked, so a
+    call takes one step per voter and criterion, not one per voter and
+    pair of criteria.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")

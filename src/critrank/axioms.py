@@ -188,7 +188,9 @@ def validate_instance(inst: AxiomInstance) -> None:
 
 class AxiomVerdict(_Record):
     """A rule's verdict on one instance: the first pair (x, y) that breaks
-    the axiom and why, or no witness when the rule passes."""
+    the axiom and why, or no witness when the rule passes.  Pairs are tried
+    x before y, each ascending; for ``wivip``, x runs over the veto set in
+    set order."""
 
     __slots__ = _fields = ("witness", "note")
 
@@ -217,8 +219,7 @@ def _class_indices(ranking: Ranking[int], universe: int) -> list[int]:
 
 
 def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
-    """The rule's verdict on an instance that has passed validation: the
-    first broken pair, x before y, each ascending (wivip's x in set order)."""
+    """The rule's verdict on an instance that has passed validation."""
     u = inst.o1.universe
     kind = inst.kind
     at1 = _class_indices(agg(inst.o1), u)

@@ -34,10 +34,14 @@ class BordaTally(_Record):
 
 
 def positional_scores(table: CriterionTable, profile: PreferenceProfile) -> dict[str, int]:
-    """Score each criterion positionally, keys in the table's criterion order.
+    """Score each criterion positionally, keys in the table's criterion order,
+    which :func:`~critrank.model.ranking_from_scores` keeps inside a tie.
 
     A voter ranking m criteria contributes m points to their top criterion,
-    m-1 to the next, and so on down to 1.
+    m-1 to the next, and so on down to 1.  Each order is walked by criterion
+    index into a list of totals, one step per voter and criterion.  A
+    profile over other criteria than the table's raises
+    :class:`~critrank.model.ValidationError`.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
@@ -68,10 +72,10 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int
     """Cumulative satisfier intersections down the criterion score classes.
 
     Entry k is the mask of the alternatives satisfying every criterion in
-    the top k+1 score classes.  A stage may be empty (mask 0) and stays
-    empty once it is.
+    the top k+1 score classes, grouped by :func:`positional_scores` alone.
+    A stage may be empty (mask 0) and stays empty once it is.
     """
-    ranking = borda_ranking(borda_criterion_scores(table, profile))
+    ranking = ranking_from_scores(positional_scores(table, profile))
     tr = table.tr
     return tuple(running_intersections(
         table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking.classes)))

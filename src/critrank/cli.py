@@ -12,13 +12,6 @@ preference profile (one line per voter, best criterion first)::
 
     voter <id>: <crit> > <crit> > ... > <crit>
 
-A profile order is read by splitting it on the exact separator ``" > "``
-first.  When that gives every criterion of the table once, it is taken as
-is: criterion names hold no ``>`` and no whitespace, so splitting on ``>``
-and stripping each part would give the same order.  Any other order, and
-every order of a table built in code with such a name, is split on ``>``
-and stripped, with the same errors.
-
 opinion state (raw counts, not tied to any table)::
 
     alternatives: <name> <name> ...
@@ -30,12 +23,6 @@ these tokens.  A brace group holds no ``{`` or ``}``; its comma-separated
 names may be padded, and blank names are skipped.  The count is one or
 more decimal digits (``str.isdecimal``, so ``٣`` reads as 3 and ``²`` is
 rejected); whitespace is what ``str.isspace`` accepts.
-
-A file of the shape ``format_opinion_state`` writes is read in bulk: the
-header, one block of ``#`` comment and empty lines, then only opinion lines
-separated by ``\\n``, whose subsets name known alternatives, unpadded and
-at most once each.  Any other file is read line by line, with the same
-language and the same errors.
 
 Exit codes: 0 success, 1 usage or parse error or a closed output pipe,
 2 validation error, 3 failed assertion, axiom violation, or self-test
@@ -186,9 +173,13 @@ def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
     """Read voter lines, each a strict order over the table's criteria.
 
     A line naming every criterion once passes one set check; only a line
-    that fails it is searched for its first fault.  The exact-separator
-    split of the module docstring is tried only when every criterion name
-    is free of ``>`` and whitespace, as a parsed table's names are.
+    that fails it is searched for its first fault, so it gets the message of
+    that fault.  Each order is first split on the exact separator ``" > "``,
+    and that split is kept when it passes the check: criterion names that
+    :func:`parse_criterion_table` accepts hold no ``>`` and no whitespace,
+    so splitting on ``>`` and stripping each part would give the same
+    order.  Any other order, and every order when some name of a table built
+    in code breaks that rule, is split on ``>`` and stripped.
     """
     known = set(table.criteria)
     exact = all(">" not in c and c.split() == [c] for c in known)
@@ -275,7 +266,13 @@ def _all_split(template: str, seps) -> bool:
 def _read_slice(chunk: str, bits: dict[str, int], masks: dict[str, int],
                 counts: dict[tuple[int, int], int]) -> bool:
     """Add a slice of whole opinion lines to ``counts``; False if any line
-    is not of the bulk shape (``counts`` is then left part done)."""
+    is not of the bulk shape (``counts`` is then left part done).
+
+    The slice is split on ``{`` once, then on ``}``, ``\\n`` and ``:`` by
+    C-level ``map(str.partition, ...)`` passes.  Each distinct separator
+    between the tokens is checked once against :func:`_split_opinion`, and
+    each distinct subset text is summed to its mask once.
+    """
     pieces = chunk.split("{")
     lefts, _, mids = zip(*map(str.partition, pieces[1::2], repeat("}")))
     rights, _, tails = zip(*map(str.partition, pieces[2::2], repeat("}")))
@@ -307,9 +304,11 @@ def _parse_bulk(text: str) -> tuple[tuple[str, ...], OpinionState] | None:
 
     The shape is an 'alternatives:' header, one block of '#' comment and
     empty lines, then only opinion lines separated by '\\n', each subset
-    naming known alternatives, unpadded and at most once.  Each distinct
-    separator and subset text is checked once.  Nothing here raises: any
-    other file, valid or not, is left to _parse_lines.
+    naming known alternatives, unpadded and at most once.  The body is read
+    in slices of about ``_SLICE`` characters, cut at line ends, by
+    :func:`_read_slice`.  Nothing here raises: any other file, valid or not,
+    is left to _parse_lines, so every error message, exit code and line
+    number is the per-line parser's.
     """
     start = text.find("\nopinion") + 1
     preamble = text[:start]

@@ -1,37 +1,11 @@
-"""Core domain model for ranking alternatives from supported subsets.
+"""Subsets, criterion tables, voter profiles and sparse opinion states, with
+the support quotient, excellence scores and class counts derived from them.
 
-Alternatives are dense indices ``0 .. universe-1``; a subset of alternatives
-is a single machine word, which caps the universe at 64 and keeps every
-aggregation step a handful of integer operations even when thousands of
-subsets carry support.  A subset is its plain int mask everywhere: the
-opinion counts, the support map, the support classes, ``from_support`` and
-the choice cascade all use masks, and a mask's members are read with
-:func:`iter_bits`.  :class:`AltSubset` (a validated mask with its universe)
-only keys criterion tables and the lazy ``entries`` view of a state, and is
-what the choice methods return.
-
-Opinion states are sparse: only pairs of subsets with a positive count are
-stored.  Their support quotient, :class:`QuotientOrder`, is an ordered
-partition of the supported subsets, strongest class first; the rules and
-axioms read only that order, so it keeps no support values.  The
-exponentially large family of subsets with zero support is never
-materialized; the quotient represents it as an implicit residual class.
-The excellence scores never need its members, and the two facts that are
-needed, its size and how many of its subsets contain each alternative, are
-closed-form counts rather than enumerations.
-
-Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.  A first read of a
-cached value that races another may compute it twice; both results are equal
-and immutable, and either may be kept.  Every record type
-of the package subclasses :class:`_Record` rather than using ``dataclasses``,
-which would load ``inspect`` and ``exec`` generated methods on every start of
-the CLI: a record names its public fields in ``_fields``, stores them in its
-own ``__init__`` through ``_set`` (``object.__setattr__``) and checks them
-there.  Test-only questions (``strictly_above``, ``weakly_above``, ``tied``,
-``satisfied_counts``, ``is_symmetric``) live in ``tests/conftest.py``.  The
-seeded random states that the axiom generators and the oracle's sweeps draw
-from are here, so the oracle runs without loading the axiom suite.
+A subset of the ``universe`` alternatives (at most 64) is a nonzero int
+mask, bit i for alternative i.  Only pairs of subsets with a positive count
+are stored; the subsets with no support form the quotient's residual class,
+which is never enumerated.  Every record is immutable, and a value that
+breaks a record's invariants raises :class:`ValidationError`.
 """
 
 import functools
@@ -91,8 +65,10 @@ class cached_property(functools.cached_property):
     """A :class:`functools.cached_property` without the class-wide ``RLock``
     that Python 3.10 and 3.11 take on every first read: ``self.func(instance)``
     goes into the instance ``__dict__`` unguarded, as Python 3.12 does, so
-    later reads skip the descriptor.  ``func`` stays writable, so a wrapper
-    can be swapped in and out."""
+    later reads skip the descriptor.  Two threads racing on a first read may
+    both compute the value; the results are equal and immutable, and either
+    may be kept.  ``func`` stays writable, so a wrapper can be swapped in and
+    out."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
@@ -102,12 +78,20 @@ class cached_property(functools.cached_property):
 
 
 class _Record:
-    """An immutable record with value equality.
+    """An immutable record with value equality, the base of every record
+    type of the package.
 
     Instances of the same class are equal when their ``_fields`` are, and
     hash and print as those fields; values a subclass caches in its
     ``__dict__`` take no part.  Assigning or deleting any attribute raises
     :class:`AttributeError`.
+
+    A subclass names its public fields in ``_fields``, stores them in its
+    own ``__init__`` through ``_set`` (``object.__setattr__``) and checks
+    them there.  It declares ``__slots__`` unless it keeps cached properties
+    in a ``__dict__``.  Records are not ``dataclasses`` classes: importing
+    ``dataclasses`` loads ``inspect``, and each decorated class ``exec``s
+    its generated methods, on every start of the CLI.
     """
 
     __slots__ = ()
@@ -136,7 +120,11 @@ class _Record:
 
 
 class AltSubset(_Record):
-    """A nonempty subset of the alternatives, stored as a bit vector."""
+    """A nonempty subset of the alternatives, stored as a bit vector.
+
+    It keys :attr:`CriterionTable.tr` and :attr:`OpinionState.entries`, and
+    the choice methods return it; everything else takes plain masks.
+    """
 
     __slots__ = _fields = ("mask", "universe")
 
@@ -310,7 +298,9 @@ class OpinionState(_Record):
         Column order follows the quotient, strongest class first.  Each
         explicit column is read off its class's :func:`bit_planes`; the final
         column is the implicit residual class when present, computed by
-        complement counting.
+        complement counting.  No rule reads the rows: ``lexcel`` and
+        ``iis-tb-tau`` refine by :func:`refine_by_class_counts`; the oracle
+        and the demo read them.
         """
         n, q = self.universe, self.quotient
         rows = [[0] * len(q.classes) for _ in range(n)]
@@ -446,7 +436,8 @@ class Ranking(_Record, Generic[L]):
     """A weak order presented as its ordered partition, best class first."""
 
     _fields = ("classes",)
-    # ``_position`` maps each label to the index of its class
+    # ``_position`` maps each label to the index of its class; it is filled
+    # while the labels are checked for repeats; axioms._class_indices reads it
     __slots__ = _fields + ("_position",)
 
     def __init__(self, classes: tuple[tuple[L, ...], ...]) -> None:
@@ -492,7 +483,8 @@ def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
 
 
 # ---------------------------------------------------------------------------
-# Random states, shared by the axiom generators and the oracle's sweeps
+# Random states, shared by the axiom generators and the oracle's sweeps; they
+# live here so that the oracle runs without loading the axiom suite
 
 
 def random_state(rng: Random, universe: int) -> OpinionState:
