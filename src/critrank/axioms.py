@@ -94,40 +94,21 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     return OpinionState(state.universe, counts)
 
 
-# A quotient as a comparable list of classes: a frozenset of masks per
-# explicit class, None for the trailing residual class.
-def _full_classes(state: OpinionState) -> list:
-    q = state.quotient
-    return list(q.classes) + ([None] if q.residual_present else [])
-
-
-def _residual_equals_masks(residual_state: OpinionState, masks: frozenset[int]) -> bool:
-    # The residual is the complement of the explicit subsets, so it equals a
-    # given family iff the family is disjoint from the explicit subsets and
-    # the sizes add up to the whole subset space.
-    explicit = residual_state.support_map.keys()
-    if not masks.isdisjoint(explicit):
-        return False
-    return len(masks) + len(explicit) == (1 << residual_state.universe) - 1
-
-
-def _classes_equal(state_a: OpinionState, item_a, state_b: OpinionState, item_b) -> bool:
-    if item_a is None and item_b is None:
-        return state_a.support_map.keys() == state_b.support_map.keys()
-    if item_a is None:
-        return _residual_equals_masks(state_a, item_b)
-    if item_b is None:
-        return _residual_equals_masks(state_b, item_a)
-    return item_a == item_b
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidInstanceError(message)
 
 
 def validate_instance(inst: AxiomInstance) -> None:
-    """Check the structural side-conditions of an instance; raise if broken."""
+    """Check the structural side-conditions of an instance; raise if broken.
+
+    Apart from nt, which compares states, validity depends only on the two
+    quotients and the promoted family, and only their explicit classes are
+    compared.  A quotient's classes, residual included, partition the
+    nonempty subsets, so its last class is the complement of the others:
+    two quotients over one universe with the same depth that agree on every
+    class but the last agree on the last too.
+    """
     _require(inst.kind in AXIOM_KINDS, f"unknown axiom kind {inst.kind!r}")
     u = inst.o1.universe
     needs_second = inst.kind != "wivip"
@@ -144,46 +125,41 @@ def validate_instance(inst: AxiomInstance) -> None:
         _check_permutation(inst.permutation, u)
         _require(permute_state(inst.o1, inst.permutation) == inst.o2,
                  "second state is not the relabeling of the first")
-    elif inst.kind == "iws":
-        f1 = _full_classes(inst.o1)
-        f2 = _full_classes(inst.o2)
-        _require(len(f2) >= len(f1) - 1, "second state has too few classes to keep the prefix")
-        for i in range(len(f1) - 1):
-            _require(_classes_equal(inst.o1, f1[i], inst.o2, f2[i]),
-                     f"class {i + 1} changed; only the worst class may be restructured")
+        return
+    q1 = inst.o1.quotient
+    d1 = q1.depth
+    if inst.kind == "iws":
+        q2 = inst.o2.quotient
+        _require(q2.depth >= d1, "second state has too few classes to keep the prefix")
+        _require(q2.classes[:d1 - 1] == q1.classes[:d1 - 1],
+                 "a class above the worst changed; only the worst class may be restructured")
     elif inst.kind == "ibs":
-        f1 = _full_classes(inst.o1)
-        f2 = _full_classes(inst.o2)
-        tail = len(f1) - 1
-        if tail == 0:
+        if d1 == 1:
             return  # the best class is the whole family; any state partitions it
-        _require(len(f2) >= tail + 1, "second state has too few classes to keep the tail")
-        for j in range(tail):
-            _require(_classes_equal(inst.o1, f1[1 + j], inst.o2, f2[len(f2) - tail + j]),
-                     f"class {j + 2} changed; only the best class may be restructured")
-        head = f2[: len(f2) - tail]
-        _require(all(item is not None for item in head),
-                 "the residual class cannot take part in a best-class split")
-        union = frozenset().union(*head)
-        _require(union == f1[0], "head classes must partition exactly the best class")
+        q2 = inst.o2.quotient
+        head = q2.depth - d1 + 1  # the second state's classes that split the best class
+        _require(head >= 1, "second state has too few classes to keep the tail")
+        _require(q2.classes[head:q2.depth - 1] == q1.classes[1:d1 - 1],
+                 "a class below the best changed; only the best class may be restructured")
+        _require(frozenset().union(*q2.classes[:head]) == q1.classes[0],
+                 "head classes must partition exactly the best class")
     elif inst.kind == "wivip":
-        _require(inst.o1.quotient.depth == 2, "state must have exactly two support classes")
+        _require(d1 == 2, "state must have exactly two support classes")
     elif inst.kind == "inui":
         masks = inst.promoted
         _require(bool(masks), "promoted family must be nonempty")
         _require(all(0 < m < 1 << u for m in masks),
                  "promoted subsets must live in the state's universe")
-        f1 = _full_classes(inst.o1)
-        f2 = _full_classes(inst.o2)
-        at = next((i for i, item in enumerate(f1) if item is not None and masks <= item), None)
+        at = next((i for i, members in enumerate(q1.classes) if masks <= members), None)
         _require(at is not None, "promoted family must sit inside a single positive-support class")
-        _require(at < len(f1) - 1, "the split class must be followed by at least one class")
-        _require(masks != f1[at], "promoted family must be a proper subfamily of its class")
-        expected = f1[:at] + [masks, f1[at] - masks] + f1[at + 1:]
-        _require(len(f2) == len(expected), "second state has the wrong number of classes")
-        for j, item in enumerate(expected):
-            _require(_classes_equal(inst.o1, item, inst.o2, f2[j]),
-                     "second state must promote exactly the given family one level")
+        _require(at < d1 - 1, "the split class must be followed by at least one class")
+        split = q1.classes[at]
+        _require(masks != split, "promoted family must be a proper subfamily of its class")
+        q2 = inst.o2.quotient
+        _require(q2.depth == d1 + 1, "second state has the wrong number of classes")
+        expected = q1.classes[:at] + (masks, split - masks) + q1.classes[at + 1:d1 - 1]
+        _require(q2.classes[:d1] == expected,
+                 "second state must promote exactly the given family one level")
 
 
 class AxiomVerdict(_Record):
@@ -365,8 +341,7 @@ def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
     for _ in range(40):
         o1 = random_support_state(rng, universe)
         classes = list(o1.quotient.classes)
-        last_ok = len(classes) if o1.quotient.residual_present else len(classes) - 1
-        eligible = [i for i in range(last_ok) if len(classes[i]) >= 2]
+        eligible = [i for i in range(o1.quotient.depth - 1) if len(classes[i]) >= 2]
         if not eligible:
             continue
         at = rng.choice(eligible)

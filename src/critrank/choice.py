@@ -12,7 +12,6 @@ from .model import (
     AltSubset,
     CriterionTable,
     PreferenceProfile,
-    Ranking,
     ValidationError,
     column_sums,
     ranking_from_scores,
@@ -61,11 +60,6 @@ def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) ->
     scores = positional_scores(table, profile)
     alt = column_sums(table.universe, [(table.tr[c].mask, v) for c, v in scores.items()])
     return BordaTally(scores, tuple(alt))
-
-
-def borda_ranking(tally: BordaTally) -> Ranking[str]:
-    """Criteria grouped by positional score, strongest first."""
-    return ranking_from_scores(tally.criterion_scores)
 
 
 def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int, ...]:

@@ -49,7 +49,6 @@ from .aggregators import (
 )
 from .choice import (
     borda_criterion_scores,
-    borda_ranking,
     cascade_sets,
     nurmi_first,
     nurmi_second,
@@ -62,6 +61,7 @@ from .model import (
     Ranking,
     ValidationError,
     iter_bits,
+    ranking_from_scores,
 )
 
 
@@ -611,7 +611,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     fields = [
         ("criterion scores", "criterion-scores", tuple(tally.criterion_scores.items())),
-        ("criteria ranking", "criteria-ranking", format_ranking(borda_ranking(tally))),
+        ("criteria ranking", "criteria-ranking",
+         format_ranking(ranking_from_scores(tally.criterion_scores))),
     ]
     for k, stage in enumerate(cascade_sets(table, profile), 1):
         fields.append((f"stage {k} intersection", f"stage-{k}",

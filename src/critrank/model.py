@@ -321,12 +321,12 @@ class QuotientOrder(_Record):
     ``classes`` holds one frozenset of masks per explicit class, strongest
     first; only their order matters, not the support values that produced
     it.  The residual class collects every subset not listed in ``classes``;
-    it is last and never materialized: construction derives its size,
-    ``residual_size``, and whether it is nonempty, ``residual_present``.
+    it is last and never materialized: construction derives whether it is
+    nonempty, ``residual_present``.
     """
 
     _fields = ("universe", "classes")
-    __slots__ = _fields + ("residual_size", "residual_present")
+    __slots__ = _fields + ("residual_present",)
 
     def __init__(self, universe: int, classes: tuple[frozenset[int], ...]) -> None:
         _check_universe(universe)
@@ -341,12 +341,10 @@ class QuotientOrder(_Record):
                 if mask in seen:
                     raise ValidationError("support classes must be disjoint")
                 seen.add(mask)
-        residual = capacity - len(seen)
         _set(self, "universe", universe)
         _set(self, "classes", classes)
-        # plain attributes, not properties: ``depth`` reads the flag on every access
-        _set(self, "residual_size", residual)
-        _set(self, "residual_present", residual > 0)
+        # a plain attribute, not a property: ``depth`` reads the flag on every access
+        _set(self, "residual_present", len(seen) < capacity)
 
     @property
     def depth(self) -> int:

@@ -232,9 +232,6 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
                        for members in q.classes]
     if sparse_positive != dense_positive:
         problems.append("quotient-classes")
-    dense_zero = sum(len(members) for v, members in dcls if v == 0)
-    if (q.residual_present, q.residual_size) != (dense_zero > 0, dense_zero):
-        problems.append("residual")
     if q.depth != len(dcls):
         problems.append("depth")
 

@@ -33,13 +33,18 @@ from critrank.axioms import (
 )
 from critrank.choice import (
     borda_criterion_scores,
-    borda_ranking,
     cascade_sets,
     nurmi_first,
     nurmi_second,
 )
 from critrank.cli import main
-from critrank.model import AltSubset, iter_bits, random_state, random_support_state
+from critrank.model import (
+    AltSubset,
+    iter_bits,
+    random_state,
+    random_support_state,
+    ranking_from_scores,
+)
 from critrank.oracle import differential_sweep
 
 from conftest import bits, check_choice_equivalence, random_symmetric_table, top_k
@@ -74,7 +79,7 @@ def test_golden_choice_example(demo_table, demo_profile):
         tally = borda_criterion_scores(demo_table, demo_profile)
         return (
             tally,
-            borda_ranking(tally),
+            ranking_from_scores(tally.criterion_scores),
             cascade_sets(demo_table, demo_profile),
             nurmi_first(demo_table, demo_profile),
             nurmi_second(demo_table, demo_profile),
@@ -250,7 +255,7 @@ def test_structural_identity_suite():
             if s not in table.tr.values() and state.support_map.get(m, 0) != 0:
                 induced_support_ok = False
         q = state.quotient
-        ranking = borda_ranking(tally)
+        ranking = ranking_from_scores(tally.criterion_scores)
         expected_classes = tuple(
             frozenset(table.tr[c].mask for c in cls_) for cls_ in ranking.classes)
         if expected_classes != q.classes or not q.residual_present:

@@ -123,6 +123,30 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             validate_instance(AxiomInstance("iws", o1, o2=o2))
 
+    def test_worst_split_of_a_residual_free_last_class_is_accepted(self):
+        # o1's last class is explicit, o2's is the residual
+        o1 = OpinionState.from_support(3, {0b001: 2, **{m: 1 for m in range(2, 8)}})
+        o2 = OpinionState.from_support(3, {0b001: 2, 0b010: 1, 0b011: 1})
+        validate_instance(AxiomInstance("iws", o1, o2=o2))
+
+    def test_worst_split_rejects_a_second_state_one_class_short(self):
+        o1 = OpinionState.from_support(3, {0b001: 3, 0b010: 2})
+        o2 = OpinionState.from_support(3, {0b001: 1})
+        with pytest.raises(InvalidInstanceError):
+            validate_instance(AxiomInstance("iws", o1, o2=o2))
+
+    def test_best_split_keeping_the_residual_is_accepted(self):
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b101: 2, 0b100: 1})
+        o2 = OpinionState.from_support(3, {0b011: 4, 0b101: 3, 0b100: 1})
+        validate_instance(AxiomInstance("ibs", o1, o2=o2))
+
+    def test_best_split_rejects_a_head_member_dropped_into_the_residual(self):
+        # the middle class matches; only the last class tells the states apart
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b101: 2, 0b100: 1})
+        o2 = OpinionState.from_support(3, {0b011: 3, 0b100: 1})
+        with pytest.raises(InvalidInstanceError):
+            validate_instance(AxiomInstance("ibs", o1, o2=o2))
+
     def test_best_split_rejects_a_changed_tail(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
         o2 = OpinionState.from_support(3, {0b010: 3, 0b001: 2})  # drops the tail class

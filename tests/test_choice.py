@@ -6,10 +6,10 @@ from critrank.aggregators import criterion_score_state, support_rank
 from critrank.axioms import random_profile, random_table
 from critrank.choice import (
     borda_criterion_scores,
-    borda_ranking,
     cascade_sets,
     nurmi_first,
     nurmi_second,
+    positional_scores,
 )
 from critrank.model import (
     AltSubset,
@@ -18,6 +18,7 @@ from critrank.model import (
     ValidationError,
     column_sums,
     iter_bits,
+    ranking_from_scores,
 )
 
 from conftest import bits, is_symmetric, max_of
@@ -76,7 +77,7 @@ class TestCriterionScores:
                 assert tally.alternative_scores[x] == direct
 
     def test_keys_follow_table_order_whatever_the_first_voter(self):
-        # borda_ranking keeps this order inside a tie, so the first voter's
+        # ranking_from_scores keeps this order inside a tie, so the first voter's
         # order must not leak into it
         rng = Random("choice/keyorder")
         for _ in range(40):
@@ -89,20 +90,20 @@ class TestCriterionScores:
             tally = borda_criterion_scores(table, profile)
             assert tuple(tally.criterion_scores) == table.criteria
             position = {c: i for i, c in enumerate(table.criteria)}
-            for cls_ in borda_ranking(tally).classes:
+            for cls_ in ranking_from_scores(tally.criterion_scores).classes:
                 assert list(cls_) == sorted(cls_, key=position.__getitem__)
 
 
 class TestCriteriaRanking:
     def test_worked_example_order(self, demo_table, demo_profile):
-        r = borda_ranking(borda_criterion_scores(demo_table, demo_profile))
+        r = ranking_from_scores(positional_scores(demo_table, demo_profile))
         assert r.classes == (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))
 
     def test_unanimous_profile_reproduces_the_order(self):
         table = table_of(3, (0,), (1,), (2,), (0, 1))
         order = ("c2", "c0", "c3", "c1")
         profile = PreferenceProfile(("v1", "v2"), (order, order))
-        r = borda_ranking(borda_criterion_scores(table, profile))
+        r = ranking_from_scores(positional_scores(table, profile))
         assert r.classes == (("c2",), ("c0",), ("c3",), ("c1",))
 
     def test_opposed_pair_ties_their_criteria(self):
@@ -110,7 +111,7 @@ class TestCriteriaRanking:
         table = table_of(3, (0,), (1,), (2,))
         profile = PreferenceProfile(
             ("v1", "v2"), (("c0", "c1", "c2"), ("c1", "c0", "c2")))
-        r = borda_ranking(borda_criterion_scores(table, profile))
+        r = ranking_from_scores(positional_scores(table, profile))
         assert r.classes == (("c0", "c1"), ("c2",))
 
 

@@ -215,7 +215,6 @@ class TestQuotientOrder:
         q = OpinionState(3, {}).quotient
         assert q.classes == ()
         assert q.residual_present
-        assert q.residual_size == 7
         assert q.depth == 1
 
     def test_dense_distinct_supports_have_no_residual(self):
@@ -231,11 +230,10 @@ class TestQuotientOrder:
         q = QuotientOrder(3, full)
         assert not q.residual_present
         assert q.depth == len(q.classes) == 7
-        assert q.residual_size == 0
         partial = QuotientOrder(3, full[:5])
         assert partial.residual_present
         assert partial.depth == 6
-        assert partial.residual_size == 2
+        assert sum(map(len, partial.classes)) == 5
 
     def test_values_strictly_decreasing(self):
         state = OpinionState.from_support(3, {0b001: 2, 0b010: 2, 0b100: 1})
@@ -260,8 +258,9 @@ class TestQuotientOrder:
             values += in_class
         assert all(a > b for a, b in zip(values, values[1:]))
         assert sorted(m for members in q.classes for m in members) == sorted(support)
-        total = sum(len(members) for members in q.classes) + q.residual_size
-        assert total == 2 ** state.universe - 1
+        explicit = sum(len(members) for members in q.classes)
+        assert q.residual_present == (explicit < 2 ** state.universe - 1)
+        assert q.depth == len(q.classes) + q.residual_present
 
     @settings(max_examples=150, deadline=None)
     @given(st.permutations(range(1, 8)), st.sets(st.integers(1, 6), max_size=6),
