@@ -7,12 +7,16 @@ voter count (1, 127, 128, 255 and 256 voters, written to a temporary
 directory), ``rank --table/--profile`` for every rule, ``induce`` and
 ``choose --method n1`` and ``n2``.  The profiles separate criteria with
 ``" > "``, ``">"`` and padded ``">"`` in turn, so both of the profile
-reader's paths are read.  Last, ``rank --opinions`` for every rule on two
-seeded 64-alternative opinion files: one with 5,000 one-member support
-classes ranked by mask, and one with 2,400 subsets in 8 support classes
-whose subsets contain nested cores.  Every run is made in both output
-formats.  For every run, in that order, the digest takes its exit code
-and its stdout.
+reader's paths are read.  Then ``rank --rule iis``, ``induce`` and
+``choose --method n1`` on five faulty copies of a seeded 40-voter profile:
+a repeated voter, an unknown criterion, an omitted criterion, a malformed
+order, and a line that is not a voter line after 36 clean ones.  Last,
+``rank --opinions`` for every rule on two seeded 64-alternative opinion
+files: one with 5,000 one-member support classes ranked by mask, and one
+with 2,400 subsets in 8 support classes whose subsets contain nested
+cores.  Every run is made in both output formats.  For every run, in that
+order, the digest takes its exit code, its stdout and its stderr, so the
+faulty profiles pin each error message and its line number.
 Two checkouts whose CLI output is byte-identical on these runs print the
 same digest, so comparing the line printed by a change with the one
 printed by its parent shows whether the change moved any output.  Takes no
@@ -59,6 +63,23 @@ def table_and_profile(rng: Random, n_voters: int) -> tuple[str, str]:
         rng.shuffle(order)
         profile.append(f"voter v{v + 1}: " + SEPARATORS[v % len(SEPARATORS)].join(order))
     return "\n".join(table) + "\n", "\n".join(profile) + "\n"
+
+
+def faulty_profiles(profile: str) -> dict[str, str]:
+    """Copies of a clean profile of at least 37 voter lines, each with one
+    fault, by name."""
+    lines = profile.splitlines()
+
+    def edited(lineno: int, line: str) -> str:
+        return "\n".join(lines[:lineno - 1] + [line] + lines[lineno:]) + "\n"
+
+    return {
+        "repeated-voter": edited(6, "voter v1:" + lines[5].partition(":")[2]),
+        "unknown-criterion": edited(2, lines[1] + " > zz"),
+        "omitted-criterion": edited(3, lines[2].rpartition(">")[0]),
+        "malformed-order": edited(4, lines[3].replace(">", "> >", 1)),
+        "later-line": edited(37, "ballot" + lines[36].removeprefix("voter")),
+    }
 
 
 def opinion_file(rng: Random, classes: int, per_class: int) -> str:
@@ -117,6 +138,17 @@ def runs(workdir: str) -> list[list[str]]:
         for command in commands:
             for fmt in FORMATS:
                 out.append([*command, "--format", fmt])
+    table, profile = table_and_profile(Random("digest/faults"), 40)
+    tpath = Path(workdir, "table-faults.txt")
+    tpath.write_text(table)
+    for fault, text in faulty_profiles(profile).items():
+        ppath = Path(workdir, f"profile-{fault}.txt")
+        ppath.write_text(text)
+        files = ["--table", str(tpath), "--profile", str(ppath)]
+        for command in (["rank", *files, "--rule", "iis"], ["induce", *files],
+                        ["choose", *files, "--method", "n1"]):
+            for fmt in FORMATS:
+                out.append([*command, "--format", fmt])
     for shape, (classes, per_class) in {"wide": (5000, 1), "tied": (8, 300)}.items():
         path = Path(workdir, f"opinions-{shape}.txt")
         path.write_text(opinion_file(Random(f"digest/{shape}"), classes, per_class))
@@ -127,14 +159,15 @@ def runs(workdir: str) -> list[list[str]]:
 
 
 def digest(argvs: list[list[str]]) -> str:
-    """sha256 over each run's exit code and stdout, both length-framed."""
+    """sha256 over each run's exit code, stdout and stderr, both streams
+    length-framed."""
     h = hashlib.sha256()
     for argv in argvs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        out = buf.getvalue().encode()
-        h.update(f"{code} {len(out)}\n".encode() + out)
+        out, err = out.getvalue().encode(), err.getvalue().encode()
+        h.update(f"{code} {len(out)} {len(err)}\n".encode() + out + err)
     return h.hexdigest()
 
 

@@ -172,17 +172,53 @@ def parse_criterion_table(text: str) -> CriterionTable:
 def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
     """Read voter lines, each a strict order over the table's criteria.
 
-    A line naming every criterion once passes one set check; only a line
-    that fails it is searched for its first fault, so it gets the message of
-    that fault.  Each order is first split on the exact separator ``" > "``,
-    and that split is kept when it passes the check: criterion names that
-    :func:`parse_criterion_table` accepts hold no ``>`` and no whitespace,
-    so splitting on ``>`` and stripping each part would give the same
-    order.  Any other order, and every order when some name of a table built
-    in code breaks that rule, is split on ``>`` and stripped.
+    An accepted profile has each order set-checked once, by
+    :class:`PreferenceProfile`.  A first pass splits every voter line on the
+    exact separator ``" > "`` and builds the profile from those orders; it
+    is returned when the record accepts it and its criteria are the table's.
+    Criterion names that :func:`parse_criterion_table` accepts hold no ``>``
+    and no whitespace, so splitting on ``>`` and stripping each part would
+    give the same orders.  The first pass never raises.  When the record
+    refuses the orders, their criteria differ from the table's, a line is
+    not a voter line, or some name of a table built in code breaks that
+    rule, the text is read again by :func:`_profile_lines`, which reports
+    the first fault with its line number.
     """
     known = set(table.criteria)
     exact = all(">" not in c and c.split() == [c] for c in known)
+    if exact:
+        profile = _exact_profile(text)
+        if profile is not None and profile.criteria_set == known:
+            return profile
+    return _profile_lines(text, known, exact)
+
+
+def _exact_profile(text: str) -> PreferenceProfile | None:
+    """The profile of orders split on ``" > "``, or None if a line is not a
+    voter line or the record refuses the orders."""
+    voters: list[str] = []
+    orders: list[tuple[str, ...]] = []
+    for _, line in _content_lines(text):
+        head, sep, body = line.partition(":")
+        words = head.split()
+        if not sep or len(words) != 2 or words[0] != "voter":
+            return None
+        voters.append(words[1])
+        orders.append(tuple(body.strip().split(" > ")))
+    try:
+        return PreferenceProfile(tuple(voters), tuple(orders))
+    except ValidationError:
+        return None
+
+
+def _profile_lines(text: str, known: set[str], exact: bool) -> PreferenceProfile:
+    """The per-line profile reader, the one that reports every error.
+
+    A line naming every criterion once passes one set check; only a line
+    that fails it is searched for its first fault.  Each order is split on
+    ``" > "`` when ``exact`` and that split names every criterion once, and
+    on ``>`` with its parts stripped otherwise.
+    """
     seen_voters: set[str] = set()
     voters: list[str] = []
     orders: list[tuple[str, ...]] = []
@@ -402,7 +438,9 @@ def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: b
     (left, right, count) opinion rows, every subset as text.
 
     A criterion-induced state repeats each of its few masks on many rows,
-    so each distinct mask is formatted once.
+    so each distinct mask is formatted once.  The opinion keys are unique, so
+    they are sorted alone and each count looked up: comparing keys is
+    cheaper than comparing (key, count) items.
     """
     texts: dict[int, str] = {}
 
@@ -414,7 +452,8 @@ def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: b
 
     supports = ([(text(m), v) for m, v in sorted(state.support_map.items())]
                 if include_supports else [])
-    opinions = [(text(s), text(t), c) for (s, t), c in sorted(state.counts.items())]
+    counts = state.counts
+    opinions = [(text(s), text(t), counts[s, t]) for s, t in sorted(counts)]
     return supports, opinions
 
 

@@ -304,10 +304,12 @@ class TestRuleRegistry:
         checks = len(RULES) * len(AXIOM_KINDS) * 3 * 2 * 2
         # per voter count: every rule, induce, and both choose methods
         profile_runs = (len(RULES) + 1 + 2) * 2
+        # per faulty profile: rank, induce and one choose method
+        fault_runs = 3 * 2
         # per opinion file: every rule
         opinion_runs = 2 * len(RULES) * 2
         assert len(argvs) == (checks + 4 + len(script.VOTER_COUNTS) * profile_runs
-                              + opinion_runs)
+                              + 5 * fault_runs + opinion_runs)
         assert script.VOTER_COUNTS == (1, 127, 128, 255, 256)
         ranked = {argv[argv.index("--rule") + 1] for argv in argvs[checks + 4:]
                   if argv[0] == "rank"}
@@ -315,6 +317,16 @@ class TestRuleRegistry:
         for n_voters in script.VOTER_COUNTS:
             profile = (tmp_path / f"profile-{n_voters}.txt").read_text()
             assert len(profile.splitlines()) == n_voters
+        faulty = argvs[-opinion_runs - 5 * fault_runs:-opinion_runs]
+        assert {argv[0] for argv in faulty} == {"rank", "induce", "choose"}
+        clean = script.table_and_profile(Random("digest/faults"), 40)[1].splitlines()
+        for fault, lineno in (("repeated-voter", 6), ("unknown-criterion", 2),
+                              ("omitted-criterion", 3), ("malformed-order", 4),
+                              ("later-line", 37)):
+            lines = (tmp_path / f"profile-{fault}.txt").read_text().splitlines()
+            assert len(lines) == len(clean)
+            assert [i for i, (a, b) in enumerate(zip(lines, clean), 1) if a != b] == [lineno]
+            assert sum(str(tmp_path / f"profile-{fault}.txt") in argv for argv in faulty) == 6
         assert all(argv[:2] == ["rank", "--opinions"] for argv in argvs[-opinion_runs:])
         for shape, n_classes, size in (("wide", 5000, 1), ("tied", 8, 300)):
             text = (tmp_path / f"opinions-{shape}.txt").read_text()

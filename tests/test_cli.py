@@ -311,6 +311,60 @@ class TestProfileFastPath:
             outcome = outcome.orders[0]
         assert outcome == expected
 
+    # whole files on the plain j, k, l table: each is refused by the exact
+    # first pass, so the per-line reader must give the strip path's outcome
+    @pytest.mark.parametrize("text, expected", (
+        pytest.param("voter 1: j\nvoter 1 j > k > l",
+                     (ValidationError, "voter '1' omits criteria: k, l"),
+                     id="line-1-fault-before-a-malformed-line-2"),
+        pytest.param("voter 1: j > k > l\nvoter 2: l > k > j\nvoter 1: k > j > l\n",
+                     (ParseError, "line 3: voter '1' listed twice"),
+                     id="repeated-voter-on-line-3"),
+        pytest.param("voter 1: j  >  k  >  l\nvoter 2: j  >  k  >  l\n",
+                     (("j", "k", "l"), ("j", "k", "l")),
+                     id="every-line-padded-alike"),
+        pytest.param("voter 1: j > k > l\nvoter 2: l  > k >  j\nvoter 3: k>j>l\n",
+                     (("j", "k", "l"), ("l", "k", "j"), ("k", "j", "l")),
+                     id="exact-and-padded-lines-mixed"),
+        pytest.param("# voter 1: j > k > l\n\n  # no voter here\n",
+                     (ParseError, "profile lists no voters"),
+                     id="comments-only"),
+    ))
+    def test_whole_files(self, text, expected):
+        outcome = _profile_outcome(parse_profile, text, _JKL_TABLE)
+        assert outcome == _profile_outcome(_strip_path_profile, text, _JKL_TABLE)
+        if isinstance(outcome, PreferenceProfile):
+            outcome = outcome.orders
+        assert outcome == expected
+
+    def test_repeated_voter_is_exit_1_with_its_line(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        profile = tmp_path / "profile.txt"
+        table.write_text("alternatives: a b c\ncriterion j: a\ncriterion k: b\n"
+                         "criterion l: c\n")
+        profile.write_text("voter 1: j > k > l\nvoter 2: l > k > j\nvoter 1: k > j > l\n")
+        for command in (["rank", "--rule", "iis"], ["induce"], ["choose", "--method", "n1"]):
+            assert main([*command, "--table", str(table), "--profile", str(profile)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: line 3: voter '1' listed twice\n")
+
+    def test_a_clean_exact_profile_is_checked_once(self, monkeypatch):
+        entered = []
+        walk = critrank.cli._profile_lines
+
+        def counted(*args):
+            entered.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(critrank.cli, "_profile_lines", counted)
+        clean = "# header\nvoter 1: j > k > l\n\nvoter 2: l > k > j\r\nvoter 3: k > j > l\n"
+        assert parse_profile(clean, _JKL_TABLE).orders == (
+            ("j", "k", "l"), ("l", "k", "j"), ("k", "j", "l"))
+        assert entered == []
+        padded = "voter 1: j > k > l\nvoter 2: l>k>j\n"
+        assert parse_profile(padded, _JKL_TABLE).orders == (("j", "k", "l"), ("l", "k", "j"))
+        assert entered == [padded]
+
 
 class TestOpinionParsing:
     def test_basic_entries(self):
