@@ -10,13 +10,17 @@ directory), ``rank --table/--profile`` for every rule, ``induce`` and
 reader's paths are read.  Then ``rank --rule iis``, ``induce`` and
 ``choose --method n1`` on five faulty copies of a seeded 40-voter profile:
 a repeated voter, an unknown criterion, an omitted criterion, a malformed
-order, and a line that is not a voter line after 36 clean ones.  Last,
+order, and a line that is not a voter line after 36 clean ones.  Then
 ``rank --opinions`` for every rule on two seeded 64-alternative opinion
 files: one with 5,000 one-member support classes ranked by mask, and one
 with 2,400 subsets in 8 support classes whose subsets contain nested
-cores.  Every run is made in both output formats.  For every run, in that
-order, the digest takes its exit code, its stdout and its stderr, so the
-faulty profiles pin each error message and its line number.
+cores.  Last, ``rank --rule iis`` on six opinion files past the universe
+bounds: 65 names, an empty header before an opinion line, and an empty
+header alone, each in the bulk reader's shape and, with one subset padded
+or the header indented, in the per-line shape.  Every run is made in both
+output formats.  For every run, in that order, the digest takes its exit
+code, its stdout and its stderr, so the faulty profiles and the opinion
+files past the bounds pin each error message and its line number.
 Two checkouts whose CLI output is byte-identical on these runs print the
 same digest, so comparing the line printed by a change with the one
 printed by its parent shows whether the change moved any output.  Takes no
@@ -109,6 +113,20 @@ def opinion_file(rng: Random, classes: int, per_class: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def out_of_bounds_files() -> dict[str, str]:
+    """Opinion files whose universe is out of bounds or empty, by name: each
+    in the bulk reader's shape, then in the per-line shape."""
+    many = " ".join(f"x{i}" for i in range(65))
+    return {
+        "65-names-bulk": f"alternatives: {many}\nopinion {{x0}} >= {{x0}} : 1\n",
+        "65-names-lines": f"alternatives: {many}\nopinion {{ x0 }} >= {{x0}} : 1\n",
+        "empty-header-bulk": "alternatives:\nopinion {x0} >= {x0} : 1\n",
+        "empty-header-lines": "alternatives:\nopinion { x0 } >= {x0} : 1\n",
+        "header-alone-bulk": "alternatives:\n",
+        "header-alone-lines": "  alternatives:  \n",
+    }
+
+
 def runs(workdir: str) -> list[list[str]]:
     """The argv of every run, in digest order; writes the table and profile
     files the runs read into ``workdir``."""
@@ -155,6 +173,11 @@ def runs(workdir: str) -> list[list[str]]:
         for rule in RULES:
             for fmt in FORMATS:
                 out.append(["rank", "--opinions", str(path), "--rule", rule, "--format", fmt])
+    for name, text in out_of_bounds_files().items():
+        path = Path(workdir, f"opinions-{name}.txt")
+        path.write_text(text)
+        for fmt in FORMATS:
+            out.append(["rank", "--opinions", str(path), "--rule", "iis", "--format", fmt])
     return out
 
 

@@ -53,7 +53,7 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
     ``to_bytes``.  Walking each order by criterion index from worst to
     best, a row gains the units of every criterion already walked, so a
     call takes one step per voter and criterion, not one per voter and
-    pair of criteria.
+    pair of criteria.  Built unchecked: table masks, unsigned counts.
     """
     if profile.criteria_set != set(table.criteria):
         raise ValidationError("profile ranks a different criterion set than the table lists")
@@ -78,7 +78,7 @@ def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> Opinion
         counts.update(zip(zip(repeat(s), masks), fields))
         # a criterion is never below itself, so its own field is 0 until set
         counts[(s, s)] = n_voters
-    return OpinionState(table.universe, counts)
+    return OpinionState._trusted(table.universe, counts)
 
 
 def criterion_score_state(table: CriterionTable, profile: PreferenceProfile) -> OpinionState:
@@ -89,9 +89,11 @@ def criterion_score_state(table: CriterionTable, profile: PreferenceProfile) -> 
     masks are distinct (``CriterionTable`` enforces it), every score is at
     least ``n_voters`` > 0 and keys follow table order, so ``support_map``
     equals the induced one, key order included, and every rule ranks alike.
+    Built unchecked: table masks, positive scores.
     """
-    scores = positional_scores(table, profile).items()
-    return OpinionState.from_support(table.universe, {table.tr[c].mask: v for c, v in scores})
+    masks = [table.tr[c].mask for c in table.criteria]
+    scores = positional_scores(table, profile).values()
+    return OpinionState._trusted(table.universe, {(m, m): v for m, v in zip(masks, scores)})
 
 
 def iis_rank(state: OpinionState) -> Ranking[int]:

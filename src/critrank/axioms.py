@@ -85,13 +85,14 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     The relabeled state holds count v at (image of S, image of T) exactly
     when the original holds v at (S, T), so supports and scores follow the
     relabeling: the image of x scores in the new state what x scored before.
+    Built unchecked: a checked permutation maps valid masks to valid masks.
     """
     _check_permutation(pi, state.universe)
     counts = {
         (_permute_mask(s, pi), _permute_mask(t, pi)): v
         for (s, t), v in state.counts.items()
     }
-    return OpinionState(state.universe, counts)
+    return OpinionState._trusted(state.universe, counts)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -235,13 +236,14 @@ def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
 
 
 def _state_from_class_masks(universe: int, class_masks: Sequence[Iterable[int]]) -> OpinionState:
-    """Realize an explicit class list (strongest first) as a state."""
+    """Realize an explicit class list (strongest first) as a state; built
+    unchecked: generated masks in range, supports at least 1."""
     blocks = [list(masks) for masks in class_masks]
-    support: dict[int, int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for idx, masks in enumerate(blocks):
         for m in masks:
-            support[m] = len(blocks) - idx
-    return OpinionState.from_support(universe, support)
+            counts[(m, m)] = len(blocks) - idx
+    return OpinionState._trusted(universe, counts)
 
 
 def _sample_residual_masks(rng: Random, universe: int, taken: frozenset[int],
@@ -315,15 +317,16 @@ def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
 
 
 def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
+    """A two-class state, built unchecked: masks drawn from 1 .. top."""
     top = (1 << universe) - 1
     if universe <= 5 and rng.random() < 0.2:
         # dense flavor: every subset supported, two levels
         masks = list(range(1, top + 1))
         rng.shuffle(masks)
         cut = rng.randint(1, top - 1)
-        support = {m: 2 for m in masks[:cut]}
-        support.update({m: 1 for m in masks[cut:]})
-        return AxiomInstance("wivip", OpinionState.from_support(universe, support))
+        counts = {(m, m): 2 for m in masks[:cut]}
+        counts.update({(m, m): 1 for m in masks[cut:]})
+        return AxiomInstance("wivip", OpinionState._trusted(universe, counts))
     if rng.random() < 0.6:
         # bias toward a nonempty intersection so the axiom has bite
         x = rng.randrange(universe)
@@ -333,8 +336,8 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
     value = rng.randint(1, 5)
     if len(picked) == top:
         picked.pop()  # keep the residual class nonempty
-    support = {m: value for m in picked}
-    return AxiomInstance("wivip", OpinionState.from_support(universe, support))
+    counts = {(m, m): value for m in picked}
+    return AxiomInstance("wivip", OpinionState._trusted(universe, counts))
 
 
 def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:

@@ -12,6 +12,7 @@ from .model import (
     AltSubset,
     CriterionTable,
     PreferenceProfile,
+    Ranking,
     ValidationError,
     column_sums,
     ranking_from_scores,
@@ -69,7 +70,11 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int
     the top k+1 score classes, grouped by :func:`positional_scores` alone.
     A stage may be empty (mask 0) and stays empty once it is.
     """
-    ranking = ranking_from_scores(positional_scores(table, profile))
+    return _stages(table, ranking_from_scores(positional_scores(table, profile)))
+
+
+def _stages(table: CriterionTable, ranking: Ranking[str]) -> tuple[int, ...]:
+    """The cascade down a given ranking of the criteria."""
     tr = table.tr
     return tuple(running_intersections(
         table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking.classes)))
@@ -83,16 +88,26 @@ def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     stage if it never does.  When even the strongest class forces emptiness
     the choice falls back to every alternative.
     """
-    chosen = (1 << table.universe) - 1
-    for stage in cascade_sets(table, profile):
+    return AltSubset(_last_alive(table.universe, cascade_sets(table, profile)), table.universe)
+
+
+def _last_alive(universe: int, stages: tuple[int, ...]) -> int:
+    """The cascade choice as a mask: the last nonempty stage, else everyone."""
+    chosen = (1 << universe) - 1
+    for stage in stages:
         if not stage:
             break
         chosen = stage
-    return AltSubset(chosen, table.universe)
+    return chosen
 
 
 def nurmi_second(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     """Alternatives maximizing the summed score of the criteria they satisfy."""
     scores = borda_criterion_scores(table, profile).alternative_scores
+    return AltSubset(_top_scorers(scores), table.universe)
+
+
+def _top_scorers(scores: tuple[int, ...]) -> int:
+    """The score choice as a mask: the alternatives with the top sum."""
     best = max(scores)
-    return AltSubset(sum(1 << i for i, s in enumerate(scores) if s == best), table.universe)
+    return sum(1 << i for i, s in enumerate(scores) if s == best)

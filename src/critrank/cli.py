@@ -48,8 +48,10 @@ from .aggregators import (
     support_rank,
 )
 from .choice import (
+    _last_alive,
+    _stages,
+    _top_scorers,
     borda_criterion_scores,
-    cascade_sets,
     nurmi_first,
     nurmi_second,
 )
@@ -344,7 +346,9 @@ def _parse_bulk(text: str) -> tuple[tuple[str, ...], OpinionState] | None:
     in slices of about ``_SLICE`` characters, cut at line ends, by
     :func:`_read_slice`.  Nothing here raises: any other file, valid or not,
     is left to _parse_lines, so every error message, exit code and line
-    number is the per-line parser's.
+    number is the per-line parser's.  Built unchecked but for the universe,
+    whose error (0 or 65 names) falls back too: masks are nonzero unions of
+    known bits, counts ``isdecimal`` digits.
     """
     start = text.find("\nopinion") + 1
     preamble = text[:start]
@@ -362,7 +366,7 @@ def _parse_bulk(text: str) -> tuple[tuple[str, ...], OpinionState] | None:
             if not _read_slice(text[start:stop], bits, masks, counts):
                 return None
             start = stop
-        return names, OpinionState(len(names), counts)
+        return names, OpinionState._trusted(len(names), counts)
     except (KeyError, ValueError):
         return None
 
@@ -376,7 +380,8 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
 
 
 def _parse_lines(text: str) -> tuple[tuple[str, ...], OpinionState]:
-    """The per-line opinion parser, the one that reports every error."""
+    """The per-line opinion parser, the one that reports every error; built
+    unchecked but for the universe, as in :func:`_parse_bulk`."""
     names: tuple[str, ...] | None = None
     bits: dict[str, int] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -411,7 +416,7 @@ def _parse_lines(text: str) -> tuple[tuple[str, ...], OpinionState]:
             raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
     if names is None:
         raise ParseError("missing 'alternatives:' header")
-    return names, OpinionState(len(names), counts)
+    return names, OpinionState._trusted(len(names), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -644,23 +649,26 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     table = parse_criterion_table(DEMO_TABLE_TEXT)
     profile = parse_profile(DEMO_PROFILE_TEXT, table)
     names = table.alternatives
+    # each value once, through the helpers choose --method n1/n2 run
     tally = borda_criterion_scores(table, profile)
+    scores = tally.criterion_scores
+    criteria_ranking = ranking_from_scores(scores)
+    stages = _stages(table, criteria_ranking)
     state = induce_opinion(table, profile)
     supports = [state.support_map.get(table.tr[c].mask, 0) for c in table.criteria]
 
     fields = [
-        ("criterion scores", "criterion-scores", tuple(tally.criterion_scores.items())),
-        ("criteria ranking", "criteria-ranking",
-         format_ranking(ranking_from_scores(tally.criterion_scores))),
+        ("criterion scores", "criterion-scores", tuple(scores.items())),
+        ("criteria ranking", "criteria-ranking", format_ranking(criteria_ranking)),
     ]
-    for k, stage in enumerate(cascade_sets(table, profile), 1):
+    for k, stage in enumerate(stages, 1):
         fields.append((f"stage {k} intersection", f"stage-{k}",
                        _format_members(iter_bits(stage), names)))
     fields += [
         ("choice (cascade)", "choice-cascade",
-         format_subset(nurmi_first(table, profile), names)),
+         _format_members(iter_bits(_last_alive(table.universe, stages)), names)),
         ("choice (score sum)", "choice-score",
-         format_subset(nurmi_second(table, profile), names)),
+         _format_members(iter_bits(_top_scorers(tally.alternative_scores)), names)),
         ("alternative scores", "alternative-scores",
          tuple(zip(names, tally.alternative_scores))),
         ("induced supports", "supports", tuple(zip(table.criteria, supports))),

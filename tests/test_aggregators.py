@@ -28,7 +28,7 @@ from critrank.model import (
     ValidationError,
 )
 
-from conftest import bits, max_of, opinion_states, strictly_above, tied
+from conftest import bits, max_of, opinion_states, strictly_above, tied, trusted_calls
 
 
 def classes_of(ranking: Ranking) -> tuple:
@@ -145,6 +145,29 @@ class TestInduceOpinion:
             expected = naive_pairwise_counts(table, profile)
             assert state.counts == expected
             assert list(state.counts) == list(expected)
+
+
+class TestTrustedStates:
+    """The table route builds its states and their quotients unchecked; each
+    must equal what the public constructors build from the same values."""
+
+    @pytest.mark.parametrize("build", (induce_opinion, criterion_score_state))
+    def test_random_tables(self, build):
+        rng = Random(f"agg/trusted/{build.__name__}")
+        # 3 alternatives and 7 criteria cover every subset: no residual
+        shapes = [(3, 7)] * 10 + [(rng.randint(3, 8), rng.randint(1, 7)) for _ in range(190)]
+        for universe, n_criteria in shapes:
+            table = random_table(rng, universe, n_criteria)
+            profile = random_profile(rng, table, rng.choice((1, 2, 5, 127, 128, 256)))
+            with trusted_calls() as calls:
+                state = build(table, profile)
+                quotient = state.quotient
+            assert calls == [(build.__name__, state), ("quotient", quotient)]
+            assert quotient.residual_present == (n_criteria < 7 or universe > 3)
+            if build is induce_opinion and len(profile.voters) == 1:
+                # one voter leaves each pair of distinct criteria a count of 0
+                # one way round, and those counts are dropped
+                assert len(state.counts) == n_criteria * (n_criteria + 1) // 2
 
 
 class TestCriterionScoreState:

@@ -48,6 +48,7 @@ from conftest import (
     opinion_states,
     random_symmetric_table,
     trailing_merge_sequence,
+    trusted_calls,
 )
 
 
@@ -81,6 +82,26 @@ class TestInstanceValidation:
                 assert batch, f"no instances for {kind} at {universe}"
                 for inst in batch:
                     validate_instance(inst)  # must not raise
+
+    # the functions that build each kind's states and quotients unchecked
+    _TRUSTED_SITES = {
+        "nt": {"random_state", "permute_state"},
+        "iws": {"random_support_state", "_state_from_class_masks", "quotient"},
+        "ibs": {"random_support_state", "_state_from_class_masks", "quotient"},
+        "wivip": {"_gen_wivip", "quotient"},
+        "inui": {"random_support_state", "_state_from_class_masks", "quotient"},
+    }
+
+    @pytest.mark.parametrize("kind", AXIOM_KINDS)
+    def test_generated_states_equal_the_public_constructors(self, kind):
+        with trusted_calls() as calls:
+            for universe in (3, 4, 5, 6, 12):
+                for seed in range(4):
+                    generate_instances(kind, universe, seed, 40)
+        assert {name for name, _record in calls} == self._TRUSTED_SITES[kind]
+        if kind == "wivip":
+            # the dense flavor covers every subset: no residual class
+            assert any(not q.residual_present for name, q in calls if name == "quotient")
 
     def test_generation_is_deterministic(self):
         a = generate_instances("iws", 4, seed=5, count=30)
@@ -308,8 +329,10 @@ class TestRuleRegistry:
         fault_runs = 3 * 2
         # per opinion file: every rule
         opinion_runs = 2 * len(RULES) * 2
+        # per file past the universe bounds: iis
+        bound_runs = 6 * 2
         assert len(argvs) == (checks + 4 + len(script.VOTER_COUNTS) * profile_runs
-                              + 5 * fault_runs + opinion_runs)
+                              + 5 * fault_runs + opinion_runs + bound_runs)
         assert script.VOTER_COUNTS == (1, 127, 128, 255, 256)
         ranked = {argv[argv.index("--rule") + 1] for argv in argvs[checks + 4:]
                   if argv[0] == "rank"}
@@ -317,6 +340,10 @@ class TestRuleRegistry:
         for n_voters in script.VOTER_COUNTS:
             profile = (tmp_path / f"profile-{n_voters}.txt").read_text()
             assert len(profile.splitlines()) == n_voters
+        bounds = argvs[len(argvs) - bound_runs:]
+        argvs = argvs[:len(argvs) - bound_runs]
+        assert [argv[:2] for argv in bounds] == [["rank", "--opinions"]] * bound_runs
+        assert len({argv[2] for argv in bounds}) == 6
         faulty = argvs[-opinion_runs - 5 * fault_runs:-opinion_runs]
         assert {argv[0] for argv in faulty} == {"rank", "induce", "choose"}
         clean = script.table_and_profile(Random("digest/faults"), 40)[1].splitlines()

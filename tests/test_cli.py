@@ -18,6 +18,7 @@ from critrank.cli import (
     DEMO_TABLE_TEXT,
     ParseError,
     _build_parser,
+    _parse_bulk,
     _parse_lines,
     _split_opinion,
     format_opinion_state,
@@ -30,7 +31,7 @@ from critrank.cli import (
 )
 from critrank.aggregators import RULES, Rule, iis_rank, support_rank
 from critrank.axioms import random_profile, random_table
-from critrank.choice import cascade_sets
+from critrank.choice import _stages
 from critrank.model import (
     AltSubset,
     CriterionTable,
@@ -41,7 +42,7 @@ from critrank.model import (
     iter_bits,
 )
 
-from conftest import bits
+from conftest import bits, trusted_calls
 
 
 class TestTableParsing:
@@ -477,6 +478,26 @@ class TestOpinionParsing:
         assert captured.out == ""
         assert captured.err == "invalid input: line 2: opinion count has too many digits\n"
 
+    # each file in the bulk shape and, with one subset padded or the header
+    # indented, in the per-line shape; the bulk reader leaves each to the
+    # per-line parser
+    _NAMES_65 = " ".join(f"x{i}" for i in range(65))
+
+    @pytest.mark.parametrize("text, message", (
+        (f"alternatives: {_NAMES_65}\nopinion {{x0}} >= {{x0}} : 1\n",
+         "universe size must be an integer in [1, 64], got 65"),
+        (f"alternatives: {_NAMES_65}\nopinion {{ x0 }} >= {{x0}} : 1\n",
+         "universe size must be an integer in [1, 64], got 65"),
+        ("alternatives:\nopinion {x0} >= {x0} : 1\n", "line 2: unknown alternative 'x0'"),
+        ("alternatives:\nopinion { x0 } >= {x0} : 1\n", "line 2: unknown alternative 'x0'"),
+        ("alternatives:\n", "universe size must be an integer in [1, 64], got 0"),
+        ("  alternatives:  \n", "universe size must be an integer in [1, 64], got 0"),
+    ), ids=("65-names-bulk", "65-names-lines", "empty-header-bulk", "empty-header-lines",
+            "header-alone-bulk", "header-alone-lines"))
+    def test_universe_bounds_are_exit_2(self, text, message, tmp_path, capsys):
+        assert _parse_bulk(text) is None
+        assert _rank_lines(tmp_path, capsys, text) == (2, "", f"invalid input: {message}\n")
+
 
 # the regex the opinion-line grammar was first written as, kept as the
 # reference for the partition split that replaced it
@@ -660,6 +681,19 @@ class TestBulkReading:
     ))
     def test_near_misses_agree(self, text):
         assert _outcome(parse_opinion_state, text) == _outcome(_parse_lines, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_opinion_files())
+    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion {a,b} >= {x} : 2\n")
+    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion { a} >= {x} : 0\n")
+    def test_both_readers_build_what_the_public_constructor_builds(self, text):
+        for parse in (_parse_bulk, _parse_lines):
+            with trusted_calls() as calls:
+                try:
+                    got = parse(text)
+                except (ParseError, ValidationError):
+                    got = None
+            assert calls == ([(parse.__name__, got[1])] if got else [])
 
     def test_the_bulk_path_reads_these_files_alone(self, demo_table, demo_state, monkeypatch):
         wide = _wide_text(900)
@@ -1046,8 +1080,9 @@ class TestFailurePathOutput:
             f"demo mismatch: ranking (lexcel): got {SUPPORT_ORDER}, want {LEXCEL_ORDER}\n")
 
     def test_demo_field_left_unprinted_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr("critrank.cli.cascade_sets",
-                            lambda table, profile: cascade_sets(table, profile)[:5])
+        # the demo reads its stages off the one cascade walk that choose runs
+        monkeypatch.setattr("critrank.cli._stages",
+                            lambda table, ranking: _stages(table, ranking)[:5])
         assert main(["demo", "--format", "lines"]) == 3
         captured = capsys.readouterr()
         assert "stage-6" not in captured.out

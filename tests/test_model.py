@@ -29,6 +29,7 @@ from conftest import (
     strictly_above,
     tied,
     top_k,
+    trusted_calls,
     weakly_above,
 )
 
@@ -133,6 +134,62 @@ class TestOpinionState:
     def test_from_support_rejects_masks_outside_the_universe(self, mask):
         with pytest.raises(ValidationError):
             OpinionState.from_support(3, {mask: 1})
+
+
+class TestTrustedConstruction:
+    """The private constructors, for values their callers already checked."""
+
+    def test_a_trusted_state_drops_zero_counts(self):
+        counts = {(0b001, 0b010): 0, (0b011, 0b011): 2, (0b100, 0b001): 0}
+        state = OpinionState._trusted(3, dict(counts))
+        assert state == OpinionState(3, counts)
+        assert state.counts == {(0b011, 0b011): 2}
+
+    @pytest.mark.parametrize("universe", (0, 65))
+    def test_a_trusted_state_still_checks_the_universe(self, universe):
+        message = f"universe size must be an integer in \\[1, 64\\], got {universe}$"
+        with pytest.raises(ValidationError, match=message):
+            OpinionState._trusted(universe, {})
+
+    def test_the_public_constructor_copies_the_counts(self):
+        counts = {(0b001, 0b001): 1}
+        state = OpinionState(3, counts)
+        counts[(0b010, 0b010)] = 2
+        assert state.counts == {(0b001, 0b001): 1}
+
+    def test_both_constructors_end_in_post_init(self, monkeypatch):
+        # the traced benchmark run times every state's __post_init__
+        seen = []
+        tail = OpinionState.__post_init__
+
+        def counted(state):
+            seen.append(state)
+            tail(state)
+
+        monkeypatch.setattr(OpinionState, "__post_init__", counted)
+        states = [OpinionState(3, {(0b001, 0b001): 1}),
+                  OpinionState._trusted(3, {(0b001, 0b001): 1}),
+                  random_state(Random(0), 3)]
+        assert seen == states
+
+    @pytest.mark.parametrize("support", (
+        {m: 8 - m for m in range(1, 8)},       # every subset: no residual
+        {m: 1 + m % 2 for m in range(1, 8)},
+        {0b011: 2, 0b100: 2, 0b111: 1},
+        {},
+    ))
+    def test_the_quotient_equals_the_public_one(self, support):
+        with trusted_calls() as calls:
+            q = OpinionState.from_support(3, support).quotient
+        assert calls == [("quotient", q)]
+        assert q.residual_present == (len(support) < 7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(opinion_states())
+    def test_the_quotient_of_random_states_equals_the_public_one(self, state):
+        with trusted_calls() as calls:
+            q = state.quotient
+        assert calls == [("quotient", q)]
 
 
 class TestIntKeyedCounts:

@@ -13,9 +13,11 @@ from critrank.aggregators import (
     lexcel_rank,
     support_rank,
 )
+from critrank.cli import main
 from critrank.model import (
-    Ranking,
     OpinionState,
+    QuotientOrder,
+    Ranking,
     ValidationError,
 )
 from critrank.oracle import (
@@ -153,6 +155,46 @@ class TestDifferentialSweep:
             named = [p for p in detail.split(": ", 1)[1].split(", ")
                      if p.startswith("ranking-")]
             assert named == [f"ranking-{name}"], detail
+
+    # One planted fault per state-level check of _compare_state, each made
+    # from the right value of one cached property of OpinionState:
+    # (property, fault, the problems every mismatching trial names first,
+    # whether it names nothing else).  A fault in a quantity that later ones
+    # derive from shows in them too, and an e-score past the bound always
+    # differs from the oracle's as well.
+    _PLANTED = {
+        # doubled supports keep every class, score and ranking
+        "support": ("support_map", lambda support, state: {
+            m: 2 * v for m, v in support.items()}, ["support"], True),
+        "quotient-classes": ("quotient", lambda q, state: QuotientOrder._trusted(
+            q.universe, q.classes[::-1], q.residual_present), ["quotient-classes"], False),
+        "depth": ("quotient", lambda q, state: QuotientOrder._trusted(
+            q.universe, q.classes, not q.residual_present), ["depth"], False),
+        # a swap keeps the multiset of scores, so never the bound
+        "e-vector": ("e_vector", lambda e, state: (e[1], e[0], *e[2:]), ["e-vector"], False),
+        "e-bound": ("e_vector", lambda e, state: (state.quotient.depth,) * len(e),
+                    ["e-vector", "e-bound"], False),
+        "class-counts@1": ("class_count_rows", lambda rows, state: tuple(
+            (row[0] + (x == 1), *row[1:]) for x, row in enumerate(rows)),
+            ["class-counts@1"], True),
+    }
+
+    @pytest.mark.parametrize("problem", list(_PLANTED))
+    def test_selftest_names_a_planted_state_fault(self, problem, monkeypatch, capsys):
+        prop, fault, named, alone = self._PLANTED[problem]
+        cached = OpinionState.__dict__[prop]
+        build = cached.func
+        monkeypatch.setattr(cached, "func", lambda state: fault(build(state), state))
+        assert main(["selftest", "--trials", "16", "--format", "lines"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert "result=fail" in out
+        details = [line.split(": ", 1)[1].split(", ") for line in out
+                   if line.startswith("universe-") and "-detail=" in line]
+        assert details
+        for problems in details:
+            assert problems[:len(named)] == named, problems
+            assert not alone or problems == named, problems
+            assert problem != "e-vector" or "e-bound" not in problems
 
     def test_class_count_rows_are_built_once_per_state(self, monkeypatch):
         cached = OpinionState.__dict__["class_count_rows"]

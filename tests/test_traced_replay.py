@@ -32,6 +32,15 @@ opinion {b,c} >= {d} : 2
 """
 
 
+# the op kinds of each workload of ``perfbench/workloads.py``
+WORKLOAD_KINDS = {
+    "rank-wide": {"rank-opinions"},
+    "rank-tied": {"rank-opinions"},
+    "induced": {"rank-table", "induce", "choose"},
+    "sweep": {"check", "selftest"},
+}
+
+
 def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -40,8 +49,9 @@ def load_tracing():
 
 
 def replay_ops(tmp_path) -> list[dict]:
-    """Ops shaped like the benchmark's: every rule on an opinion file, a
-    ranked, induced and chosen table, one axiom check and one self-test."""
+    """Ops shaped like the benchmark's: every rule on an opinion file and on
+    a table, an induced and a chosen table, one axiom check and one
+    self-test."""
     paths = {}
     for name, text in (("table", DEMO_TABLE_TEXT), ("profile", DEMO_PROFILE_TEXT),
                        ("opinions", OPINIONS)):
@@ -53,9 +63,10 @@ def replay_ops(tmp_path) -> list[dict]:
     ops = [{"kind": "rank-opinions", "rule": rule, "input_bytes": opinions,
             "argv": ["rank", "--opinions", str(paths["opinions"]), "--rule", rule]}
            for rule in RULES]
+    ops += [{"kind": "rank-table", "rule": rule, "input_bytes": demo,
+             "argv": ["rank", *pair, "--rule", rule]}
+            for rule in RULES]
     ops += [
-        {"kind": "rank-table", "rule": "lexcel", "input_bytes": demo,
-         "argv": ["rank", *pair, "--rule", "lexcel"]},
         {"kind": "induce", "input_bytes": demo, "argv": ["induce", *pair]},
         {"kind": "choose", "method": "n1", "argv": ["choose", *pair, "--method", "n1"]},
         {"kind": "choose", "method": "n2", "argv": ["choose", *pair, "--method", "n2"]},
@@ -85,8 +96,14 @@ def test_every_traced_layer_gets_a_span(tmp_path):
             assert set(counts) == {name for name, _unit in tracing.COUNTS["rank-wide"]}
             assert counts["model.classes"] == len(state.quotient.classes)
     assert critrank.model.OpinionState.__dict__["quotient"].func is quotient
-    spans = {name for name, *_rest in tracer.spans}
-    layers = {name for table in tracing.LAYERS.values() for name, _unit in table}
-    assert layers - spans == set()
+    # layer_metrics raises unless every layer of a workload gets a span from
+    # that workload's own ops
+    kinds = [op["kind"] for op in replay_ops(tmp_path)]
+    assert set(WORKLOAD_KINDS) == set(tracing.LAYERS)
+    assert set(kinds) == set().union(*WORKLOAD_KINDS.values())
+    for workload, table in tracing.LAYERS.items():
+        spans = {name for name, _start, _end, _parent, op_id in tracer.spans
+                 if kinds[op_id] in WORKLOAD_KINDS[workload]}
+        assert {name for name, _unit in table} - spans == set(), workload
     assert outputs[-2].endswith("result=pass\n")
     assert outputs[-1].endswith("result=pass\n")
