@@ -6,8 +6,8 @@ and ``demo``.  Then, on one seeded random criterion table and profile per
 voter count (1, 127, 128, 255 and 256 voters, written to a temporary
 directory), ``rank --table/--profile`` for every rule, ``induce`` and
 ``choose --method n1`` and ``n2``.  The profiles separate criteria with
-``" > "``, ``">"`` and padded ``">"`` in turn, so both of the profile
-reader's paths are read.  Then ``rank --rule iis``, ``induce`` and
+``" > "``, ``">"`` and padded ``">"`` in turn, so the profile reader
+reads both shapes.  Then ``rank --rule iis``, ``induce`` and
 ``choose --method n1`` on five faulty copies of a seeded 40-voter profile:
 a repeated voter, an unknown criterion, an omitted criterion, a malformed
 order, and a line that is not a voter line after 36 clean ones.  Then

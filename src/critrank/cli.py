@@ -174,74 +174,41 @@ def parse_criterion_table(text: str) -> CriterionTable:
 def parse_profile(text: str, table: CriterionTable) -> PreferenceProfile:
     """Read voter lines, each a strict order over the table's criteria.
 
-    An accepted profile has each order set-checked once, by
-    :class:`PreferenceProfile`.  A first pass splits every voter line on the
-    exact separator ``" > "`` and builds the profile from those orders; it
-    is returned when the record accepts it and its criteria are the table's.
-    Criterion names that :func:`parse_criterion_table` accepts hold no ``>``
-    and no whitespace, so splitting on ``>`` and stripping each part would
-    give the same orders.  The first pass never raises.  When the record
-    refuses the orders, their criteria differ from the table's, a line is
-    not a voter line, or some name of a table built in code breaks that
-    rule, the text is read again by :func:`_profile_lines`, which reports
-    the first fault with its line number.
+    This is the one profile reader.  It reads each line once, checks each
+    order here and nowhere else, and reports the first fault with its line
+    number.  An order is split on the exact separator ``" > "`` when no
+    criterion name holds ``>`` or whitespace (no name that
+    :func:`parse_criterion_table` accepts does) and that split names every
+    criterion once; otherwise it is split on ``>`` and its parts stripped,
+    which gives the same order for such names.  An order that still does not
+    name the table's criteria once each is searched for its first fault.
+    The record is built by :meth:`PreferenceProfile._trusted`: the voters
+    are distinct and every order has passed.
     """
     known = set(table.criteria)
+    n = len(known)
     exact = all(">" not in c and c.split() == [c] for c in known)
-    if exact:
-        profile = _exact_profile(text)
-        if profile is not None and profile.criteria_set == known:
-            return profile
-    return _profile_lines(text, known, exact)
-
-
-def _exact_profile(text: str) -> PreferenceProfile | None:
-    """The profile of orders split on ``" > "``, or None if a line is not a
-    voter line or the record refuses the orders."""
-    voters: list[str] = []
-    orders: list[tuple[str, ...]] = []
-    for _, line in _content_lines(text):
+    profile: dict[str, tuple[str, ...]] = {}
+    for lineno, line in _content_lines(text):
+        # _split_directive inlined, as a call per line costs a few percent
         head, sep, body = line.partition(":")
         words = head.split()
         if not sep or len(words) != 2 or words[0] != "voter":
-            return None
-        voters.append(words[1])
-        orders.append(tuple(body.strip().split(" > ")))
-    try:
-        return PreferenceProfile(tuple(voters), tuple(orders))
-    except ValidationError:
-        return None
-
-
-def _profile_lines(text: str, known: set[str], exact: bool) -> PreferenceProfile:
-    """The per-line profile reader, the one that reports every error.
-
-    A line naming every criterion once passes one set check; only a line
-    that fails it is searched for its first fault.  Each order is split on
-    ``" > "`` when ``exact`` and that split names every criterion once, and
-    on ``>`` with its parts stripped otherwise.
-    """
-    seen_voters: set[str] = set()
-    voters: list[str] = []
-    orders: list[tuple[str, ...]] = []
-    for lineno, line in _content_lines(text):
-        head, body = _split_directive(lineno, line)
-        if len(head) != 2 or head[0] != "voter":
+            _split_directive(lineno, line)  # raises first for a line without ':'
             raise ParseError(f"line {lineno}: expected 'voter <id>: ...', got {line!r}")
-        voter = head[1]
-        if voter in seen_voters:
+        voter = words[1]
+        if voter in profile:
             raise ParseError(f"line {lineno}: voter '{voter}' listed twice")
+        body = body.strip()
         order = tuple(body.split(" > "))
-        if not exact or len(order) != len(known) or set(order) != known:
+        if not exact or len(order) != n or set(order) != known:
             order = tuple(map(str.strip, body.split(">")))
-            if len(order) != len(known) or set(order) != known:
+            if len(order) != n or set(order) != known:
                 _order_fault(lineno, voter, body, order, known)
-        seen_voters.add(voter)
-        voters.append(voter)
-        orders.append(order)
-    if not voters:
+        profile[voter] = order
+    if not profile:
         raise ParseError("profile lists no voters")
-    return PreferenceProfile(tuple(voters), tuple(orders))
+    return PreferenceProfile._trusted(tuple(profile), tuple(profile.values()))
 
 
 def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],

@@ -82,16 +82,18 @@ def top_k(state, k: int) -> frozenset[int]:
 
 @contextlib.contextmanager
 def trusted_calls():
-    """Within the block, every call of ``OpinionState._trusted`` or
-    ``QuotientOrder._trusted`` also builds its record through the public
-    constructor and asserts that the two are equal: for states, counts in
-    the same order too; for quotients, the same ``residual_present`` and
-    ``depth``.  Yields a list that gets (name of the calling function,
-    record) per call."""
+    """Within the block, every call of ``OpinionState._trusted``,
+    ``QuotientOrder._trusted`` or ``PreferenceProfile._trusted`` also builds
+    its record through the public constructor and asserts that the two are
+    equal: for states, counts in the same order too; for quotients, the same
+    ``residual_present`` and ``depth``.  Yields a list that gets (name of
+    the calling function, record) per call."""
     calls = []
-    originals = {cls: cls.__dict__["_trusted"] for cls in (OpinionState, QuotientOrder)}
+    originals = {cls: cls.__dict__["_trusted"]
+                 for cls in (OpinionState, QuotientOrder, PreferenceProfile)}
     make_state = originals[OpinionState].__func__
     make_quotient = originals[QuotientOrder].__func__
+    make_profile = originals[PreferenceProfile].__func__
 
     def state(cls, universe, counts):
         public = OpinionState(universe, counts)
@@ -108,8 +110,16 @@ def trusted_calls():
         calls.append((sys._getframe(1).f_code.co_name, made))
         return made
 
+    def profile(cls, voters, orders):
+        public = PreferenceProfile(voters, orders)
+        made = make_profile(cls, voters, orders)
+        assert made == public
+        calls.append((sys._getframe(1).f_code.co_name, made))
+        return made
+
     OpinionState._trusted = classmethod(state)
     QuotientOrder._trusted = classmethod(quotient)
+    PreferenceProfile._trusted = classmethod(profile)
     try:
         yield calls
     finally:

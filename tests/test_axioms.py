@@ -67,6 +67,13 @@ class TestPermutation:
         for x in range(state.universe):
             assert relabeled[pi[x]] == original[x]
 
+    @pytest.mark.parametrize("pi", ((0, 0, 1), (0, 1), (1, 2, 3)))
+    def test_rejects_a_non_permutation(self, pi):
+        state = OpinionState.from_support(3, {0b011: 2})
+        with pytest.raises(ValidationError) as info:
+            permute_state(state, pi)
+        assert str(info.value) == f"{pi!r} is not a permutation of 3 alternatives"
+
     def test_composition_of_relabelings(self):
         state = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
         once = permute_state(state, (1, 2, 0))
@@ -117,6 +124,10 @@ class TestInstanceValidation:
         monkeypatch.setattr("critrank.axioms.Random", no_draws)
         with pytest.raises(ValidationError, match="3 to 64 alternatives"):
             generate_instances("nt", 65, 0, 1)
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValidationError, match="^unknown axiom kind 'xx'$"):
+            generate_instances("xx", 3, 0, 1)
 
     def test_relabel_instance_rejects_a_wrong_image(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
@@ -456,6 +467,13 @@ class TestRandomGenerators:
             table = random_table(rng, rng.randint(3, 7), rng.randint(2, 6))
             masks = [table.tr[c].mask for c in table.criteria]
             assert len(set(masks)) == len(masks)
+
+    def test_a_table_needs_distinct_satisfier_sets(self):
+        # three alternatives have seven nonempty subsets
+        assert len(random_table(Random(0), 3, 7).criteria) == 7
+        with pytest.raises(ValidationError,
+                           match="^more criteria requested than distinct nonempty subsets$"):
+            random_table(Random(0), 3, 8)
 
     def test_random_profiles_are_linear(self):
         rng = Random("axioms/profiles")

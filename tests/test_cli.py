@@ -61,6 +61,19 @@ class TestTableParsing:
         with pytest.raises(ParseError, match="alternatives"):
             parse_criterion_table("criterion k: a\n")
 
+    def test_comments_only_table_is_exit_1(self, tmp_path, capsys):
+        text = "# a table with no lines yet\n\n  # still none\n"
+        with pytest.raises(ParseError, match="^missing 'alternatives:' header$"):
+            parse_criterion_table(text)
+        table = tmp_path / "table.txt"
+        profile = tmp_path / "profile.txt"
+        table.write_text(text)
+        profile.write_text("voter 1: j > k\n")
+        assert main(["rank", "--rule", "iis", "--table", str(table),
+                     "--profile", str(profile)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: missing 'alternatives:' header\n")
+
     def test_directive_without_colon(self):
         with pytest.raises(ParseError):
             parse_criterion_table("alternatives a b c\n")
@@ -225,6 +238,17 @@ def _profile_outcome(read, text: str, table: CriterionTable):
         return type(exc), str(exc)
 
 
+def _read_profile(text: str, table: CriterionTable):
+    """``parse_profile``'s outcome, checked to build a returned profile
+    through ``PreferenceProfile._trusted`` once, as the public constructor
+    would, and to build nothing when it raises."""
+    with trusted_calls() as calls:
+        outcome = _profile_outcome(parse_profile, text, table)
+    made = isinstance(outcome, PreferenceProfile)
+    assert calls == ([("parse_profile", outcome)] if made else [])
+    return outcome
+
+
 _JKL_TABLE = parse_criterion_table(
     "alternatives: a b c\ncriterion j: a\ncriterion k: b\ncriterion l: c\n")
 _SEPARATORS = (" > ", ">", "  > ", " >  ", "\t>\t", " >\t", "\t> ")
@@ -281,12 +305,14 @@ def _profile_texts(draw):
 
 
 class TestProfileFastPath:
+    """``parse_profile``, the one profile reader, against the strip path."""
+
     @settings(max_examples=400, deadline=None)
     @given(_profile_texts())
     @example("voter 1: j > k > l\r\nvoter 2: l>k>j\r\n")
     @example("voter 1: j > k\tk > l\n")
     def test_matches_the_strip_path(self, text):
-        assert (_profile_outcome(parse_profile, text, _JKL_TABLE)
+        assert (_read_profile(text, _JKL_TABLE)
                 == _profile_outcome(_strip_path_profile, text, _JKL_TABLE))
 
     # one case per way the exact split can be refused; the plain table
@@ -301,19 +327,20 @@ class TestProfileFastPath:
         ("jkl", "j > k", (ValidationError, "voter '1' omits criteria: l")),
         (("j>k", "l"), "j>k > l", (ValidationError, "voter '1' ranks unknown criterion 'j'")),
         (("j k", "l"), "j k > l", ("j k", "l")),
+        ("jkl", "j > k > l > j", (ValidationError, "voter '1' ranks criterion 'j' twice")),
     ))
     def test_near_misses_take_the_strip_path(self, names, order, expected):
         table = CriterionTable(("a", "b", "c"), tuple(names),
                                {c: AltSubset(1 << i, 3) for i, c in enumerate(names)})
         text = f"voter 1: {order}\n"
-        outcome = _profile_outcome(parse_profile, text, table)
+        outcome = _read_profile(text, table)
         assert outcome == _profile_outcome(_strip_path_profile, text, table)
         if isinstance(outcome, PreferenceProfile):
             outcome = outcome.orders[0]
         assert outcome == expected
 
-    # whole files on the plain j, k, l table: each is refused by the exact
-    # first pass, so the per-line reader must give the strip path's outcome
+    # whole files on the plain j, k, l table, each with a line that the
+    # exact split refuses: the reader must give the strip path's outcome
     @pytest.mark.parametrize("text, expected", (
         pytest.param("voter 1: j\nvoter 1 j > k > l",
                      (ValidationError, "voter '1' omits criteria: k, l"),
@@ -332,7 +359,7 @@ class TestProfileFastPath:
                      id="comments-only"),
     ))
     def test_whole_files(self, text, expected):
-        outcome = _profile_outcome(parse_profile, text, _JKL_TABLE)
+        outcome = _read_profile(text, _JKL_TABLE)
         assert outcome == _profile_outcome(_strip_path_profile, text, _JKL_TABLE)
         if isinstance(outcome, PreferenceProfile):
             outcome = outcome.orders
@@ -350,21 +377,17 @@ class TestProfileFastPath:
             assert (captured.out, captured.err) == ("", "error: line 3: voter '1' listed twice\n")
 
     def test_a_clean_exact_profile_is_checked_once(self, monkeypatch):
-        entered = []
-        walk = critrank.cli._profile_lines
+        # the reader's own checks are the only ones: neither a clean exact
+        # profile nor a padded one enters the public constructor
+        def refuse(*args):
+            raise AssertionError("the profile was checked again by PreferenceProfile")
 
-        def counted(*args):
-            entered.append(args[0])
-            return walk(*args)
-
-        monkeypatch.setattr(critrank.cli, "_profile_lines", counted)
+        monkeypatch.setattr(PreferenceProfile, "__init__", refuse)
         clean = "# header\nvoter 1: j > k > l\n\nvoter 2: l > k > j\r\nvoter 3: k > j > l\n"
         assert parse_profile(clean, _JKL_TABLE).orders == (
             ("j", "k", "l"), ("l", "k", "j"), ("k", "j", "l"))
-        assert entered == []
         padded = "voter 1: j > k > l\nvoter 2: l>k>j\n"
         assert parse_profile(padded, _JKL_TABLE).orders == (("j", "k", "l"), ("l", "k", "j"))
-        assert entered == [padded]
 
 
 class TestOpinionParsing:

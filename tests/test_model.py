@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     AltSubset,
     CriterionTable,
@@ -76,6 +77,18 @@ class TestCriterionTable:
         with pytest.raises(ValidationError):
             CriterionTable(("a", "a", "b"), ("c0",), {"c0": subset(3, 0)})
 
+    @pytest.mark.parametrize("criteria, tr, message", (
+        ((), {}, "need at least one criterion"),
+        (("c0", "c0"), {"c0": subset(3, 0)}, "criterion names must be distinct"),
+        (("c0",), {"c0": subset(3, 0), "c1": subset(3, 1)},
+         "tr must map exactly the listed criteria"),
+        (("c0",), {"c0": subset(4, 0)}, "criterion 'c0' has subset over a different universe"),
+    ))
+    def test_each_fault_has_its_message(self, criteria, tr, message):
+        with pytest.raises(ValidationError) as info:
+            CriterionTable(("a", "b", "c"), criteria, tr)
+        assert str(info.value) == message
+
     def test_symmetry_detection(self):
         sym = self.make([(0, 1), (2, 3), (0, 2), (1, 3)])
         assert is_symmetric(sym)
@@ -98,10 +111,20 @@ class TestPreferenceProfile:
         ((("a", "b"), ("a", "b", "a")), "voter 'v2' ranks a criterion twice"),
         ((("a", "b"), ("a", "c")), "voter 'v2' ranks a different criterion set"),
         ((("a", "b"), ("b",)), "voter 'v2' ranks a different criterion set"),
+        ((("a", "b"),), "need exactly one order per voter"),
     ])
     def test_each_order_fault_has_its_message(self, orders, message):
         with pytest.raises(ValidationError, match=f"^{message}"):
             PreferenceProfile(("v1", "v2"), orders)
+
+    @pytest.mark.parametrize("voters, orders, message", (
+        ((), (), "need at least one voter"),
+        (("v1", "v1"), (("a",), ("a",)), "voter ids must be distinct"),
+    ))
+    def test_each_voter_fault_has_its_message(self, voters, orders, message):
+        with pytest.raises(ValidationError) as info:
+            PreferenceProfile(voters, orders)
+        assert str(info.value) == message
 
     def test_orders_list_best_first(self):
         p = PreferenceProfile(("v1", "v2"), (("a", "b"), ("b", "a")))
@@ -199,6 +222,7 @@ class TestIntKeyedCounts:
         {(1 << 70, 0b001): 1},
         {(subset(3, 0), subset(3, 0)): 1},       # not an int
         {(0b001, 1.0): 1},
+        {(0b001, True): 1},
         {("a", 0b001): 1},
         {0b001: 1},                              # not a pair
         {(0b001, 0b010, 0b100): 1},
@@ -209,6 +233,24 @@ class TestIntKeyedCounts:
     def test_rejects_bad_keys_and_counts(self, counts):
         with pytest.raises(ValidationError):
             OpinionState(3, counts)
+
+    @pytest.mark.parametrize("counts, message", (
+        ({(1, 1): True}, "opinion counts must be nonnegative integers, got True"),
+        ({(1, 1): False}, "opinion counts must be nonnegative integers, got False"),
+        ({(True, 2): 1}, "opinion key (True, 2) out of range for universe of 3"),
+    ), ids=repr)
+    def test_bools_are_refused_so_every_state_round_trips(self, counts, message):
+        # the same values as ints make a state that the opinion format
+        # carries; bools would be written as 'True', which the reader refuses
+        names = ("a", "b", "c")
+        state = OpinionState(3, {(int(s), int(t)): int(c) for (s, t), c in counts.items()})
+        assert parse_opinion_state(format_opinion_state(names, state)) == (names, state)
+        with pytest.raises(ValidationError) as info:
+            OpinionState(3, counts)
+        assert str(info.value) == message
+        support = {s: c for (s, _t), c in counts.items()}
+        with pytest.raises(ValidationError):
+            OpinionState.from_support(3, support)
 
     def test_accepts_bit_63_at_64_alternatives(self):
         high, full = 1 << 63, (1 << 64) - 1
@@ -302,6 +344,15 @@ class TestQuotientOrder:
     def test_rejects_members_outside_the_universe(self, mask):
         with pytest.raises(ValidationError, match="out of range"):
             QuotientOrder(3, (frozenset({0b001, mask}),))
+
+    @pytest.mark.parametrize("classes, message", (
+        ((frozenset({0b001}), frozenset()), "support classes must be nonempty"),
+        ((frozenset({0b001}), frozenset({0b010, 0b001})), "support classes must be disjoint"),
+    ))
+    def test_rejects_empty_and_overlapping_classes(self, classes, message):
+        with pytest.raises(ValidationError) as info:
+            QuotientOrder(3, classes)
+        assert str(info.value) == message
 
     @settings(max_examples=150, deadline=None)
     @given(opinion_states())
@@ -466,6 +517,10 @@ class TestRanking:
     def test_rejects_empty_class(self):
         with pytest.raises(ValidationError):
             Ranking(((0,), ()))
+
+    def test_an_unranked_label_has_no_class(self):
+        with pytest.raises(ValidationError, match="^label 3 not ranked$"):
+            Ranking(((2,), (0, 1))).class_of(3)
 
     def test_comparisons(self):
         r = Ranking(((2,), (0, 1)))

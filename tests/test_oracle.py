@@ -54,6 +54,18 @@ class TestDenseState:
         with pytest.raises(ValidationError):
             DenseState(3, (0,) * 6)
 
+    def test_rejects_a_negative_support(self):
+        with pytest.raises(ValidationError,
+                           match="^support values must be nonnegative integers$"):
+            DenseState(2, (1, -1, 0))
+
+    @pytest.mark.parametrize("x", (-1, 2))
+    def test_an_alternative_out_of_range_has_no_score(self, x):
+        dense = DenseState(2, (1, 0, 0))
+        assert dense_e_vector(dense) == (1, 0)
+        with pytest.raises(ValidationError, match=f"^alternative index {x} out of range$"):
+            dense_e_score(dense, x)
+
 
 class TestDenseRecomputation:
     def test_scores_on_a_nested_chain(self):
