@@ -5,13 +5,14 @@ from the repository root) in a subprocess under a ``sys.settrace`` line
 tracer that follows only frames whose code lies in ``src/critrank``; code
 that the tests run in further subprocesses is not seen.  Then prints
 ``file:line statement`` for each statement in a function body that never
-ran, docstrings excluded, and last the count.  A compound statement (``if``,
-``for``, ``try`` and so on) counts as run when a line of its header or any
-statement inside it ran; the body of a nested ``def`` is judged as a
-function of its own.  Needs only the standard library and pytest (Python
-3.11 has no ``sys.monitoring``); the traced suite runs a few times slower
-than plain tier-1.  Arguments go to pytest, for example a test file to
-narrow the run:
+ran, docstrings excluded, and last the count.  A compound statement
+(``if``, ``for``, ``try`` and so on) counts as run when a line of its header
+or any statement inside it ran; the body of a nested ``def`` is judged as a
+function of its own.  Exits 1 when it lists any statement or when the
+traced suite failed, else 0, so a run can gate on it.  Needs only the
+standard library and pytest (Python 3.11 has no ``sys.monitoring``); the
+traced suite runs a few times slower than plain tier-1.  Arguments go to
+pytest, for example a test file to narrow the run:
 
     python3 scripts/uncovered.py
     python3 scripts/uncovered.py tests/test_model.py
@@ -132,7 +133,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{node.lineno} {lines[node.lineno - 1].strip()}")
             count += 1
     print(f"{count} function-body statements never ran")
-    return 0
+    return 1 if count or done.returncode else 0
 
 
 if __name__ == "__main__":

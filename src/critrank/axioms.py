@@ -290,10 +290,9 @@ def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
         return AxiomInstance("iws", o1, random_support_state(rng, universe))
     classes = list(o1.quotient.classes)
     if o1.quotient.residual_present:
-        taken = frozenset().union(*classes) if classes else frozenset()
+        taken = frozenset().union(*classes)
         extra = _sample_residual_masks(rng, universe, taken, rng.randint(0, 4))
-        blocks = _chunk(rng, extra, rng.randint(1, 3)) if extra else []
-        new_classes = classes + [b for b in blocks if b]
+        new_classes = classes + (_chunk(rng, extra, rng.randint(1, 3)) if extra else [])
     else:
         last = sorted(classes[-1])
         blocks = _chunk(rng, last, rng.randint(1, min(3, len(last))))
@@ -324,9 +323,8 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
         masks = list(range(1, top + 1))
         rng.shuffle(masks)
         cut = rng.randint(1, top - 1)
-        counts = {(m, m): 2 for m in masks[:cut]}
-        counts.update({(m, m): 1 for m in masks[cut:]})
-        return AxiomInstance("wivip", OpinionState._trusted(universe, counts))
+        return AxiomInstance("wivip",
+                             _state_from_class_masks(universe, [masks[:cut], masks[cut:]]))
     if rng.random() < 0.6:
         # bias toward a nonempty intersection so the axiom has bite
         x = rng.randrange(universe)
@@ -334,8 +332,7 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
     else:
         picked = {rng.randint(1, top) for _ in range(rng.randint(1, 6))}
     value = rng.randint(1, 5)
-    if len(picked) == top:
-        picked.pop()  # keep the residual class nonempty
+    # at most 6 of the top >= 7 masks, so the residual class stays nonempty
     counts = {(m, m): value for m in picked}
     return AxiomInstance("wivip", OpinionState._trusted(universe, counts))
 

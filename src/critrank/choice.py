@@ -16,21 +16,8 @@ from .model import (
     ValidationError,
     column_sums,
     ranking_from_scores,
-    _Record,
-    _set,
     running_intersections,
 )
-
-
-class BordaTally(_Record):
-    """Positional scores: per criterion, and summed per alternative."""
-
-    __slots__ = _fields = ("criterion_scores", "alternative_scores")
-
-    def __init__(self, criterion_scores: dict[str, int],
-                 alternative_scores: tuple[int, ...]) -> None:
-        _set(self, "criterion_scores", criterion_scores)
-        _set(self, "alternative_scores", alternative_scores)
 
 
 def positional_scores(table: CriterionTable, profile: PreferenceProfile) -> dict[str, int]:
@@ -55,12 +42,14 @@ def positional_scores(table: CriterionTable, profile: PreferenceProfile) -> dict
     return dict(zip(table.criteria, totals))
 
 
-def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile) -> BordaTally:
-    """The :func:`positional_scores`, then total scores per alternative: an
-    alternative's score is the sum over the criteria it satisfies."""
+def borda_criterion_scores(table: CriterionTable, profile: PreferenceProfile
+                           ) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The pair ``(criterion_scores, alternative_scores)``: the
+    :func:`positional_scores`, then the total score per alternative, the
+    sum over the criteria it satisfies."""
     scores = positional_scores(table, profile)
     alt = column_sums(table.universe, [(table.tr[c].mask, v) for c, v in scores.items()])
-    return BordaTally(scores, tuple(alt))
+    return scores, tuple(alt)
 
 
 def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int, ...]:
@@ -103,7 +92,7 @@ def _last_alive(universe: int, stages: tuple[int, ...]) -> int:
 
 def nurmi_second(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     """Alternatives maximizing the summed score of the criteria they satisfy."""
-    scores = borda_criterion_scores(table, profile).alternative_scores
+    _criterion_scores, scores = borda_criterion_scores(table, profile)
     return AltSubset(_top_scorers(scores), table.universe)
 
 

@@ -617,8 +617,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     profile = parse_profile(DEMO_PROFILE_TEXT, table)
     names = table.alternatives
     # each value once, through the helpers choose --method n1/n2 run
-    tally = borda_criterion_scores(table, profile)
-    scores = tally.criterion_scores
+    scores, alt_scores = borda_criterion_scores(table, profile)
     criteria_ranking = ranking_from_scores(scores)
     stages = _stages(table, criteria_ranking)
     state = induce_opinion(table, profile)
@@ -635,9 +634,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         ("choice (cascade)", "choice-cascade",
          _format_members(iter_bits(_last_alive(table.universe, stages)), names)),
         ("choice (score sum)", "choice-score",
-         _format_members(iter_bits(_top_scorers(tally.alternative_scores)), names)),
+         _format_members(iter_bits(_top_scorers(alt_scores)), names)),
         ("alternative scores", "alternative-scores",
-         tuple(zip(names, tally.alternative_scores))),
+         tuple(zip(names, alt_scores))),
         ("induced supports", "supports", tuple(zip(table.criteria, supports))),
         ("e-scores", "e-scores", tuple(zip(names, state.e_vector))),
     ]

@@ -24,7 +24,8 @@ class ValidationError(ValueError):
 
 
 def _check_universe(universe: int) -> None:
-    if not isinstance(universe, int) or not 1 <= universe <= MAX_UNIVERSE:
+    # exact ints here and in every mask check: no record holds a bool
+    if type(universe) is not int or not 1 <= universe <= MAX_UNIVERSE:
         raise ValidationError(
             f"universe size must be an integer in [1, {MAX_UNIVERSE}], got {universe!r}"
         )
@@ -132,6 +133,8 @@ class AltSubset(_Record):
 
     def __init__(self, mask: int, universe: int) -> None:
         _check_universe(universe)
+        if type(mask) is not int:
+            raise ValidationError(f"subset mask must be an integer, got {mask!r}")
         if mask == 0:
             raise ValidationError("subset of alternatives must be nonempty")
         if not 0 < mask < (1 << universe):
@@ -244,7 +247,6 @@ class OpinionState(_Record):
             if type(pair) is not tuple or len(pair) != 2:
                 raise ValidationError(f"opinion keys must be pairs of masks, got {pair!r}")
             s, t = pair
-            # exact ints: a bool is an int, but the file format has no bools
             if not (type(s) is type(t) is int and 0 < s < top and 0 < t < top):
                 raise ValidationError(
                     f"opinion key {pair!r} out of range for universe of {universe}")
@@ -301,10 +303,8 @@ class OpinionState(_Record):
     def quotient(self) -> "QuotientOrder":
         """Subsets grouped into equal-support classes, strongest first."""
         # score_groups of a valid support map: nonempty, disjoint masks in range
-        support = self.support_map
-        classes = tuple(frozenset(masks) for _v, masks in score_groups(support))
-        return QuotientOrder._trusted(self.universe, classes,
-                                      len(support) < (1 << self.universe) - 1)
+        classes = tuple(frozenset(masks) for _v, masks in score_groups(self.support_map))
+        return QuotientOrder._trusted(self.universe, classes)
 
     @cached_property
     def e_vector(self) -> tuple[int, ...]:
@@ -361,7 +361,7 @@ class QuotientOrder(_Record):
             if not members:
                 raise ValidationError("support classes must be nonempty")
             for mask in members:
-                if not 0 < mask <= capacity:
+                if type(mask) is not int or not 0 < mask <= capacity:
                     raise ValidationError("class member out of range for the universe")
                 if mask in seen:
                     raise ValidationError("support classes must be disjoint")
@@ -372,14 +372,14 @@ class QuotientOrder(_Record):
         _set(self, "residual_present", len(seen) < capacity)
 
     @classmethod
-    def _trusted(cls, universe: int, classes: tuple[frozenset[int], ...],
-                 residual_present: bool) -> "QuotientOrder":
+    def _trusted(cls, universe: int, classes: tuple[frozenset[int], ...]) -> "QuotientOrder":
         """A quotient from classes already known to be nonempty, disjoint and
-        in range, with the residual flag they imply; nothing is checked."""
+        in range; nothing is checked.  The residual flag counts the members as
+        ``__init__`` does: the classes are disjoint, so their sizes add up."""
         q = object.__new__(cls)
         _set(q, "universe", universe)
         _set(q, "classes", classes)
-        _set(q, "residual_present", residual_present)
+        _set(q, "residual_present", sum(map(len, classes)) < (1 << universe) - 1)
         return q
 
     @property

@@ -37,12 +37,12 @@ class DenseState(_Record):
     _fields = ("universe", "support")
 
     def __init__(self, universe: int, support: tuple[int, ...]) -> None:
-        if not 1 <= universe <= ORACLE_MAX_UNIVERSE:
+        if type(universe) is not int or not 1 <= universe <= ORACLE_MAX_UNIVERSE:
             raise ValidationError(
                 f"oracle handles at most {ORACLE_MAX_UNIVERSE} alternatives")
         if len(support) != (1 << universe) - 1:
             raise ValidationError("support array must cover every nonempty subset")
-        if any(not isinstance(v, int) or v < 0 for v in support):
+        if any(type(v) is not int or v < 0 for v in support):
             raise ValidationError("support values must be nonnegative integers")
         _set(self, "universe", universe)
         _set(self, "support", support)

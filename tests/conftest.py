@@ -102,9 +102,9 @@ def trusted_calls():
         calls.append((sys._getframe(1).f_code.co_name, made))
         return made
 
-    def quotient(cls, universe, classes, residual_present):
+    def quotient(cls, universe, classes):
         public = QuotientOrder(universe, classes)
-        made = make_quotient(cls, universe, classes, residual_present)
+        made = make_quotient(cls, universe, classes)
         assert made == public
         assert (made.residual_present, made.depth) == (public.residual_present, public.depth)
         calls.append((sys._getframe(1).f_code.co_name, made))

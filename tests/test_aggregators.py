@@ -107,12 +107,12 @@ class TestInduceOpinion:
             table = random_table(rng, rng.randint(3, 6), rng.randint(2, 5))
             profile = random_profile(rng, table, rng.randint(1, 4))
             state = induce_opinion(table, profile)
-            tally = borda_criterion_scores(table, profile)
+            scores, alt_scores = borda_criterion_scores(table, profile)
             for c in table.criteria:
-                assert state.support_map.get(table.tr[c].mask, 0) == tally.criterion_scores[c]
+                assert state.support_map.get(table.tr[c].mask, 0) == scores[c]
             for x in range(table.universe):
                 total = sum(v for m, v in state.support_map.items() if m >> x & 1)
-                assert total == tally.alternative_scores[x]
+                assert total == alt_scores[x]
 
     @pytest.mark.parametrize("n_voters", (1, 2, 3, 4, 7, 8, 9, 255, 256, 257))
     def test_matches_a_naive_pairwise_count(self, n_voters):

@@ -10,7 +10,6 @@ import pytest
 
 from critrank.aggregators import Rule, iis_rank
 from critrank.axioms import AxiomInstance, AxiomVerdict, SweepResult
-from critrank.choice import BordaTally
 from critrank.model import (
     AltSubset,
     CriterionTable,
@@ -18,6 +17,7 @@ from critrank.model import (
     PreferenceProfile,
     QuotientOrder,
     Ranking,
+    ValidationError,
 )
 from critrank.oracle import DenseRankings, DenseState, SweepReport
 
@@ -33,7 +33,6 @@ RECORDS = [
     (OpinionState, lambda: dict(universe=3, counts={(0b011, 0b100): 2}), False),
     (QuotientOrder, lambda: dict(universe=3, classes=(frozenset({3}),)), True),
     (Ranking, lambda: dict(classes=BANDS), True),
-    (BordaTally, lambda: dict(criterion_scores={"c1": 2}, alternative_scores=(2, 0, 2)), False),
     (Rule, lambda: dict(name="iis", rank=iis_rank, takes_order=False, target=None), True),
     (AxiomInstance, lambda: dict(kind="wivip", o1=OpinionState(3, {(3, 3): 1}), o2=None,
                                  permutation=None, promoted=None), False),
@@ -83,6 +82,27 @@ def test_fields_are_read_only(record):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert hasattr(obj, "__dict__") == (cls in CACHING)
+
+
+# Each record that takes a universe, a mask or a support value, as a
+# function of the one value that is built first as the int 1, then as True.
+BOOL_SITES = {
+    "OpinionState-universe": lambda v: OpinionState(v, {(1, 1): 2}),
+    "OpinionState._trusted-universe": lambda v: OpinionState._trusted(v, {}),
+    "AltSubset-universe": lambda v: AltSubset(1, v),
+    "AltSubset-mask": lambda v: AltSubset(v, 3),
+    "QuotientOrder-member": lambda v: QuotientOrder(3, (frozenset({v}),)),
+    "DenseState-universe": lambda v: DenseState(v, (2,)),
+    "DenseState-support": lambda v: DenseState(1, (v,)),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_SITES.values(), ids=BOOL_SITES)
+def test_a_bool_is_refused_where_an_int_is_taken(build):
+    # a bool is an int, but no record holds one: its repr would read True
+    build(1)
+    with pytest.raises(ValidationError):
+        build(True)
 
 
 def test_cached_values_take_no_part_in_equality():
