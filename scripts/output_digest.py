@@ -23,10 +23,16 @@ code, its stdout and its stderr, so the faulty profiles and the opinion
 files past the bounds pin each error message and its line number.
 Two checkouts whose CLI output is byte-identical on these runs print the
 same digest, so comparing the line printed by a change with the one
-printed by its parent shows whether the change moved any output.  Takes no
-arguments; run it from any directory:
+printed by its parent shows whether the change moved any output.
 
-    python3 scripts/output_digest.py
+``tests/golden/digest_runs.txt`` pins every run on its own: one line per
+run, its argv with the input directory written as ``{work}``, then the
+sha256 of its exit code, stdout and stderr.  ``tests/test_golden.py``
+reruns them and names the first run whose output moved.  After an
+intended output change, ``--write`` rewrites that file; either way the
+script prints the digest.  Run it from any directory:
+
+    python3 scripts/output_digest.py [--write]
 """
 
 import contextlib
@@ -43,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from critrank.aggregators import AXIOM_KINDS, RULES
 from critrank.cli import main
 
+PIN_FILE = Path(__file__).resolve().parent.parent / "tests" / "golden" / "digest_runs.txt"
 FORMATS = ("text", "lines")
 VOTER_COUNTS = (1, 127, 128, 255, 256)
 SEPARATORS = (" > ", ">", "  >\t")
@@ -181,21 +188,32 @@ def runs(workdir: str) -> list[list[str]]:
     return out
 
 
+def framed_output(argv: list[str]) -> bytes:
+    """One run's exit code, stdout and stderr, both streams length-framed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue().encode(), err.getvalue().encode()
+    return f"{code} {len(out)} {len(err)}\n".encode() + out + err
+
+
 def digest(argvs: list[list[str]]) -> str:
-    """sha256 over each run's exit code, stdout and stderr, both streams
-    length-framed."""
-    h = hashlib.sha256()
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue().encode(), err.getvalue().encode()
-        h.update(f"{code} {len(out)} {len(err)}\n".encode() + out + err)
-    return h.hexdigest()
+    """sha256 over the framed output of every run, in order."""
+    return hashlib.sha256(b"".join(map(framed_output, argvs))).hexdigest()
+
+
+def pin_lines(argvs: list[list[str]], workdir: str) -> list[str]:
+    """Per run, its argv with ``workdir`` written as ``{work}``, then the
+    sha256 of its framed output."""
+    return [" ".join(argv).replace(workdir, "{work}") + " "
+            + hashlib.sha256(framed_output(argv)).hexdigest() for argv in argvs]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:]:
-        sys.exit("usage: python3 scripts/output_digest.py (takes no arguments)")
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit("usage: python3 scripts/output_digest.py [--write]")
     with tempfile.TemporaryDirectory() as workdir:
-        print(digest(runs(workdir)))
+        argvs = runs(workdir)
+        if sys.argv[1:]:
+            PIN_FILE.write_text("\n".join(pin_lines(argvs, workdir)) + "\n", encoding="utf-8")
+        print(digest(argvs))

@@ -31,10 +31,11 @@ from .model import (
     PreferenceProfile,
     Ranking,
     ValidationError,
+    _BYTE_BITS,
     _Record,
     _distinct_masks,
+    _randint,
     _set,
-    iter_bits,
     random_state,
     random_support_state,
 )
@@ -72,26 +73,29 @@ def _check_permutation(pi: Sequence[int], universe: int) -> None:
         raise ValidationError(f"{pi!r} is not a permutation of {universe} alternatives")
 
 
-def _permute_mask(mask: int, pi: Sequence[int]) -> int:
-    image = 0
-    for i in iter_bits(mask):
-        image |= 1 << pi[i]
-    return image
-
-
 def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     """Relabel the alternatives of a state.
 
     The relabeled state holds count v at (image of S, image of T) exactly
     when the original holds v at (S, T), so supports and scores follow the
     relabeling: the image of x scores in the new state what x scored before.
-    Built unchecked: a checked permutation maps valid masks to valid masks.
+    Each mask is mapped byte by byte through the bits of each byte value and
+    a list of the one-bit images, built once per permutation.  Built
+    unchecked: a checked permutation maps valid masks to valid masks.
     """
     _check_permutation(pi, state.universe)
-    counts = {
-        (_permute_mask(s, pi), _permute_mask(t, pi)): v
-        for (s, t), v in state.counts.items()
-    }
+    images = [1 << p for p in pi]
+
+    def image(mask: int) -> int:
+        out = base = 0
+        while mask:
+            for bit in _BYTE_BITS[mask & 255]:
+                out |= images[base + bit]
+            mask >>= 8
+            base += 8
+        return out
+
+    counts = {(image(s), image(t)): v for (s, t), v in state.counts.items()}
     return OpinionState._trusted(state.universe, counts)
 
 
@@ -255,7 +259,7 @@ def _sample_residual_masks(rng: Random, universe: int, taken: frozenset[int],
         return rng.sample(pool, min(want, len(pool)))
     out: set[int] = set()
     while len(out) < want:
-        m = rng.randint(1, top)
+        m = _randint(rng, 1, top)
         if m not in taken:
             out.add(m)
     return list(out)
@@ -291,11 +295,11 @@ def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
     classes = list(o1.quotient.classes)
     if o1.quotient.residual_present:
         taken = frozenset().union(*classes)
-        extra = _sample_residual_masks(rng, universe, taken, rng.randint(0, 4))
-        new_classes = classes + (_chunk(rng, extra, rng.randint(1, 3)) if extra else [])
+        extra = _sample_residual_masks(rng, universe, taken, _randint(rng, 0, 4))
+        new_classes = classes + (_chunk(rng, extra, _randint(rng, 1, 3)) if extra else [])
     else:
         last = sorted(classes[-1])
-        blocks = _chunk(rng, last, rng.randint(1, min(3, len(last))))
+        blocks = _chunk(rng, last, _randint(rng, 1, min(3, len(last))))
         if len(blocks) > 1 and rng.random() < 0.3:
             blocks = blocks[:-1]  # tail block drops to support zero
         new_classes = classes[:-1] + blocks
@@ -310,7 +314,7 @@ def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
         return AxiomInstance("ibs", o1, random_support_state(rng, universe))
     classes = list(o1.quotient.classes)
     first = sorted(classes[0])
-    blocks = _chunk(rng, first, rng.randint(1, min(3, len(first))))
+    blocks = _chunk(rng, first, _randint(rng, 1, min(3, len(first))))
     return AxiomInstance("ibs", o1,
                          _state_from_class_masks(universe, blocks + classes[1:]))
 
@@ -322,16 +326,16 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
         # dense flavor: every subset supported, two levels
         masks = list(range(1, top + 1))
         rng.shuffle(masks)
-        cut = rng.randint(1, top - 1)
+        cut = _randint(rng, 1, top - 1)
         return AxiomInstance("wivip",
                              _state_from_class_masks(universe, [masks[:cut], masks[cut:]]))
     if rng.random() < 0.6:
         # bias toward a nonempty intersection so the axiom has bite
-        x = rng.randrange(universe)
-        picked = {(rng.randint(1, top) | 1 << x) for _ in range(rng.randint(1, 6))}
+        x = _randint(rng, 0, universe - 1)
+        picked = {(_randint(rng, 1, top) | 1 << x) for _ in range(_randint(rng, 1, 6))}
     else:
-        picked = {rng.randint(1, top) for _ in range(rng.randint(1, 6))}
-    value = rng.randint(1, 5)
+        picked = {_randint(rng, 1, top) for _ in range(_randint(rng, 1, 6))}
+    value = _randint(rng, 1, 5)
     # at most 6 of the top >= 7 masks, so the residual class stays nonempty
     counts = {(m, m): value for m in picked}
     return AxiomInstance("wivip", OpinionState._trusted(universe, counts))
@@ -348,7 +352,7 @@ def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
         members = sorted(classes[at])
         delta = None
         for _ in range(20):
-            picked = rng.sample(members, rng.randint(1, len(members) - 1))
+            picked = rng.sample(members, _randint(rng, 1, len(members) - 1))
             inter = (1 << universe) - 1
             for m in picked:
                 inter &= m

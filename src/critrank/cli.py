@@ -32,6 +32,7 @@ mismatch.
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import sys
 from itertools import repeat
@@ -753,6 +754,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` and run its command; returns the exit code.
+
+    The command runs with the cyclic garbage collector paused, and switched
+    back on after only if it was on: no command leaves a reference cycle, so
+    reference counting frees everything and the collector would only scan.
+    """
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -761,6 +768,8 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = run(ns)
         sys.stdout.flush()
@@ -773,6 +782,9 @@ def main(argv=None) -> int:
             os.dup2(devnull, stdout_fd)
             os.close(devnull)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

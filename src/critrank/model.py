@@ -521,15 +521,28 @@ def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
 # live here so that the oracle runs without loading the axiom suite
 
 
+def _randint(rng: Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``, drawn the way CPython's ``Random`` draws it
+    (``getrandbits`` of the width's bit length, redrawn while out of range),
+    so a seed gives the same values, without its three Python-level calls.
+    Callers guarantee ``a <= b``; an empty range would never return."""
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def random_state(rng: Random, universe: int) -> OpinionState:
     """Random state with entry-level structure (off-diagonal opinions too):
     up to 10 opinions, each adding 1 to 4 to its pair's count.  Built
     unchecked: masks drawn in range, positive counts."""
     top = (1 << universe) - 1
     counts: dict[tuple[int, int], int] = {}
-    for _ in range(rng.randint(0, 10)):
-        pair = (rng.randint(1, top), rng.randint(1, top))
-        counts[pair] = counts.get(pair, 0) + rng.randint(1, 4)
+    for _ in range(_randint(rng, 0, 10)):
+        pair = (_randint(rng, 1, top), _randint(rng, 1, top))
+        counts[pair] = counts.get(pair, 0) + _randint(rng, 1, 4)
     return OpinionState._trusted(universe, counts)
 
 
@@ -544,7 +557,7 @@ def _distinct_masks(rng: Random, top: int, n: int) -> list[int]:
         return rng.sample(range(1, top + 1), n)
     drawn: dict[int, None] = {}
     while len(drawn) < n:
-        drawn[rng.randint(1, top)] = None
+        drawn[_randint(rng, 1, top)] = None
     return list(drawn)
 
 
@@ -553,6 +566,6 @@ def random_support_state(rng: Random, universe: int) -> OpinionState:
     support 1 to 5, values small enough to force ties.  Built unchecked:
     masks drawn in range, positive supports."""
     top = (1 << universe) - 1
-    n = rng.randint(0, min(8, top))
+    n = _randint(rng, 0, min(8, top))
     masks = _distinct_masks(rng, top, n)
-    return OpinionState._trusted(universe, {(m, m): rng.randint(1, 5) for m in masks})
+    return OpinionState._trusted(universe, {(m, m): _randint(rng, 1, 5) for m in masks})

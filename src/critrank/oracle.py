@@ -37,7 +37,10 @@ class DenseState(_Record):
     _fields = ("universe", "support")
 
     def __init__(self, universe: int, support: tuple[int, ...]) -> None:
-        if type(universe) is not int or not 1 <= universe <= ORACLE_MAX_UNIVERSE:
+        if type(universe) is not int or universe < 1:
+            raise ValidationError(f"universe size must be an integer in "
+                                  f"[1, {ORACLE_MAX_UNIVERSE}], got {universe!r}")
+        if universe > ORACLE_MAX_UNIVERSE:
             raise ValidationError(
                 f"oracle handles at most {ORACLE_MAX_UNIVERSE} alternatives")
         if len(support) != (1 << universe) - 1:

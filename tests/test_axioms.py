@@ -67,6 +67,25 @@ class TestPermutation:
         for x in range(state.universe):
             assert relabeled[pi[x]] == original[x]
 
+    @pytest.mark.parametrize("universe", (3, 8, 9, 64))
+    def test_each_mask_maps_to_its_per_bit_image(self, universe):
+        # the byte walk must carry every bit, across byte edges and bit 63
+        rng = Random(f"permute/{universe}")
+        top = (1 << universe) - 1
+        for _ in range(20):
+            pi = list(range(universe))
+            rng.shuffle(pi)
+            counts = dict(random_state(rng, universe).counts)
+            counts[(top, 1 << (universe - 1))] = 3
+            counts[(1, 1 << (universe - 1) | 1 << (universe // 2))] = 2
+            state = OpinionState(universe, counts)
+
+            def image(m):
+                return sum(1 << pi[i] for i in iter_bits(m))
+
+            assert permute_state(state, pi).counts == {
+                (image(s), image(t)): v for (s, t), v in state.counts.items()}
+
     @pytest.mark.parametrize("pi", ((0, 0, 1), (0, 1), (1, 2, 3)))
     def test_rejects_a_non_permutation(self, pi):
         state = OpinionState.from_support(3, {0b011: 2})

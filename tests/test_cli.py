@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import os
 import re
@@ -850,6 +851,11 @@ class TestTableRoute:
         assert _run_main(capsys, ["induce", *pair]) == (code, "", err)
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
 class TestMainExitCodes:
     def test_demo_runs_clean(self, capsys):
         assert main(["demo"]) == 0
@@ -868,11 +874,7 @@ class TestMainExitCodes:
         assert "status=ok" in done.stdout
 
     def test_stdout_that_raises_broken_pipe_is_exit_1(self, monkeypatch, capsys):
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
         assert main(["demo", "--format", "lines"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
@@ -1021,6 +1023,92 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "result: pass" in captured.out
         assert captured.err == ""
+
+
+# Per command shape, its exit code and its argv, built from the input paths
+# of ``TestCollectorPause.files``
+COMMAND_SHAPES = {
+    "rank-opinions": (0, lambda f: ["rank", "--rule", "iis-tb-tau", "--opinions", f["opinions"]]),
+    "rank-table": (0, lambda f: ["rank", "--rule", "lexcel", *f["pair"]]),
+    "induce": (0, lambda f: ["induce", *f["pair"], "--format", "lines"]),
+    "choose-n1": (0, lambda f: ["choose", *f["pair"], "--method", "n1"]),
+    "choose-n2": (0, lambda f: ["choose", *f["pair"], "--method", "n2"]),
+    "check-pass": (0, lambda f: ["check", "--axiom", "nt", "--trials", "60",
+                                 "--alternatives", "5"]),
+    "check-fail": (3, lambda f: ["check", "--axiom", "iws", "--rule", "f2",
+                                 "--trials", "80", "--alternatives", "3"]),
+    "selftest": (0, lambda f: ["selftest", "--trials", "10"]),
+    "demo": (0, lambda f: ["demo"]),
+    "demo-lines": (0, lambda f: ["demo", "--format", "lines"]),
+    "missing-file": (1, lambda f: ["rank", "--rule", "iis", "--opinions", "/no/such/file"]),
+    "malformed-profile": (1, lambda f: ["induce", "--table", f["table"],
+                                        "--profile", f["bad_profile"]]),
+    "usage-error": (1, lambda f: ["rank", "--opinions", f["opinions"]]),
+    "invalid-table": (2, lambda f: ["choose", "--table", f["bad_table"],
+                                    "--profile", f["profile"], "--method", "n1"]),
+}
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused, which is
+    sound only while no command leaves a reference cycle behind."""
+
+    @pytest.fixture
+    def files(self, demo_files, tmp_path):
+        """The demo table and profile, an opinion file, a table with a
+        repeated criterion and a profile with a malformed order."""
+        table, profile = demo_files
+        texts = {"opinions": "alternatives: a b c\nopinion {a,b} >= {c} : 3\n"
+                             "opinion {c} >= {a} : 1\n",
+                 "bad_table": "alternatives: a b\ncriterion j: a\ncriterion k: a\n",
+                 "bad_profile": "voter 1: Borda >\n"}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = str(tmp_path / f"{name}.txt")
+            Path(paths[name]).write_text(text)
+        return {"table": table, "profile": profile,
+                "pair": ["--table", table, "--profile", profile], **paths}
+
+    @pytest.mark.parametrize("shape", COMMAND_SHAPES)
+    def test_a_command_leaves_no_cycles(self, shape, files, capsys):
+        code, argv = COMMAND_SHAPES[shape]
+        # a first run may import modules and fill caches; the second is
+        # what every later run of the command leaves behind
+        assert main(argv(files)) == code
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv(files)) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("enabled", (True, False), ids=("on", "off"))
+    @pytest.mark.parametrize("shape", ("demo", "usage-error", "missing-file",
+                                       "invalid-table", "check-fail"))
+    def test_the_collector_is_left_as_it_was_found(self, shape, enabled, files, capsys):
+        code, argv = COMMAND_SHAPES[shape]
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(argv(files)) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("enabled", (True, False), ids=("on", "off"))
+    def test_a_closed_pipe_leaves_the_collector_as_it_was_found(self, enabled,
+                                                                 monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(["demo"]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestMachineOutput:

@@ -3,12 +3,18 @@
 Each case runs ``critrank.cli.main`` on the demo criterion table and
 profile, or on the opinion file that ``induce`` writes from them, and
 compares standard output with ``golden/<case>.txt``.  ``check`` is left
-out: its batches may change on purpose, and the axiom tests cover them.
+out of these cases: its batches may change on purpose, and the axiom tests
+cover them.
 
 After an intended output change, rewrite the expected files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+``golden/digest_runs.txt`` pins the exit code, stdout and stderr of every
+run of ``scripts/output_digest.py``, ``check`` included, each by its
+sha256; ``python3 scripts/output_digest.py --write`` rewrites it.
 """
 
+import importlib.util
 import io
 import sys
 from contextlib import redirect_stdout
@@ -78,7 +84,22 @@ def test_output_matches_the_golden_file(name, inputs):
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+    # besides the cases, only the digest runs' pin file
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted([*CASES, "digest_runs"])
+
+
+def test_every_digest_run_gives_its_pinned_output(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    pinned = digest.PIN_FILE.read_text(encoding="utf-8").splitlines()
+    argvs = digest.runs(str(tmp_path))
+    lines = digest.pin_lines(argvs, str(tmp_path))
+    moved = next((new.rpartition(" ")[0] for new, old in zip(lines, pinned) if new != old),
+                 None)
+    assert moved is None, f"first run whose output moved: {moved}"
+    assert len(lines) == len(pinned)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from functools import cached_property
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critrank.cli import format_opinion_state, parse_opinion_state
@@ -16,6 +16,7 @@ from critrank.model import (
     QuotientOrder,
     Ranking,
     ValidationError,
+    _randint,
     column_sums,
     iter_bits,
     random_state,
@@ -307,6 +308,36 @@ class TestColumnSums:
 
     def test_no_masks_sum_to_zero(self):
         assert column_sums(9, []) == [0] * 9
+
+
+class TestBoundedDraws:
+    """``_randint`` draws what ``Random.randint`` draws, so every generated
+    state and axiom instance stays fixed by its seed."""
+
+    # (low end, width - 1, draw ``random()`` next) per step; widths reach
+    # 2**64 - 1, the draw of a mask over 64 alternatives
+    steps = st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2 ** 64 - 2),
+                               st.booleans()), min_size=1, max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), steps=steps)
+    @example(seed=0, steps=[(3, 0, False), (3, 0, True)])        # a == b
+    @example(seed=1, steps=[(1, 2 ** 64 - 2, False)] * 4)        # 1 .. 2**64 - 1
+    @example(seed=2, steps=[(0, 4, True)] * 8)                   # width 5 redraws
+    def test_same_values_as_randint_on_a_twin(self, seed, steps):
+        ours, theirs = Random(seed), Random(seed)
+        for low, span, interleave in steps:
+            assert _randint(ours, low, low + span) == theirs.randint(low, low + span)
+            if interleave:
+                assert ours.random() == theirs.random()
+        assert ours.getstate() == theirs.getstate()
+
+    def test_an_out_of_range_draw_is_redrawn(self):
+        # three bits cover 0 .. 7, so a width of 5 redraws 5, 6 and 7
+        seed = next(s for s in range(100) if Random(s).getrandbits(3) >= 5)
+        probe = Random(seed)
+        first_in_range = next(r for r in iter(lambda: probe.getrandbits(3), None) if r < 5)
+        assert _randint(Random(seed), 0, 4) == first_in_range
 
 
 class TestQuotientOrder:

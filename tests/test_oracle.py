@@ -54,9 +54,18 @@ class TestDenseState:
         assert sum(dense.support) == 7
 
     def test_rejects_oversized_universe(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=f"^oracle handles at most {ORACLE_MAX_UNIVERSE} alternatives$"):
             DenseState(ORACLE_MAX_UNIVERSE + 1,
                        (0,) * (2 ** (ORACLE_MAX_UNIVERSE + 1) - 1))
+
+    @pytest.mark.parametrize("universe", (0, -1, True, 2.0, "3"))
+    def test_a_universe_that_is_no_size_names_its_value(self, universe):
+        # the fault is the value, not the oracle's size limit
+        with pytest.raises(ValidationError) as info:
+            DenseState(universe, (2,))
+        assert str(info.value) == (f"universe size must be an integer in "
+                                   f"[1, {ORACLE_MAX_UNIVERSE}], got {universe!r}")
 
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValidationError):

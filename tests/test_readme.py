@@ -1,17 +1,20 @@
 """Every ``critrank.…`` name and every ``scripts/….py`` path that the
 README cites exists, so that a rename or a deletion cannot leave the README
 pointing at nothing; every command of its CLI block parses; its library
-layout stays a short list of module contracts; and neither it nor a library
+layout stays a short list of module contracts, and ``main`` pauses the
+collector as the ``critrank.cli`` contract says; and neither it nor a library
 docstring quotes a timing, whose home is CHANGES.md, the ``BENCH_*.json``
 files and ``perfbench/README.md``."""
 
 import ast
+import gc
 import importlib
 import re
 import shlex
 from pathlib import Path
 
-from critrank.cli import _build_parser
+import critrank.cli
+from critrank.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -84,3 +87,15 @@ def test_cli_block_commands_parse():
     for argv in commands:
         # a usage error raises instead of exiting
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_the_paused_collector_is_as_the_cli_contract_says(monkeypatch):
+    section = " ".join(README.split("\n- `critrank.cli`.", 1)[1].split("\n\n", 1)[0].split())
+    assert ("pauses the cyclic garbage collector while the command runs: "
+            "no command leaves a reference cycle") in section
+    seen = []
+    monkeypatch.setitem(critrank.cli._DISPATCH, "demo",
+                        lambda args: seen.append(gc.isenabled()) or 0)
+    assert main(["demo"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
