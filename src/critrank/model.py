@@ -4,8 +4,8 @@ the support quotient, excellence scores and class counts derived from them.
 A subset of the ``universe`` alternatives (at most 64) is a nonzero int
 mask, bit i for alternative i.  Only pairs of subsets with a positive count
 are stored; the subsets with no support form the quotient's residual class,
-which is never enumerated.  Every record is immutable, and a value that
-breaks a record's invariants raises :class:`ValidationError`.
+which is never enumerated.  Every record is immutable; one that outside
+values can reach raises :class:`ValidationError` on a value breaking it.
 """
 
 import functools
@@ -87,10 +87,12 @@ class _Record:
     ``__dict__`` take no part.  Assigning or deleting any attribute raises
     :class:`AttributeError`.
 
-    A subclass names its public fields in ``_fields``, stores them in its
-    own ``__init__`` through ``_set`` (``object.__setattr__``) and checks
-    them there; a private ``_trusted`` classmethod may skip the checks that
-    its callers' values already passed.  It declares ``__slots__`` unless it
+    A subclass names its public fields in ``_fields`` and stores them in its
+    own ``__init__`` through ``_set`` (``object.__setattr__``).  A record
+    that values from outside the library can reach checks them there, and a
+    private ``_trusted`` classmethod may skip the checks that its callers'
+    values already passed; a record that only the library builds has one
+    unchecked ``__init__``.  It declares ``__slots__`` unless it
     keeps cached properties in a ``__dict__``.  Records are not
     ``dataclasses`` classes: importing ``dataclasses`` loads ``inspect``,
     and each decorated class ``exec``s its generated methods, on every
@@ -304,7 +306,7 @@ class OpinionState(_Record):
         """Subsets grouped into equal-support classes, strongest first."""
         # score_groups of a valid support map: nonempty, disjoint masks in range
         classes = tuple(frozenset(masks) for _v, masks in score_groups(self.support_map))
-        return QuotientOrder._trusted(self.universe, classes)
+        return QuotientOrder(self.universe, classes)
 
     @cached_property
     def e_vector(self) -> tuple[int, ...]:
@@ -348,39 +350,19 @@ class QuotientOrder(_Record):
     it.  The residual class collects every subset not listed in ``classes``;
     it is last and never materialized: construction derives whether it is
     nonempty, ``residual_present``.
+    Only :attr:`OpinionState.quotient` builds one, from a valid state's score
+    groups, so nothing is checked: nonempty, disjoint classes of its masks.
     """
 
     _fields = ("universe", "classes")
     __slots__ = _fields + ("residual_present",)
 
     def __init__(self, universe: int, classes: tuple[frozenset[int], ...]) -> None:
-        _check_universe(universe)
-        capacity = (1 << universe) - 1
-        seen: set[int] = set()
-        for members in classes:
-            if not members:
-                raise ValidationError("support classes must be nonempty")
-            for mask in members:
-                if type(mask) is not int or not 0 < mask <= capacity:
-                    raise ValidationError("class member out of range for the universe")
-                if mask in seen:
-                    raise ValidationError("support classes must be disjoint")
-                seen.add(mask)
         _set(self, "universe", universe)
         _set(self, "classes", classes)
-        # a plain attribute, not a property: ``depth`` reads the flag on every access
-        _set(self, "residual_present", len(seen) < capacity)
-
-    @classmethod
-    def _trusted(cls, universe: int, classes: tuple[frozenset[int], ...]) -> "QuotientOrder":
-        """A quotient from classes already known to be nonempty, disjoint and
-        in range; nothing is checked.  The residual flag counts the members as
-        ``__init__`` does: the classes are disjoint, so their sizes add up."""
-        q = object.__new__(cls)
-        _set(q, "universe", universe)
-        _set(q, "classes", classes)
-        _set(q, "residual_present", sum(map(len, classes)) < (1 << universe) - 1)
-        return q
+        # a plain attribute, not a property: ``depth`` reads the flag on every
+        # access; the classes are disjoint, so their sizes add up
+        _set(self, "residual_present", sum(map(len, classes)) < (1 << universe) - 1)
 
     @property
     def depth(self) -> int:

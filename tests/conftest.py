@@ -80,20 +80,33 @@ def top_k(state, k: int) -> frozenset[int]:
     return frozenset(x for x, e in enumerate(state.e_vector) if e >= k)
 
 
+def assert_valid_quotient(q: QuotientOrder) -> None:
+    """The invariant the unchecked ``QuotientOrder`` constructor relies on:
+    every class is nonempty, every member is a mask of the universe, the
+    classes are pairwise disjoint, and ``residual_present`` (so ``depth``)
+    follows the member count."""
+    capacity = (1 << q.universe) - 1
+    members = [m for cls_ in q.classes for m in cls_]
+    assert all(q.classes)
+    assert all(type(m) is int and 0 < m <= capacity for m in members)
+    assert len(set(members)) == len(members)
+    assert q.residual_present == (len(members) < capacity)
+    assert q.depth == len(q.classes) + q.residual_present
+
+
 @contextlib.contextmanager
 def trusted_calls():
-    """Within the block, every call of ``OpinionState._trusted``,
-    ``QuotientOrder._trusted`` or ``PreferenceProfile._trusted`` also builds
-    its record through the public constructor and asserts that the two are
-    equal: for states, counts in the same order too; for quotients, the same
-    ``residual_present`` and ``depth``.  Yields a list that gets (name of
-    the calling function, record) per call."""
+    """Within the block, every call of ``OpinionState._trusted`` or
+    ``PreferenceProfile._trusted`` also builds its record through the public
+    constructor and asserts that the two are equal (for states, counts in
+    the same order too), and every ``QuotientOrder`` built must pass
+    :func:`assert_valid_quotient`.  Yields a list that gets (name of the
+    calling function, record) per call."""
     calls = []
-    originals = {cls: cls.__dict__["_trusted"]
-                 for cls in (OpinionState, QuotientOrder, PreferenceProfile)}
+    originals = {cls: cls.__dict__["_trusted"] for cls in (OpinionState, PreferenceProfile)}
     make_state = originals[OpinionState].__func__
-    make_quotient = originals[QuotientOrder].__func__
     make_profile = originals[PreferenceProfile].__func__
+    init_quotient = QuotientOrder.__init__
 
     def state(cls, universe, counts):
         public = OpinionState(universe, counts)
@@ -102,13 +115,10 @@ def trusted_calls():
         calls.append((sys._getframe(1).f_code.co_name, made))
         return made
 
-    def quotient(cls, universe, classes):
-        public = QuotientOrder(universe, classes)
-        made = make_quotient(cls, universe, classes)
-        assert made == public
-        assert (made.residual_present, made.depth) == (public.residual_present, public.depth)
-        calls.append((sys._getframe(1).f_code.co_name, made))
-        return made
+    def quotient(self, universe, classes):
+        init_quotient(self, universe, classes)
+        assert_valid_quotient(self)
+        calls.append((sys._getframe(1).f_code.co_name, self))
 
     def profile(cls, voters, orders):
         public = PreferenceProfile(voters, orders)
@@ -118,13 +128,14 @@ def trusted_calls():
         return made
 
     OpinionState._trusted = classmethod(state)
-    QuotientOrder._trusted = classmethod(quotient)
     PreferenceProfile._trusted = classmethod(profile)
+    QuotientOrder.__init__ = quotient
     try:
         yield calls
     finally:
         for cls, original in originals.items():
             cls._trusted = original
+        QuotientOrder.__init__ = init_quotient
 
 
 @st.composite

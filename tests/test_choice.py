@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -112,6 +113,50 @@ class TestCriteriaRanking:
             ("v1", "v2"), (("c0", "c1", "c2"), ("c1", "c0", "c2")))
         r = ranking_from_scores(positional_scores(table, profile))
         assert r.classes == (("c0", "c1"), ("c2",))
+
+
+def weak_orders(items: tuple) -> list[tuple[tuple, ...]]:
+    """Every weak order of ``items``, as tiers best first, each tier in the
+    order of ``items``."""
+    if not items:
+        return [()]
+    found = []
+    for size in range(1, len(items) + 1):
+        for first in combinations(items, size):
+            rest = tuple(x for x in items if x not in first)
+            found += [(first, *tail) for tail in weak_orders(rest)]
+    return found
+
+
+def lift_pair_orders(tiers: tuple[tuple[str, ...], ...]) -> list[tuple[str, ...]]:
+    """Orders whose Borda classes are ``tiers``.  The pair "c, then the rest"
+    and "c, then the rest reversed" gives c 2m points and every other of the
+    m criteria m, so it lifts c by m and ties the rest; each criterion of
+    tier j of k, counted from 0, gets k - j - 1 pairs.  One tier is one
+    order and its reverse."""
+    criteria = tuple(c for tier in tiers for c in tier)
+    if len(tiers) == 1:
+        return [criteria, criteria[::-1]]
+    orders = []
+    for j, tier in enumerate(tiers):
+        for c in tier:
+            rest = tuple(d for d in criteria if d != c)
+            orders += [(c, *rest), (c, *rest[::-1])] * (len(tiers) - j - 1)
+    return orders
+
+
+class TestEveryWeakOrderIsABordaOrder:
+    def test_lift_pairs_realize_every_weak_order_of_up_to_5_criteria(self):
+        realized = 0
+        for m in range(1, 6):
+            table = table_of(3, *[(0,), (1,), (2,), (0, 1), (0, 2)][:m])
+            for tiers in weak_orders(table.criteria):
+                orders = lift_pair_orders(tiers)
+                profile = PreferenceProfile(tuple(f"v{i}" for i in range(len(orders))),
+                                            tuple(orders))
+                assert ranking_from_scores(positional_scores(table, profile)).classes == tiers
+                realized += 1
+        assert realized == 1 + 3 + 13 + 75 + 541 == 633
 
 
 class TestCascadeChoice:

@@ -39,7 +39,7 @@ from conftest import opinion_states
 def _flip_residual(q: QuotientOrder) -> QuotientOrder:
     """The same classes with the residual flag flipped, so the depth is off
     by one; the builders derive the flag, so it is set by hand."""
-    flipped = QuotientOrder._trusted(q.universe, q.classes)
+    flipped = QuotientOrder(q.universe, q.classes)
     object.__setattr__(flipped, "residual_present", not q.residual_present)
     return flipped
 
@@ -195,7 +195,7 @@ class TestDifferentialSweep:
         # doubled supports keep every class, score and ranking
         "support": ("support_map", lambda support, state: {
             m: 2 * v for m, v in support.items()}, ["support"], True),
-        "quotient-classes": ("quotient", lambda q, state: QuotientOrder._trusted(
+        "quotient-classes": ("quotient", lambda q, state: QuotientOrder(
             q.universe, q.classes[::-1]), ["quotient-classes"], False),
         "depth": ("quotient", lambda q, state: _flip_residual(q), ["depth"], False),
         # a swap keeps the multiset of scores, so never the bound

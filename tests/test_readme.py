@@ -1,6 +1,6 @@
-"""Every ``critrank.…`` name and every ``scripts/….py`` path that the
-README cites exists, so that a rename or a deletion cannot leave the README
-pointing at nothing; every command of its CLI block parses; its library
+"""Every ``critrank.…`` name, ``scripts/….py`` path and ``tests/….py::name``
+test that the README cites exists, so that a rename or a deletion cannot
+leave the README pointing at nothing; every command of its CLI block parses; its library
 layout stays a short list of module contracts, and ``main`` pauses the
 collector as the ``critrank.cli`` contract says; and neither it nor a library
 docstring quotes a timing, whose home is CHANGES.md, the ``BENCH_*.json``
@@ -51,6 +51,18 @@ def test_cited_scripts_exist():
     paths = sorted(set(re.findall(r"\bscripts/[\w/.-]+\.py\b", README)))
     assert len(paths) >= 2
     assert [p for p in paths if not (ROOT / p).is_file()] == []
+
+
+def test_cited_tests_exist():
+    cited = sorted(set(re.findall(r"\b(tests/\w+\.py)::(\w+)", README)))
+    assert len(cited) >= 2
+    missing = []
+    for path, name in cited:
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        if name not in {node.name for node in tree.body if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef))}:
+            missing.append(f"{path}::{name}")
+    assert missing == []
 
 
 def test_library_layout_fits_in_60_lines():
