@@ -1,12 +1,12 @@
 """Rules that turn a state of opinion into a ranking of alternatives.
 
 All rules here consume an :class:`~critrank.model.OpinionState` and emit a
-:class:`~critrank.model.Ranking` over alternative indices.  The flagship
-rule ranks by excellence score alone; the others are rivals and refinements
-used to map out which axioms each rule does and does not satisfy: plain
-support sums, lexicographic comparison of per-class membership counts, two
-tie-breaking refinements of the excellence rule, two deliberately coarse
-rules, and total indifference.
+``Ranking``: the ordered partition of the alternative indices, a tuple of
+classes, best class first.  The flagship rule ranks by excellence score
+alone; the others are rivals and refinements used to map out which axioms
+each rule does and does not satisfy: plain support sums, lexicographic
+comparison of per-class membership counts, two tie-breaking refinements of
+the excellence rule, two deliberately coarse rules, and total indifference.
 
 ``induce_opinion`` is the bridge from voting: a criterion table plus a
 preference profile yields the state of the satisfier sets' pairwise voter
@@ -27,7 +27,6 @@ from .model import (
     CriterionTable,
     OpinionState,
     PreferenceProfile,
-    Ranking,
     ValidationError,
     _Record,
     _set,
@@ -37,6 +36,9 @@ from .model import (
     refine_by_class_counts,
     score_groups,
 )
+
+# A weak order over the alternatives as its ordered partition, best class first.
+Ranking = tuple[tuple[int, ...], ...]
 
 
 def induce_opinion(table: CriterionTable, profile: PreferenceProfile) -> OpinionState:
@@ -96,25 +98,25 @@ def criterion_score_state(table: CriterionTable, profile: PreferenceProfile) -> 
     return OpinionState._trusted(table.universe, {(m, m): v for m, v in zip(masks, scores)})
 
 
-def iis_rank(state: OpinionState) -> Ranking[int]:
+def iis_rank(state: OpinionState) -> Ranking:
     """Rank by excellence score alone; equal scores tie."""
     e = state.e_vector
     return ranking_from_scores({x: e[x] for x in range(state.universe)})
 
 
-def support_rank(state: OpinionState) -> Ranking[int]:
+def support_rank(state: OpinionState) -> Ranking:
     """Rank by the summed support of every subset containing the alternative."""
     totals = column_sums(state.universe, state.support_map.items())
     return ranking_from_scores(dict(enumerate(totals)))
 
 
-def lexcel_rank(state: OpinionState) -> Ranking[int]:
+def lexcel_rank(state: OpinionState) -> Ranking:
     """Compare per-class membership counts lexicographically, strongest first."""
     groups = refine_by_class_counts([(1 << state.universe) - 1], state.quotient.classes)
-    return Ranking(tuple(tuple(iter_bits(g)) for g in groups))
+    return tuple(tuple(iter_bits(g)) for g in groups)
 
 
-def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int]:
+def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking:
     """Excellence first, then an exogenous strict order on middling ties.
 
     Ties at the floor score 0 and at the ceiling score (one below the class
@@ -130,7 +132,7 @@ def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking[int
                                 for x, e in enumerate(state.e_vector)})
 
 
-def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
+def iis_tiebreak_tau(state: OpinionState) -> Ranking:
     """Excellence first, positive-score ties broken by running totals.
 
     Alternatives tied at score 0 stay tied; alternatives tied at a positive
@@ -142,23 +144,23 @@ def iis_tiebreak_tau(state: OpinionState) -> Ranking[int]:
     bands = [(e, sum(1 << x for x in xs))
              for e, xs in score_groups(dict(enumerate(state.e_vector)))]
     groups = refine_by_class_counts([g for e, g in bands if e], state.quotient.classes)
-    return Ranking(tuple(tuple(iter_bits(g)) for g in groups + [g for e, g in bands if not e]))
+    return tuple(tuple(iter_bits(g)) for g in groups + [g for e, g in bands if not e])
 
 
-def coarse_f1(state: OpinionState) -> Ranking[int]:
+def coarse_f1(state: OpinionState) -> Ranking:
     """Three bands only: score two or more, score exactly one, score zero."""
     return ranking_from_scores({x: min(e, 2) for x, e in enumerate(state.e_vector)})
 
 
-def coarse_f2(state: OpinionState) -> Ranking[int]:
+def coarse_f2(state: OpinionState) -> Ranking:
     """Two bands only: ceiling score against everyone else."""
     ceiling = state.quotient.depth - 1
     return ranking_from_scores({x: e == ceiling for x, e in enumerate(state.e_vector)})
 
 
-def indifference_rule(state: OpinionState) -> Ranking[int]:
+def indifference_rule(state: OpinionState) -> Ranking:
     """Every alternative tied, regardless of the state."""
-    return Ranking((tuple(range(state.universe)),))
+    return (tuple(range(state.universe)),)
 
 
 # Short names of the five axioms of ``critrank.axioms``, in report order.
@@ -177,7 +179,7 @@ class Rule(_Record):
 
     __slots__ = _fields = ("name", "rank", "takes_order", "target")
 
-    def __init__(self, name: str, rank: Callable[..., Ranking[int]],
+    def __init__(self, name: str, rank: Callable[..., Ranking],
                  takes_order: bool = False, target: str | None = None) -> None:
         _set(self, "name", name)
         _set(self, "rank", rank)
@@ -185,7 +187,7 @@ class Rule(_Record):
         _set(self, "target", target)
 
     def __call__(self, state: OpinionState,
-                 order: Sequence[int] | None = None) -> Ranking[int]:
+                 order: Sequence[int] | None = None) -> Ranking:
         if not self.takes_order:
             return self.rank(state)
         return self.rank(state, tuple(range(state.universe)) if order is None else order)

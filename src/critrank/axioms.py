@@ -22,14 +22,13 @@ generators used to test the choice methods.
 from collections.abc import Callable, Iterable, Sequence
 from random import Random
 
-from .aggregators import AXIOM_KINDS
+from .aggregators import AXIOM_KINDS, Ranking
 from .model import (
     AltSubset,
     CriterionTable,
     MAX_UNIVERSE,
     OpinionState,
     PreferenceProfile,
-    Ranking,
     ValidationError,
     _BYTE_BITS,
     _Record,
@@ -40,7 +39,7 @@ from .model import (
     random_support_state,
 )
 
-Aggregator = Callable[[OpinionState], Ranking[int]]
+Aggregator = Callable[[OpinionState], Ranking]
 
 
 class InvalidInstanceError(ValidationError):
@@ -190,13 +189,25 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
     return _verdict(agg, inst)
 
 
-def _class_indices(ranking: Ranking[int], universe: int) -> list[int]:
-    """Each alternative's class index in the ranking, read off its label map;
-    an alternative the ranking leaves out raises like ``class_of``."""
+def _class_indices(ranking: Ranking, universe: int) -> list[int]:
+    """Each alternative's class index in the ranking.  An aggregator's output
+    is checked here and nowhere else: its classes must be nonempty and
+    partition exactly the alternatives ``0 .. universe-1``."""
+    position: dict[int, int] = {}
+    for i, members in enumerate(ranking):
+        if not members:
+            raise ValidationError("ranking classes must be nonempty")
+        for label in members:
+            if label in position:
+                raise ValidationError(f"label {label!r} appears in two classes")
+            position[label] = i
     try:
-        return list(map(ranking._position.__getitem__, range(universe)))
+        at = list(map(position.pop, range(universe)))
     except KeyError as miss:
         raise ValidationError(f"label {miss.args[0]!r} not ranked") from None
+    if position:
+        raise ValidationError(f"label {next(iter(position))!r} is not an alternative")
+    return at
 
 
 def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:

@@ -12,7 +12,6 @@ from .model import (
     AltSubset,
     CriterionTable,
     PreferenceProfile,
-    Ranking,
     ValidationError,
     column_sums,
     ranking_from_scores,
@@ -62,11 +61,11 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int
     return _stages(table, ranking_from_scores(positional_scores(table, profile)))
 
 
-def _stages(table: CriterionTable, ranking: Ranking[str]) -> tuple[int, ...]:
-    """The cascade down a given ranking of the criteria."""
+def _stages(table: CriterionTable, ranking: tuple[tuple[str, ...], ...]) -> tuple[int, ...]:
+    """The cascade down a given ranking of the criteria, classes best first."""
     tr = table.tr
     return tuple(running_intersections(
-        table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking.classes)))
+        table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking)))
 
 
 def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:

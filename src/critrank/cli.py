@@ -61,7 +61,6 @@ from .model import (
     CriterionTable,
     OpinionState,
     PreferenceProfile,
-    Ranking,
     ValidationError,
     iter_bits,
     ranking_from_scores,
@@ -398,11 +397,11 @@ def _format_members(indices, names: tuple[str, ...]) -> str:
     return "{" + ",".join(names[i] for i in sorted(indices)) + "}"
 
 
-def format_ranking(ranking: Ranking, names: tuple[str, ...] | None = None) -> str:
-    """Classes joined by ' > ', members comma separated in input order."""
+def format_ranking(ranking: tuple[tuple, ...], names: tuple[str, ...] | None = None) -> str:
+    """Classes, best first, joined by ' > ', members comma separated in input order."""
     if names is None:
-        return " > ".join("{" + ",".join(map(str, cls_)) + "}" for cls_ in ranking.classes)
-    return " > ".join(_format_members(cls_, names) for cls_ in ranking.classes)
+        return " > ".join("{" + ",".join(map(str, cls_)) + "}" for cls_ in ranking)
+    return " > ".join(_format_members(cls_, names) for cls_ in ranking)
 
 
 def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: bool

@@ -1,5 +1,7 @@
 """Subsets, criterion tables, voter profiles and sparse opinion states, with
 the support quotient, excellence scores and class counts derived from them.
+A ranking is its ordered partition: a tuple of classes of labels, best
+class first, as :func:`ranking_from_scores` builds it.
 
 A subset of the ``universe`` alternatives (at most 64) is a nonzero int
 mask, bit i for alternative i.  Only pairs of subsets with a positive count
@@ -12,7 +14,7 @@ import functools
 import sys
 from collections.abc import Collection, Iterable, Mapping
 from random import Random
-from typing import Generic, Hashable, TypeVar
+from typing import Hashable, TypeVar
 
 MAX_UNIVERSE = 64
 
@@ -448,37 +450,6 @@ def refine_by_class_counts(groups: list[int],
     return groups
 
 
-class Ranking(_Record, Generic[L]):
-    """A weak order presented as its ordered partition, best class first."""
-
-    _fields = ("classes",)
-    # ``_position`` maps each label to the index of its class; it is filled
-    # while the labels are checked for repeats; axioms._class_indices reads it
-    __slots__ = _fields + ("_position",)
-
-    def __init__(self, classes: tuple[tuple[L, ...], ...]) -> None:
-        position: dict[L, int] = {}
-        for i, cls_ in enumerate(classes):
-            if not cls_:
-                raise ValidationError("ranking classes must be nonempty")
-            for label in cls_:
-                if label in position:
-                    raise ValidationError(f"label {label!r} appears in two classes")
-                position[label] = i
-        _set(self, "classes", classes)
-        _set(self, "_position", position)
-
-    def class_of(self, label: L) -> int:
-        try:
-            return self._position[label]
-        except KeyError:
-            raise ValidationError(f"label {label!r} not ranked") from None
-
-    @property
-    def top(self) -> tuple[L, ...]:
-        return self.classes[0]
-
-
 def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:
     """(score, labels) pairs, one per distinct score, highest score first.
 
@@ -493,9 +464,10 @@ def score_groups(scores: Mapping[L, object]) -> list[tuple[object, list[L]]]:
     return sorted(groups.items(), reverse=True)
 
 
-def ranking_from_scores(scores: Mapping[L, object]) -> Ranking[L]:
-    """Group labels with equal scores, highest score first."""
-    return Ranking(tuple(tuple(labels) for _v, labels in score_groups(scores)))
+def ranking_from_scores(scores: Mapping[L, object]) -> tuple[tuple[L, ...], ...]:
+    """Group labels with equal scores, highest score first: a ranking as
+    its ordered partition, best class first."""
+    return tuple(tuple(labels) for _v, labels in score_groups(scores))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     for name, rule in RULES.items():
         if name not in dense:
             raise LookupError(f"rule {name!r} has no dense counterpart in the oracle")
-        if rule(state, order).classes != dense[name]:
+        if rule(state, order) != dense[name]:
             problems.append(f"ranking-{name}")
     return problems
 

@@ -16,7 +16,6 @@ from critrank.model import (
     OpinionState,
     PreferenceProfile,
     QuotientOrder,
-    Ranking,
     ValidationError,
     column_sums,
     random_state,
@@ -44,24 +43,29 @@ def bits(*indices: int) -> int:
     return sum(1 << i for i in indices)
 
 
-def strictly_above(ranking: Ranking, a, b) -> bool:
-    return ranking.class_of(a) < ranking.class_of(b)
+def class_of(ranking: tuple, label) -> int:
+    """Index of the class holding ``label`` in a ranking, best class first."""
+    return next(i for i, members in enumerate(ranking) if label in members)
 
 
-def weakly_above(ranking: Ranking, a, b) -> bool:
-    return ranking.class_of(a) <= ranking.class_of(b)
+def strictly_above(ranking: tuple, a, b) -> bool:
+    return class_of(ranking, a) < class_of(ranking, b)
 
 
-def tied(ranking: Ranking, a, b) -> bool:
-    return ranking.class_of(a) == ranking.class_of(b)
+def weakly_above(ranking: tuple, a, b) -> bool:
+    return class_of(ranking, a) <= class_of(ranking, b)
 
 
-def max_of(ranking: Ranking[int]) -> AltSubset:
+def tied(ranking: tuple, a, b) -> bool:
+    return class_of(ranking, a) == class_of(ranking, b)
+
+
+def max_of(ranking: tuple) -> AltSubset:
     """Top class of an index ranking, as a subset of the universe."""
-    n = sum(len(c) for c in ranking.classes)
-    if {x for cls_ in ranking.classes for x in cls_} != set(range(n)):
+    n = sum(map(len, ranking))
+    if {x for cls_ in ranking for x in cls_} != set(range(n)):
         raise ValidationError("ranking labels must be exactly the alternative indices")
-    return AltSubset(sum(1 << x for x in ranking.top), n)
+    return AltSubset(sum(1 << x for x in ranking[0]), n)
 
 
 def satisfied_counts(table: CriterionTable) -> tuple[int, ...]:

@@ -97,7 +97,7 @@ def test_golden_choice_example(demo_table, demo_profile):
         ("criterion scores",
          scores == {"a": 10, "b": 11, "c": 12, "d": 13, "e": 8, "f": 9}),
         ("criteria ranking",
-         ranking.classes == (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))),
+         ranking == (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))),
         ("cascade stages",
          stages == (bits(0, 2, 3, 4, 5, 6), bits(0, 2, 3, 4),
                     bits(0, 3), bits(0, 3), 0, 0)),
@@ -128,8 +128,8 @@ def test_golden_induced_state(demo_table, demo_profile, demo_state):
         for i in range(6) for j in range(6)
     )
     supports = tuple(demo_state.support_map.get(s.mask, 0) for s in tr)
-    iis = tuple(frozenset(c) for c in iis_rank(demo_state).classes)
-    supp = tuple(frozenset(c) for c in support_rank(demo_state).classes)
+    iis = tuple(frozenset(c) for c in iis_rank(demo_state))
+    supp = tuple(frozenset(c) for c in support_rank(demo_state))
     checks = [
         ("all 36 induced entries", entries_ok),
         ("entry count", len(demo_state.entries) == 36),
@@ -148,7 +148,7 @@ def test_golden_induced_state(demo_table, demo_profile, demo_state):
 def test_golden_excellence_vectors(demo_table, demo_state):
     app = demo_table.alternatives.index("Approval")
     bor = demo_table.alternatives.index("Borda")
-    lex = tuple(frozenset(c) for c in lexcel_rank(demo_state).classes)
+    lex = tuple(frozenset(c) for c in lexcel_rank(demo_state))
     checks = [
         ("class counts of Approval", demo_state.class_count_rows[app] == (1, 0, 0, 0, 1, 0, 62)),
         ("class counts of Borda", demo_state.class_count_rows[bor] == (1, 0, 1, 0, 1, 1, 60)),
@@ -258,7 +258,7 @@ def test_structural_identity_suite():
         q = state.quotient
         ranking = ranking_from_scores(scores)
         expected_classes = tuple(
-            frozenset(table.tr[c].mask for c in cls_) for cls_ in ranking.classes)
+            frozenset(table.tr[c].mask for c in cls_) for cls_ in ranking)
         if expected_classes != q.classes or not q.residual_present:
             mirror_ok = False
         stages = cascade_sets(table, profile)

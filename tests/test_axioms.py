@@ -39,7 +39,7 @@ from critrank.axioms import (
     validate_instance,
 )
 from critrank.cli import parse_opinion_state
-from critrank.model import OpinionState, Ranking, ValidationError, iter_bits, random_state
+from critrank.model import OpinionState, ValidationError, iter_bits, random_state
 
 from conftest import (
     bits,
@@ -311,8 +311,8 @@ class TestIncompleteRanking:
             if not incomplete(state):
                 return full
             gone = state.universe - 1
-            kept = (tuple(x for x in members if x != gone) for members in full.classes)
-            return Ranking(tuple(members for members in kept if members))
+            kept = (tuple(x for x in members if x != gone) for members in full)
+            return tuple(members for members in kept if members)
 
         monkeypatch.setitem(RULES, "incomplete", Rule("incomplete", rank))
         return RULES["incomplete"]
@@ -329,6 +329,38 @@ class TestIncompleteRanking:
         rule = self.register(monkeypatch, lambda state: state is inst.o2)
         with pytest.raises(ValidationError, match="label 2 not ranked"):
             check_axiom(rule, inst)
+
+
+class TestMalformedRanking:
+    """A rule's ranking must be an ordered partition of exactly the
+    alternatives; ``check_axiom`` names the first fault it meets."""
+
+    @staticmethod
+    def register(monkeypatch, rank):
+        monkeypatch.setitem(RULES, "malformed", Rule("malformed", rank))
+        return RULES["malformed"]
+
+    @pytest.mark.parametrize("ranking, message", [
+        (((0,), (), (1, 2)), "ranking classes must be nonempty"),
+        (((0, 1), (1, 2)), "label 1 appears in two classes"),
+        (((2,), (0,)), "label 1 not ranked"),
+    ], ids=["empty-class", "repeated-label", "dropped-label"])
+    def test_a_broken_partition_is_named(self, ranking, message, monkeypatch):
+        rule = self.register(monkeypatch, lambda state: ranking)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check_axiom(rule, indifference_wivip_witness())
+
+    @pytest.mark.parametrize("witness", [indifference_wivip_witness,
+                                         order_tiebreak_nt_witness_interior])
+    def test_a_label_outside_the_alternatives_is_named(self, witness, monkeypatch):
+        rule = self.register(monkeypatch, lambda state: iis_rank(state) + ((7,),))
+        with pytest.raises(ValidationError, match="^label 7 is not an alternative$"):
+            check_axiom(rule, witness())
+
+    def test_sweeps_check_each_ranking_too(self, monkeypatch):
+        rule = self.register(monkeypatch, lambda state: iis_rank(state) + ((7,),))
+        with pytest.raises(ValidationError, match="^label 7 is not an alternative$"):
+            sweep_axiom(rule, "wivip", 3, 0, 5)
 
 
 class TestRuleRegistry:
@@ -485,7 +517,7 @@ class TestTrailingMerges:
         # the first merge entry keeps every class but rewrites the support
         # values to a canonical descending run; the ranking cannot move
         first = trailing_merge_sequence(state)[0]
-        assert iis_rank(first).classes == iis_rank(state).classes
+        assert iis_rank(first) == iis_rank(state)
 
 
 class TestRandomGenerators:

@@ -90,21 +90,21 @@ class TestCriterionScores:
             scores, _alt_scores = borda_criterion_scores(table, profile)
             assert tuple(scores) == table.criteria
             position = {c: i for i, c in enumerate(table.criteria)}
-            for cls_ in ranking_from_scores(scores).classes:
+            for cls_ in ranking_from_scores(scores):
                 assert list(cls_) == sorted(cls_, key=position.__getitem__)
 
 
 class TestCriteriaRanking:
     def test_worked_example_order(self, demo_table, demo_profile):
         r = ranking_from_scores(positional_scores(demo_table, demo_profile))
-        assert r.classes == (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))
+        assert r == (("d",), ("c",), ("b",), ("a",), ("f",), ("e",))
 
     def test_unanimous_profile_reproduces_the_order(self):
         table = table_of(3, (0,), (1,), (2,), (0, 1))
         order = ("c2", "c0", "c3", "c1")
         profile = PreferenceProfile(("v1", "v2"), (order, order))
         r = ranking_from_scores(positional_scores(table, profile))
-        assert r.classes == (("c2",), ("c0",), ("c3",), ("c1",))
+        assert r == (("c2",), ("c0",), ("c3",), ("c1",))
 
     def test_opposed_pair_ties_their_criteria(self):
         # two voters who swap only the top two criteria leave them tied
@@ -112,7 +112,7 @@ class TestCriteriaRanking:
         profile = PreferenceProfile(
             ("v1", "v2"), (("c0", "c1", "c2"), ("c1", "c0", "c2")))
         r = ranking_from_scores(positional_scores(table, profile))
-        assert r.classes == (("c0", "c1"), ("c2",))
+        assert r == (("c0", "c1"), ("c2",))
 
 
 def weak_orders(items: tuple) -> list[tuple[tuple, ...]]:
@@ -154,7 +154,7 @@ class TestEveryWeakOrderIsABordaOrder:
                 orders = lift_pair_orders(tiers)
                 profile = PreferenceProfile(tuple(f"v{i}" for i in range(len(orders))),
                                             tuple(orders))
-                assert ranking_from_scores(positional_scores(table, profile)).classes == tiers
+                assert ranking_from_scores(positional_scores(table, profile)) == tiers
                 realized += 1
         assert realized == 1 + 3 + 13 + 75 + 541 == 633
 

@@ -14,7 +14,6 @@ from critrank.model import (
     OpinionState,
     PreferenceProfile,
     QuotientOrder,
-    Ranking,
     ValidationError,
     _randint,
     column_sums,
@@ -27,6 +26,7 @@ from conftest import (
     assert_valid_quotient,
     bits,
     is_symmetric,
+    max_of,
     opinion_states,
     satisfied_counts,
     strictly_above,
@@ -530,26 +530,16 @@ class TestCachedValuesAcrossThreads:
 
 
 class TestRanking:
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValidationError):
-            Ranking(((0, 1), (1,)))
-
-    def test_rejects_empty_class(self):
-        with pytest.raises(ValidationError):
-            Ranking(((0,), ()))
-
-    def test_an_unranked_label_has_no_class(self):
-        with pytest.raises(ValidationError, match="^label 3 not ranked$"):
-            Ranking(((2,), (0, 1))).class_of(3)
+    """A ranking is its ordered partition, a tuple of classes best first."""
 
     def test_comparisons(self):
-        r = Ranking(((2,), (0, 1)))
+        r = ((2,), (0, 1))
         assert strictly_above(r, 2, 0)
         assert tied(r, 0, 1)
         assert weakly_above(r, 1, 0)
         assert not weakly_above(r, 0, 2)
-        assert r.top == (2,)
+        assert max_of(r) == AltSubset(0b100, 3)
 
     def test_from_scores_groups_descending(self):
         r = ranking_from_scores({"a": 1, "b": 3, "c": 1, "d": 2})
-        assert r.classes == (("b",), ("d",), ("a", "c"))
+        assert r == (("b",), ("d",), ("a", "c"))

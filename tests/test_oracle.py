@@ -17,7 +17,6 @@ from critrank.cli import main
 from critrank.model import (
     OpinionState,
     QuotientOrder,
-    Ranking,
     ValidationError,
 )
 from critrank.oracle import (
@@ -128,12 +127,12 @@ class TestAgreementOnCorners:
         for state in self.corner_states():
             d = DenseState.from_sparse(state)
             r = dense_rankings(d)
-            assert r.iis == iis_rank(state).classes
-            assert r.support == support_rank(state).classes
-            assert r.lexcel == lexcel_rank(state).classes
-            assert r.iis_tau == iis_tiebreak_tau(state).classes
-            assert r.f1 == coarse_f1(state).classes
-            assert r.f2 == coarse_f2(state).classes
+            assert r.iis == iis_rank(state)
+            assert r.support == support_rank(state)
+            assert r.lexcel == lexcel_rank(state)
+            assert r.iis_tau == iis_tiebreak_tau(state)
+            assert r.f1 == coarse_f1(state)
+            assert r.f2 == coarse_f2(state)
 
 
 class TestExhaustiveDepthBound:
@@ -172,10 +171,10 @@ class TestDifferentialSweep:
         rule = RULES[name]
 
         def wrong(state, *order):
-            classes = rule.rank(state, *order).classes
+            classes = rule.rank(state, *order)
             if len(classes) == 1:
-                return Ranking(tuple((x,) for x in classes[0]))
-            return Ranking(classes[1:] + classes[:1])
+                return tuple((x,) for x in classes[0])
+            return classes[1:] + classes[:1]
 
         monkeypatch.setitem(RULES, name, Rule(rule.name, wrong, rule.takes_order, rule.target))
         report = differential_sweep(3, 10, 0)

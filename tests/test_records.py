@@ -16,7 +16,6 @@ from critrank.model import (
     OpinionState,
     PreferenceProfile,
     QuotientOrder,
-    Ranking,
     ValidationError,
 )
 from critrank.oracle import DenseRankings, DenseState, SweepReport
@@ -32,7 +31,6 @@ RECORDS = [
     (PreferenceProfile, lambda: dict(voters=("v1",), orders=(("c1", "c2"),)), True),
     (OpinionState, lambda: dict(universe=3, counts={(0b011, 0b100): 2}), False),
     (QuotientOrder, lambda: dict(universe=3, classes=(frozenset({3}),)), True),
-    (Ranking, lambda: dict(classes=BANDS), True),
     (Rule, lambda: dict(name="iis", rank=iis_rank, takes_order=False, target=None), True),
     (AxiomInstance, lambda: dict(kind="wivip", o1=OpinionState(3, {(3, 3): 1}), o2=None,
                                  permutation=None, promoted=None), False),

@@ -1,15 +1,18 @@
 """Sparse identities at 60 to 64 alternatives, beyond the oracle's reach.
 
 The brute-force oracle stops at 6 alternatives, so these states are checked
-against plain per-subset formulas instead of enumeration.  Each state holds
-a few hundred explicit subsets in a handful of support classes; the subsets
-of a class are supersets of a core, and the cores are nested, so the
-running intersection survives several classes before it dies.
+against plain per-subset formulas instead of enumeration, among them the
+benchmark's independent reference, ``perfbench/reference.py``, loaded by
+path and only read.  Each state holds a few hundred explicit subsets in a
+handful of support classes; the subsets of a class are supersets of a core,
+and the cores are nested, so the running intersection survives several
+classes before it dies.
 """
 
+import importlib.util
 from functools import reduce
-from itertools import accumulate
 from operator import and_
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -21,15 +24,18 @@ from critrank.axioms import check_axiom, generate_instances, permute_state
 from critrank.cli import format_opinion_state, parse_opinion_state
 from critrank.model import (
     OpinionState,
-    Ranking,
     column_sums,
     iter_bits,
     ranking_from_scores,
     refine_by_class_counts,
-    score_groups,
 )
 
 from conftest import tied, top_k, trailing_merge_sequence
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+_spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+ref = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref)
 
 
 def nested_core_support(rng: Random, universe: int, n_subsets: int,
@@ -134,55 +140,24 @@ def wide_states_with_a_big_class(draw):
     return OpinionState.from_support(universe, support)
 
 
-def plain_rows(state):
-    """Per alternative, its class counts by a per-subset formula, residual last."""
-    n, classes = state.universe, state.quotient.classes
-    rows = []
-    for x in range(n):
-        row = [sum(1 for m in members if m >> x & 1) for members in classes]
-        rows.append(tuple(row + [2 ** (n - 1) - sum(row)]))
-    return rows
-
-
-def plain_e_vector(state):
-    """Per alternative, the deepest k with x in every mask of the top k
-    explicit classes; at 60 or more alternatives the residual never extends
-    that run."""
-    classes = state.quotient.classes
-    return tuple(max(k for k in range(len(classes) + 1)
-                     if all(m >> x & 1 for members in classes[:k] for m in members))
-                 for x in range(state.universe))
-
-
-def plain_rankings(state):
-    """lexcel and tau as first defined, from :func:`plain_rows` and
-    :func:`plain_e_vector`: lexcel ranks by the rows, and tau splits
-    positive-score ties by running totals."""
-    rows = plain_rows(state)
-    taus = [tuple(accumulate(row)) for row in rows]
-    classes = []
-    for value, members in score_groups(dict(enumerate(plain_e_vector(state)))):
-        if value == 0:
-            classes.append(tuple(members))
-        else:
-            classes += [tuple(tied) for _t, tied in score_groups({x: taus[x] for x in members})]
-    return ranking_from_scores(dict(enumerate(rows))), Ranking(tuple(classes))
+def ref_rank(rule, state):
+    """The reference's ranking of ``state`` by ``rule``, as a tuple of classes."""
+    return tuple(map(tuple, ref.rank(rule, state.universe, state.support_map)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(wide_states_with_a_big_class())
 def test_class_counts_and_their_rules_match_per_subset_counts(state):
     assert max(len(members) for members in state.quotient.classes) >= 256
-    assert list(state.class_count_rows) == plain_rows(state)
-    lexcel, tau = plain_rankings(state)
-    assert lexcel_rank(state) == lexcel
-    assert iis_tiebreak_tau(state) == tau
+    assert list(state.class_count_rows) == ref.class_counts(state.universe, state.support_map)
+    assert lexcel_rank(state) == ref_rank("lexcel", state)
+    assert iis_tiebreak_tau(state) == ref_rank("iis-tb-tau", state)
 
 
 @settings(max_examples=40, deadline=None)
 @given(wide_states())
 def test_e_vector_matches_the_plain_top_k_formula(state):
-    assert state.e_vector == plain_e_vector(state)
+    assert list(state.e_vector) == ref.e_scores(state.universe, state.support_map)
 
 
 @st.composite
@@ -212,21 +187,21 @@ def shared_prefix_states(draw, split: bool):
 @given(shared_prefix_states(split=True))
 def test_a_pair_agreeing_on_the_first_k_classes_is_split_by_class_k(drawn):
     p, q, k, state = drawn
-    rows = plain_rows(state)
+    rows = ref.class_counts(state.universe, state.support_map)
     assert rows[p][:k] == rows[q][:k] and rows[p][k] != rows[q][k]
-    lexcel, tau = plain_rankings(state)
+    lexcel = ref_rank("lexcel", state)
     assert lexcel_rank(state) == lexcel and not tied(lexcel, p, q)
-    assert iis_tiebreak_tau(state) == tau
+    assert iis_tiebreak_tau(state) == ref_rank("iis-tb-tau", state)
 
 
 @settings(max_examples=30, deadline=None)
 @given(shared_prefix_states(split=False))
 def test_a_pair_never_split_stays_tied_with_equal_residuals(drawn):
     p, q, _k, state = drawn
-    rows = plain_rows(state)
+    rows = ref.class_counts(state.universe, state.support_map)
     # the residual column is last, so equal rows mean equal residuals too
     assert rows[p] == rows[q]
-    lexcel, tau = plain_rankings(state)
+    lexcel, tau = ref_rank("lexcel", state), ref_rank("iis-tb-tau", state)
     assert lexcel_rank(state) == lexcel and tied(lexcel, p, q)
     assert iis_tiebreak_tau(state) == tau and tied(tau, p, q)
 
@@ -244,12 +219,12 @@ def test_tau_keeps_the_zero_score_band_whole(n, seed, everyone_zero):
     while len(support) < 200:
         support.setdefault(rng.getrandbits(n) or 1, rng.randint(1, 999))
     state = OpinionState.from_support(n, support)
-    zero = tuple(x for x, e in enumerate(plain_e_vector(state)) if e == 0)
+    zero = tuple(x for x, e in enumerate(ref.e_scores(n, state.support_map)) if e == 0)
     assert n - 1 in zero and (len(zero) == n) == everyone_zero
-    lexcel, tau = plain_rankings(state)
-    assert iis_tiebreak_tau(state) == tau and tau.classes[-1] == zero
+    lexcel, tau = ref_rank("lexcel", state), ref_rank("iis-tb-tau", state)
+    assert iis_tiebreak_tau(state) == tau and tau[-1] == zero
     # the band is kept whole although lexcel splits it
-    assert lexcel_rank(state) == lexcel and lexcel.class_of(zero[0]) != lexcel.class_of(n - 1)
+    assert lexcel_rank(state) == lexcel and not tied(lexcel, zero[0], n - 1)
 
 
 def counts_then_fail(classes):
