@@ -16,14 +16,15 @@ files: one with 5,000 one-member support classes ranked by mask, and one
 with 2,400 subsets in 8 support classes whose subsets contain nested
 cores.  Last, ``rank --rule iis`` on six opinion files past the universe
 bounds: 65 names, an empty header before an opinion line, and an empty
-header alone, each in the bulk reader's shape and, with one subset padded
-or the header indented, in the per-line shape.  Every run is made in both
-output formats.  For every run, in that order, the digest takes its exit
-code, its stdout and its stderr, so the faulty profiles and the opinion
-files past the bounds pin each error message and its line number.
-Two checkouts whose CLI output is byte-identical on these runs print the
-same digest, so comparing the line printed by a change with the one
-printed by its parent shows whether the change moved any output.
+header alone, each in the machine-written shape (the ``-bulk`` files) and,
+with one subset padded or the header indented, in a padded shape (the
+``-lines`` files).  Every run is made in both output formats.  For every
+run, in that order, the digest takes its exit code, its stdout and its
+stderr, so the faulty profiles and the opinion files past the bounds pin
+each error message and its line number.  Two checkouts whose CLI output is
+byte-identical on these runs print the same digest, so comparing the line
+printed by a change with the one printed by its parent shows whether the
+change moved any output.
 
 ``tests/golden/digest_runs.txt`` pins every run on its own: one line per
 run, its argv with the input directory written as ``{work}``, then the
@@ -122,7 +123,8 @@ def opinion_file(rng: Random, classes: int, per_class: int) -> str:
 
 def out_of_bounds_files() -> dict[str, str]:
     """Opinion files whose universe is out of bounds or empty, by name: each
-    in the bulk reader's shape, then in the per-line shape."""
+    in the shape format_opinion_state writes (``-bulk``), then padded
+    (``-lines``); the names are kept, as the pinned runs cite them."""
     many = " ".join(f"x{i}" for i in range(65))
     return {
         "65-names-bulk": f"alternatives: {many}\nopinion {{x0}} >= {{x0}} : 1\n",

@@ -192,12 +192,14 @@ def check_axiom(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
 def _class_indices(ranking: Ranking, universe: int) -> list[int]:
     """Each alternative's class index in the ranking.  An aggregator's output
     is checked here and nowhere else: its classes must be nonempty and
-    partition exactly the alternatives ``0 .. universe-1``."""
+    partition exactly the ints ``0 .. universe-1``, not a bool or float."""
     position: dict[int, int] = {}
     for i, members in enumerate(ranking):
         if not members:
             raise ValidationError("ranking classes must be nonempty")
         for label in members:
+            if type(label) is not int:
+                raise ValidationError(f"label {label!r} is not an alternative")
             if label in position:
                 raise ValidationError(f"label {label!r} appears in two classes")
             position[label] = i

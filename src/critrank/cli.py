@@ -35,7 +35,6 @@ import functools
 import gc
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -228,25 +227,6 @@ def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],
     raise ValidationError(f"voter '{voter}' omits criteria: {', '.join(missing)}")
 
 
-def _split_opinion(line: str) -> tuple[str, str, str] | None:
-    """The left subset text, right subset text and count digits of an
-    opinion line, or None if the line breaks the grammar in the module
-    docstring."""
-    head, _, rest = line.partition("{")
-    left, _, rest = rest.partition("}")
-    middle, _, rest = rest.partition("{")
-    right, closed, rest = rest.partition("}")
-    before, _, count = rest.partition(":")
-    count = count.lstrip()
-    # a missing brace empties everything after it, so `closed` is set only
-    # when all four braces were found
-    if (closed and count.isdecimal() and head.startswith("opinion")
-            and not head[7:].strip() and middle.strip() == ">="
-            and not before.strip() and "{" not in left and "{" not in right):
-        return left, right, count
-    return None
-
-
 def _new_mask(bits: dict[str, int], masks: dict[str, int], inner: str, lineno: int) -> int:
     """Parse a subset text not seen before and cache its mask."""
     mask = _members_mask(bits, inner.split(","), "line {}:", lineno)
@@ -256,131 +236,64 @@ def _new_mask(bits: dict[str, int], masks: dict[str, int], inner: str, lineno: i
     return mask
 
 
-# The bulk reader takes the body in slices of about this many characters, cut
-# at line ends, so that its partition lists stay small: whole-file lists
-# raised the benchmark's peak RSS by a tenth.
+# The opinion reader takes the text in slices of about this many characters,
+# cut at line ends, so that its line lists stay small on large files.
 _SLICE = 1 << 15
-
-
-def _all_split(template: str, seps) -> bool:
-    """Whether _split_opinion accepts every line made by putting a separator
-    into the template."""
-    return all(_split_opinion(template % sep) for sep in seps)
-
-
-def _read_slice(chunk: str, bits: dict[str, int], masks: dict[str, int],
-                counts: dict[tuple[int, int], int]) -> bool:
-    """Add a slice of whole opinion lines to ``counts``; False if any line
-    is not of the bulk shape (``counts`` is then left part done).
-
-    The slice is split on ``{`` once, then on ``}``, ``\\n`` and ``:`` by
-    C-level ``map(str.partition, ...)`` passes.  Each distinct separator
-    between the tokens is checked once against :func:`_split_opinion`, and
-    each distinct subset text is summed to its mask once.
-    """
-    pieces = chunk.split("{")
-    lefts, _, mids = zip(*map(str.partition, pieces[1::2], repeat("}")))
-    rights, _, tails = zip(*map(str.partition, pieces[2::2], repeat("}")))
-    lines, _, heads = zip(*map(str.partition, tails, repeat("\n")))
-    befores, _, digits = zip(*map(str.partition, lines, repeat(":")))
-    # one '\n'-separated line per opinion and no other line break, so these
-    # are the lines _content_lines yields; the head and count checks make
-    # each line its own strip()
-    if not (len(pieces) % 2 and len(chunk.splitlines()) == len(lefts)
-            and _all_split("%s{x}>={x}:1", {pieces[0], *heads[:-1]})
-            and _all_split("opinion{x}%s{x}:1", set(mids))
-            and _all_split("opinion{x}>={x}%s:1", set(befores))
-            and all(map(str.isdecimal, map(str.lstrip, digits)))):
-        return False
-    for subset in set(lefts).union(rights).difference(masks):
-        parts = subset.split(",")
-        mask = sum(map(bits.__getitem__, parts))
-        if mask.bit_count() != len(parts):
-            return False
-        masks[subset] = mask
-    get = masks.__getitem__
-    for key, count in zip(zip(map(get, lefts), map(get, rights)), map(int, digits)):
-        counts[key] = counts.get(key, 0) + count
-    return True
-
-
-def _parse_bulk(text: str) -> tuple[tuple[str, ...], OpinionState] | None:
-    """Read a file of the shape format_opinion_state writes, or return None.
-
-    The shape is an 'alternatives:' header, one block of '#' comment and
-    empty lines, then only opinion lines separated by '\\n', each subset
-    naming known alternatives, unpadded and at most once.  The body is read
-    in slices of about ``_SLICE`` characters, cut at line ends, by
-    :func:`_read_slice`.  Nothing here raises: any other file, valid or not,
-    is left to _parse_lines, so every error message, exit code and line
-    number is the per-line parser's.  Built unchecked but for the universe,
-    whose error (0 or 65 names) falls back too: masks are nonzero unions of
-    known bits, counts ``isdecimal`` digits.
-    """
-    start = text.find("\nopinion") + 1
-    preamble = text[:start]
-    header, *rest = preamble.split("\n")
-    directive, _, listed = header.partition(":")
-    if (directive != "alternatives" or len(preamble.splitlines()) != len(rest)
-            or any(line and line[0] != "#" for line in rest)):
-        return None
-    masks: dict[str, int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    try:  # a bad header, a slice with no '{', an unknown name, a count int() refuses
-        names, bits = _alternatives_header(1, listed, None)
-        while start < len(text):
-            stop = text.find("\n", start + _SLICE) + 1 or len(text)
-            if not _read_slice(text[start:stop], bits, masks, counts):
-                return None
-            start = stop
-        return names, OpinionState._trusted(len(names), counts)
-    except (KeyError, ValueError):
-        return None
 
 
 def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     """Read raw opinion counts; returns the alternative names and the state.
 
-    A machine-written file is read in bulk; any other goes line by line.
+    The one opinion reader: it reads the text line by line in slices of about
+    ``_SLICE`` characters, each cut just after a ``\\n``, so every error keeps
+    its line number.  The state is built unchecked but for the universe:
+    masks are nonzero unions of known bits, counts ``isdecimal`` digits.
     """
-    return _parse_bulk(text) or _parse_lines(text)
-
-
-def _parse_lines(text: str) -> tuple[tuple[str, ...], OpinionState]:
-    """The per-line opinion parser, the one that reports every error; built
-    unchecked but for the universe, as in :func:`_parse_bulk`."""
     names: tuple[str, ...] | None = None
     bits: dict[str, int] = {}
     counts: dict[tuple[int, int], int] = {}
     # subset text -> mask: a criterion-induced state repeats each of its few
     # subsets on many lines, so most texts are looked up, not parsed
     masks: dict[str, int] = {}
-    for lineno, line in _content_lines(text):
-        if line.startswith("alternatives"):
-            head, body = _split_directive(lineno, line)
-            if head != ["alternatives"]:
+    lineno = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _SLICE) + 1 or len(text)
+        # a slice ends at a '\n', so its lines are the whole text's lines
+        for line in text[start:stop].splitlines():
+            lineno += 1
+            line = line.strip()
+            if line.startswith("opinion"):
+                if names is None:
+                    raise ParseError(
+                        f"line {lineno}: 'alternatives:' header must come first")
+                # a missing brace empties the rest: `closed` means all four were found
+                head, _, rest = line.partition("{")
+                left, _, rest = rest.partition("}")
+                middle, _, rest = rest.partition("{")
+                right, closed, rest = rest.partition("}")
+                before, _, digits = rest.partition(":")
+                digits = digits.lstrip()
+                if not (closed and digits.isdecimal() and not head[7:].strip()
+                        and middle.strip() == ">=" and not before.strip()
+                        and "{" not in left and "{" not in right):
+                    raise ParseError(
+                        f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
+                # masks are never 0, so `or` falls through only on a miss
+                key = (masks.get(left) or _new_mask(bits, masks, left, lineno),
+                       masks.get(right) or _new_mask(bits, masks, right, lineno))
+                try:
+                    count = int(digits)
+                except ValueError:  # more digits than int() converts
+                    raise ValidationError(
+                        f"line {lineno}: opinion count has too many digits") from None
+                counts[key] = counts.get(key, 0) + count
+            elif line.startswith("alternatives") and (
+                    _split_directive(lineno, line)[0] == ["alternatives"]):
+                names, bits = _alternatives_header(
+                    lineno, line.partition(":")[2].strip(), names)
+            elif line and line[0] != "#":
                 raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
-            names, bits = _alternatives_header(lineno, body, names)
-        elif line.startswith("opinion"):
-            if names is None:
-                raise ParseError(
-                    f"line {lineno}: 'alternatives:' header must come first")
-            fields = _split_opinion(line)
-            if fields is None:
-                raise ParseError(
-                    f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
-            left, right, digits = fields
-            # masks are never 0, so `or` falls through only on a miss
-            key = (masks.get(left) or _new_mask(bits, masks, left, lineno),
-                   masks.get(right) or _new_mask(bits, masks, right, lineno))
-            try:
-                count = int(digits)
-            except ValueError:  # more digits than int() converts
-                raise ValidationError(
-                    f"line {lineno}: opinion count has too many digits") from None
-            counts[key] = counts.get(key, 0) + count
-        else:
-            raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
+        start = stop
     if names is None:
         raise ParseError("missing 'alternatives:' header")
     return names, OpinionState._trusted(len(names), counts)

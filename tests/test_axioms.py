@@ -344,7 +344,9 @@ class TestMalformedRanking:
         (((0,), (), (1, 2)), "ranking classes must be nonempty"),
         (((0, 1), (1, 2)), "label 1 appears in two classes"),
         (((2,), (0,)), "label 1 not ranked"),
-    ], ids=["empty-class", "repeated-label", "dropped-label"])
+        (((True, 0), (2,)), "label True is not an alternative"),
+        (((1.0,), (0, 2)), "label 1.0 is not an alternative"),
+    ], ids=["empty-class", "repeated-label", "dropped-label", "bool-label", "float-label"])
     def test_a_broken_partition_is_named(self, ranking, message, monkeypatch):
         rule = self.register(monkeypatch, lambda state: ranking)
         with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -19,9 +19,6 @@ from critrank.cli import (
     DEMO_TABLE_TEXT,
     ParseError,
     _build_parser,
-    _parse_bulk,
-    _parse_lines,
-    _split_opinion,
     format_opinion_state,
     format_ranking,
     format_subset,
@@ -501,9 +498,8 @@ class TestOpinionParsing:
         assert captured.out == ""
         assert captured.err == "invalid input: line 2: opinion count has too many digits\n"
 
-    # each file in the bulk shape and, with one subset padded or the header
-    # indented, in the per-line shape; the bulk reader leaves each to the
-    # per-line parser
+    # each file in the machine-written shape and, with one subset padded or
+    # the header indented, in a padded shape
     _NAMES_65 = " ".join(f"x{i}" for i in range(65))
 
     @pytest.mark.parametrize("text, message", (
@@ -518,12 +514,11 @@ class TestOpinionParsing:
     ), ids=("65-names-bulk", "65-names-lines", "empty-header-bulk", "empty-header-lines",
             "header-alone-bulk", "header-alone-lines"))
     def test_universe_bounds_are_exit_2(self, text, message, tmp_path, capsys):
-        assert _parse_bulk(text) is None
         assert _rank_lines(tmp_path, capsys, text) == (2, "", f"invalid input: {message}\n")
 
 
 # the regex the opinion-line grammar was first written as, kept as the
-# reference for the partition split that replaced it
+# reference for the partition split in the reader that replaced it
 _OPINION_RE = re.compile(
     r"opinion\s*\{([^{}]*)\}\s*>=\s*\{([^{}]*)\}\s*:\s*(\d+)$")
 _TOKENS = ("opinion", " ", "\t", "\xa0", "{", "}", ",", ">", "=", ":",
@@ -554,14 +549,31 @@ def _rank_lines(tmp_path, capsys, text):
     return status, captured.out, captured.err
 
 
+def _outcome(text):
+    try:
+        names, state = parse_opinion_state(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return names, state.counts
+
+
 class TestOpinionGrammar:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(_any_text, _shaped, _near_miss))
     @example("opinion{x}>={y}:1")
     @example("opinion {x} >= {y} : 1\n")
     def test_split_accepts_what_the_regex_accepts(self, line):
-        match = _OPINION_RE.fullmatch(line)
-        assert _split_opinion(line) == (match.groups() if match else None)
+        # in a one-line file, an opinion line that the regex rejects is the
+        # grammar error, and one it matches reads as its groups written plainly
+        outcome = _outcome(f"alternatives: x y\n{line}\n")
+        stripped = line.strip()
+        match = _OPINION_RE.fullmatch(stripped)
+        if match:
+            assert outcome == _outcome("alternatives: x y\nopinion {{{}}} >= {{{}}} : {}\n"
+                                       .format(*match.groups()))
+        else:
+            grammar = (ParseError, "line 2: expected 'opinion {a,b} >= {c} : N'")
+            assert (outcome == grammar) == stripped.startswith("opinion")
 
     @pytest.mark.parametrize("line, count", (
         ("opinion{x}>={y}:1", 1),
@@ -610,7 +622,7 @@ class TestOpinionGrammar:
             2, "", "invalid input: line 2: unknown alternative 'q'\n")
 
 
-# every break str.splitlines knows but '\n', the bulk reader's own
+# every break str.splitlines knows but '\n', where the reader cuts its slices
 _break = st.sampled_from(("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                           "\u2028", "\u2029"))
 _known = st.lists(st.sampled_from(("x", "a", "b")), min_size=1, max_size=3, unique=True)
@@ -634,15 +646,15 @@ _header = st.one_of(_good_header, _good_header, _good_header, st.sampled_from((
 _spoilt = st.tuples(_opinion_line(_known), st.integers(0, 30),
                     st.one_of(st.sampled_from(_TOKENS + ("\n", "+", "_", "-")), _break)).map(
     lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
-# a line the bulk reader must leave to the per-line parser, or may read
-# only because the per-line parser reads it the same
+# a line that breaks the machine-written shape: malformed, padded, blank,
+# indented or split by a line break
 _odd = st.one_of(
     _spoilt, _opinion_line(_any_names, st.sampled_from(("", " ", "\t"))), _shaped, _near_miss,
     st.sampled_from(("  ", "  # indented", "alternatives: x a b", " opinion {x} >= {a} : 1")))
 @st.composite
 def _opinion_files(draw):
-    """A file of the bulk shape, with up to two lines, breaks or spaces
-    spoilt."""
+    """A file of the shape format_opinion_state writes, with up to two
+    lines, breaks or spaces spoilt."""
     lines = [draw(_header), *draw(st.lists(_comment, max_size=2)),
              *draw(st.lists(_opinion_line(_known), max_size=6))]
     breaks = ["\n"] * len(lines)
@@ -666,14 +678,6 @@ def _opinion_files(draw):
     return "".join(map("".join, zip(lines, breaks)))
 
 
-def _outcome(parse, text):
-    try:
-        names, state = parse(text)
-    except (ParseError, ValidationError) as exc:
-        return type(exc), str(exc)
-    return names, state.counts
-
-
 def _wide_text(lines):
     """A benchmark-shaped file; opinion k's pair comes back as opinion k + 120."""
     names = [f"a{i}" for i in range(60)]
@@ -682,15 +686,39 @@ def _wide_text(lines):
         f" : {k % 5 + 1}\n" for k in range(lines))
 
 
+def _assert_slice_sizes_agree(text):
+    """The reader's outcome on the text is the same at its own slice size and
+    at 1, 7 and 64 characters, and each state it builds equals the public
+    constructor's."""
+    outcomes = []
+    for size in (critrank.cli._SLICE, 1, 7, 64):
+        with pytest.MonkeyPatch.context() as patch, trusted_calls() as calls:
+            patch.setattr(critrank.cli, "_SLICE", size)
+            try:
+                names, state = parse_opinion_state(text)
+            except (ParseError, ValidationError) as exc:
+                outcomes.append((type(exc), str(exc)))
+                assert calls == []
+            else:
+                outcomes.append((names, state.counts))
+                assert calls == [("parse_opinion_state", state)]
+    assert outcomes == [outcomes[0]] * 4
+
+
 class TestBulkReading:
+    """Files read in slices cut at line ends: where the cuts fall changes
+    neither a state nor an error's line."""
+
     @settings(max_examples=300, deadline=None)
     @given(_opinion_files())
     @example("alternatives: x\nopinion\n {x} >= {x} : 1\n")
-    def test_bulk_and_per_line_agree(self, text):
-        assert _outcome(parse_opinion_state, text) == _outcome(_parse_lines, text)
+    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion {a,b} >= {x} : 2\n")
+    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion { a} >= {x} : 0\n")
+    def test_the_slice_size_does_not_change_the_outcome(self, text):
+        _assert_slice_sizes_agree(text)
 
-    # one file per condition of the bulk shape, each a single fault away
-    # from it
+    # one file per condition of the machine-written shape, each a single
+    # fault away from it
     @pytest.mark.parametrize("text", (
         "alternatives x: x\nopinion {x} >= {x} : 1\n",
         "alternatives: x\x1cy\nopinion {x} >= {x} : 1\n",
@@ -703,39 +731,7 @@ class TestBulkReading:
         "alternatives: x\nopinion {x} >= {x} : 1\n\n",
     ))
     def test_near_misses_agree(self, text):
-        assert _outcome(parse_opinion_state, text) == _outcome(_parse_lines, text)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_opinion_files())
-    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion {a,b} >= {x} : 2\n")
-    @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion { a} >= {x} : 0\n")
-    def test_both_readers_build_what_the_public_constructor_builds(self, text):
-        for parse in (_parse_bulk, _parse_lines):
-            with trusted_calls() as calls:
-                try:
-                    got = parse(text)
-                except (ParseError, ValidationError):
-                    got = None
-            assert calls == ([(parse.__name__, got[1])] if got else [])
-
-    def test_the_bulk_path_reads_these_files_alone(self, demo_table, demo_state, monkeypatch):
-        wide = _wide_text(900)
-        assert len(wide) > 2 * critrank.cli._SLICE
-        expected = _parse_lines(wide)
-        assert expected[1].counts[((1 << 20) - 1, 0b1)] == sum(
-            k % 5 + 1 for k in range(0, 900, 120))
-        names = demo_table.alternatives
-        plain = format_opinion_state(names, demo_state)
-        induced = format_opinion_state(names, demo_state, include_supports=True)
-        assert "\n# support" in induced
-
-        def refuse(text):
-            raise AssertionError("fell back to the per-line parser")
-
-        monkeypatch.setattr(critrank.cli, "_parse_lines", refuse)
-        assert parse_opinion_state(wide) == expected
-        assert parse_opinion_state(plain) == (names, demo_state)
-        assert parse_opinion_state(induced) == (names, demo_state)
+        _assert_slice_sizes_agree(text)
 
     @pytest.mark.parametrize("line, status, err", (
         ("opinion {a1,q} >= {a2} : 1", 2, "invalid input: line 4001: unknown alternative 'q'\n"),
