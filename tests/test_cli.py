@@ -686,22 +686,25 @@ def _wide_text(lines):
         f" : {k % 5 + 1}\n" for k in range(lines))
 
 
+def _read_in_slices(text, size):
+    """The reader's outcome on the text with slices of ``size`` characters,
+    after asserting that a state it builds equals the public constructor's
+    and that a refused file builds none."""
+    with pytest.MonkeyPatch.context() as patch, trusted_calls() as calls:
+        patch.setattr(critrank.cli, "_SLICE", size)
+        try:
+            names, state = parse_opinion_state(text)
+        except (ParseError, ValidationError) as exc:
+            assert calls == []
+            return type(exc), str(exc)
+        assert calls == [("parse_opinion_state", state)]
+        return names, state.counts
+
+
 def _assert_slice_sizes_agree(text):
     """The reader's outcome on the text is the same at its own slice size and
-    at 1, 7 and 64 characters, and each state it builds equals the public
-    constructor's."""
-    outcomes = []
-    for size in (critrank.cli._SLICE, 1, 7, 64):
-        with pytest.MonkeyPatch.context() as patch, trusted_calls() as calls:
-            patch.setattr(critrank.cli, "_SLICE", size)
-            try:
-                names, state = parse_opinion_state(text)
-            except (ParseError, ValidationError) as exc:
-                outcomes.append((type(exc), str(exc)))
-                assert calls == []
-            else:
-                outcomes.append((names, state.counts))
-                assert calls == [("parse_opinion_state", state)]
+    at 1, 7 and 64 characters."""
+    outcomes = [_read_in_slices(text, size) for size in (critrank.cli._SLICE, 1, 7, 64)]
     assert outcomes == [outcomes[0]] * 4
 
 
@@ -712,10 +715,19 @@ class TestBulkReading:
     @settings(max_examples=300, deadline=None)
     @given(_opinion_files())
     @example("alternatives: x\nopinion\n {x} >= {x} : 1\n")
+    def test_bulk_and_per_line_agree(self, text):
+        # one slice holds the whole file; a slice of one character ends at
+        # the first line end past its start, so it holds one line (or a
+        # blank line and the next)
+        _assert_slice_sizes_agree(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_opinion_files())
     @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion {a,b} >= {x} : 2\n")
     @example("alternatives: x a b\nopinion {x} >= {a} : 0\nopinion { a} >= {x} : 0\n")
-    def test_the_slice_size_does_not_change_the_outcome(self, text):
-        _assert_slice_sizes_agree(text)
+    def test_both_readers_build_what_the_public_constructor_builds(self, text):
+        for size in (critrank.cli._SLICE, 1):
+            _read_in_slices(text, size)
 
     # one file per condition of the machine-written shape, each a single
     # fault away from it
