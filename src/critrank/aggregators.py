@@ -31,6 +31,7 @@ from .model import (
     _Record,
     _set,
     column_sums,
+    is_permutation,
     iter_bits,
     ranking_from_scores,
     refine_by_class_counts,
@@ -123,8 +124,7 @@ def iis_tiebreak_order(state: OpinionState, order: Sequence[int]) -> Ranking:
     count) are kept; any tie strictly between is broken by ``order``, given
     best first as a permutation of the alternatives.
     """
-    n = state.universe
-    if sorted(order) != list(range(n)):
+    if not is_permutation(order, state.universe):
         raise ValidationError("tie-break order must be a permutation of the alternatives")
     rank_in_order = {x: i for i, x in enumerate(order)}
     ceiling = state.quotient.depth - 1

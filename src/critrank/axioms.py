@@ -35,6 +35,7 @@ from .model import (
     _distinct_masks,
     _randint,
     _set,
+    is_permutation,
     random_state,
     random_support_state,
 )
@@ -67,11 +68,6 @@ class AxiomInstance(_Record):
         _set(self, "promoted", promoted)
 
 
-def _check_permutation(pi: Sequence[int], universe: int) -> None:
-    if sorted(pi) != list(range(universe)):
-        raise ValidationError(f"{pi!r} is not a permutation of {universe} alternatives")
-
-
 def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     """Relabel the alternatives of a state.
 
@@ -82,7 +78,8 @@ def permute_state(state: OpinionState, pi: Sequence[int]) -> OpinionState:
     a list of the one-bit images, built once per permutation.  Built
     unchecked: a checked permutation maps valid masks to valid masks.
     """
-    _check_permutation(pi, state.universe)
+    if not is_permutation(pi, state.universe):
+        raise ValidationError(f"{pi!r} is not a permutation of {state.universe} alternatives")
     images = [1 << p for p in pi]
 
     def image(mask: int) -> int:
@@ -126,8 +123,10 @@ def validate_instance(inst: AxiomInstance) -> None:
              "only non-unanimous-improvement instances carry a promoted family")
 
     if inst.kind == "nt":
-        _check_permutation(inst.permutation, u)
-        _require(permute_state(inst.o1, inst.permutation) == inst.o2,
+        pi = inst.permutation
+        if not is_permutation(pi, u):
+            raise InvalidInstanceError(f"{pi!r} is not a permutation of {u} alternatives")
+        _require(permute_state(inst.o1, pi) == inst.o2,
                  "second state is not the relabeling of the first")
         return
     q1 = inst.o1.quotient

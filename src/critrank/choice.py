@@ -58,14 +58,9 @@ def cascade_sets(table: CriterionTable, profile: PreferenceProfile) -> tuple[int
     the top k+1 score classes, grouped by :func:`positional_scores` alone.
     A stage may be empty (mask 0) and stays empty once it is.
     """
-    return _stages(table, ranking_from_scores(positional_scores(table, profile)))
-
-
-def _stages(table: CriterionTable, ranking: tuple[tuple[str, ...], ...]) -> tuple[int, ...]:
-    """The cascade down a given ranking of the criteria, classes best first."""
-    tr = table.tr
+    ranking = ranking_from_scores(positional_scores(table, profile))
     return tuple(running_intersections(
-        table.universe, ([tr[c].mask for c in cls_] for cls_ in ranking)))
+        table.universe, ([table.tr[c].mask for c in cls_] for cls_ in ranking)))
 
 
 def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
@@ -76,26 +71,16 @@ def nurmi_first(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     stage if it never does.  When even the strongest class forces emptiness
     the choice falls back to every alternative.
     """
-    return AltSubset(_last_alive(table.universe, cascade_sets(table, profile)), table.universe)
-
-
-def _last_alive(universe: int, stages: tuple[int, ...]) -> int:
-    """The cascade choice as a mask: the last nonempty stage, else everyone."""
-    chosen = (1 << universe) - 1
-    for stage in stages:
+    chosen = (1 << table.universe) - 1
+    for stage in cascade_sets(table, profile):
         if not stage:
             break
         chosen = stage
-    return chosen
+    return AltSubset(chosen, table.universe)
 
 
 def nurmi_second(table: CriterionTable, profile: PreferenceProfile) -> AltSubset:
     """Alternatives maximizing the summed score of the criteria they satisfy."""
     _criterion_scores, scores = borda_criterion_scores(table, profile)
-    return AltSubset(_top_scorers(scores), table.universe)
-
-
-def _top_scorers(scores: tuple[int, ...]) -> int:
-    """The score choice as a mask: the alternatives with the top sum."""
     best = max(scores)
-    return sum(1 << i for i, s in enumerate(scores) if s == best)
+    return AltSubset(sum(1 << i for i, s in enumerate(scores) if s == best), table.universe)

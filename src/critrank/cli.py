@@ -43,15 +43,10 @@ from .aggregators import (
     RULES,
     criterion_score_state,
     induce_opinion,
-    iis_rank,
-    lexcel_rank,
-    support_rank,
 )
 from .choice import (
-    _last_alive,
-    _stages,
-    _top_scorers,
     borda_criterion_scores,
+    cascade_sets,
     nurmi_first,
     nurmi_second,
 )
@@ -529,10 +524,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     table = parse_criterion_table(DEMO_TABLE_TEXT)
     profile = parse_profile(DEMO_PROFILE_TEXT, table)
     names = table.alternatives
-    # each value once, through the helpers choose --method n1/n2 run
+    # every field through the functions that choose and rank run
     scores, alt_scores = borda_criterion_scores(table, profile)
     criteria_ranking = ranking_from_scores(scores)
-    stages = _stages(table, criteria_ranking)
     state = induce_opinion(table, profile)
     supports = [state.support_map.get(table.tr[c].mask, 0) for c in table.criteria]
 
@@ -540,22 +534,19 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         ("criterion scores", "criterion-scores", tuple(scores.items())),
         ("criteria ranking", "criteria-ranking", format_ranking(criteria_ranking)),
     ]
-    for k, stage in enumerate(stages, 1):
+    for k, stage in enumerate(cascade_sets(table, profile), 1):
         fields.append((f"stage {k} intersection", f"stage-{k}",
                        _format_members(iter_bits(stage), names)))
     fields += [
-        ("choice (cascade)", "choice-cascade",
-         _format_members(iter_bits(_last_alive(table.universe, stages)), names)),
-        ("choice (score sum)", "choice-score",
-         _format_members(iter_bits(_top_scorers(alt_scores)), names)),
-        ("alternative scores", "alternative-scores",
-         tuple(zip(names, alt_scores))),
+        ("choice (cascade)", "choice-cascade", format_subset(nurmi_first(table, profile), names)),
+        ("choice (score sum)", "choice-score", format_subset(nurmi_second(table, profile), names)),
+        ("alternative scores", "alternative-scores", tuple(zip(names, alt_scores))),
         ("induced supports", "supports", tuple(zip(table.criteria, supports))),
         ("e-scores", "e-scores", tuple(zip(names, state.e_vector))),
     ]
-    for rule, rank in (("iis", iis_rank), ("support", support_rank), ("lexcel", lexcel_rank)):
+    for rule in ("iis", "support", "lexcel"):
         fields.append((f"ranking ({rule})", f"ranking-{rule}",
-                       format_ranking(rank(state), names)))
+                       format_ranking(RULES[rule](state), names)))
     for name in ("Approval", "Borda"):
         fields.append((f"class counts ({name})", f"class-counts-{name}",
                        state.class_count_rows[names.index(name)]))

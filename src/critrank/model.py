@@ -12,7 +12,7 @@ values can reach raises :class:`ValidationError` on a value breaking it.
 
 import functools
 import sys
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from random import Random
 from typing import Hashable, TypeVar
 
@@ -31,6 +31,11 @@ def _check_universe(universe: int) -> None:
         raise ValidationError(
             f"universe size must be an integer in [1, {MAX_UNIVERSE}], got {universe!r}"
         )
+
+
+def is_permutation(pi: Sequence[int], universe: int) -> bool:
+    """Whether ``pi`` holds each of ``0 .. universe-1`` once, as exact ints."""
+    return all(type(x) is int for x in pi) and sorted(pi) == list(range(universe))
 
 
 def iter_bits(mask: int):

@@ -296,6 +296,9 @@ class TestOrderTiebreak:
             iis_tiebreak_order(state, (0, 1))
         with pytest.raises(ValidationError):
             iis_tiebreak_order(state, (0, 1, 1))
+        for order in ((1.0, 0, 2), (True, False, 2)):
+            with pytest.raises(ValidationError, match="^tie-break order must be a permutation"):
+                iis_tiebreak_order(state, order)
 
     @settings(max_examples=100, deadline=None)
     @given(opinion_states(max_universe=4))

@@ -86,7 +86,8 @@ class TestPermutation:
             assert permute_state(state, pi).counts == {
                 (image(s), image(t)): v for (s, t), v in state.counts.items()}
 
-    @pytest.mark.parametrize("pi", ((0, 0, 1), (0, 1), (1, 2, 3)))
+    @pytest.mark.parametrize("pi", ((0, 0, 1), (0, 1), (1, 2, 3),
+                                    (1.0, 0, 2), (True, False, 2), ("a", 0, 1)))
     def test_rejects_a_non_permutation(self, pi):
         state = OpinionState.from_support(3, {0b011: 2})
         with pytest.raises(ValidationError) as info:
@@ -162,6 +163,13 @@ class TestInstanceValidation:
         wrong = OpinionState.from_support(3, {0b011: 2, 0b010: 1})
         inst = AxiomInstance("nt", o1, o2=wrong, permutation=(1, 2, 0))
         with pytest.raises(InvalidInstanceError):
+            validate_instance(inst)
+
+    def test_relabel_instance_rejects_a_non_permutation(self):
+        o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
+        inst = AxiomInstance("nt", o1, o2=o1, permutation=(0, 0, 1))
+        with pytest.raises(InvalidInstanceError,
+                           match=r"^\(0, 0, 1\) is not a permutation of 3 alternatives$"):
             validate_instance(inst)
 
     def test_check_axiom_validates_before_judging(self):

@@ -29,7 +29,7 @@ from critrank.cli import (
 )
 from critrank.aggregators import RULES, Rule, iis_rank, support_rank
 from critrank.axioms import random_profile, random_table
-from critrank.choice import _stages
+from critrank.choice import cascade_sets
 from critrank.model import (
     AltSubset,
     CriterionTable,
@@ -1175,6 +1175,18 @@ CHECK_WITNESSES = {
 }
 
 
+def _golden_demo(fmt: str, replace: dict[str, str]) -> str:
+    """The golden demo output, with each line that starts with a key of
+    ``replace`` ending in that key's value instead."""
+    want = []
+    for line in (GOLDEN / f"demo-{fmt}.txt").read_text(encoding="utf-8").splitlines():
+        for field, value in replace.items():
+            if line.startswith(field):
+                line = field + value
+        want.append(line + "\n")
+    return "".join(want)
+
+
 class TestFailurePathOutput:
     """Exact output of the failure paths that no golden file reaches."""
 
@@ -1182,24 +1194,33 @@ class TestFailurePathOutput:
         ("text", "ranking (lexcel): ", "demo: "),
         ("lines", "ranking-lexcel=", "status=")))
     def test_demo_with_a_broken_rule(self, fmt, ranking, status, monkeypatch, capsys):
-        monkeypatch.setattr("critrank.cli.lexcel_rank", support_rank)
-        want = []
-        for line in (GOLDEN / f"demo-{fmt}.txt").read_text(encoding="utf-8").splitlines():
-            if line.startswith(ranking):
-                line = ranking + SUPPORT_ORDER
-            elif line.startswith(status):
-                line = status + "fail"
-            want.append(line + "\n")
+        monkeypatch.setitem(RULES, "lexcel", Rule("lexcel", support_rank))
         assert main(["demo", "--format", fmt]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "".join(want)
+        assert captured.out == _golden_demo(fmt, {ranking: SUPPORT_ORDER, status: "fail"})
         assert captured.err == (
             f"demo mismatch: ranking (lexcel): got {SUPPORT_ORDER}, want {LEXCEL_ORDER}\n")
 
+    @pytest.mark.parametrize("fmt, status", (("text", "demo: "), ("lines", "status=")))
+    @pytest.mark.parametrize("method, label, key", (
+        ("nurmi_first", "choice (cascade)", "choice-cascade"),
+        ("nurmi_second", "choice (score sum)", "choice-score")))
+    def test_demo_with_a_wrong_choice(self, method, label, key, fmt, status,
+                                      monkeypatch, capsys):
+        # the demo reads each choice off the function that choose runs
+        monkeypatch.setattr(f"critrank.cli.{method}",
+                            lambda table, profile: AltSubset(0b10, table.universe))
+        assert main(["demo", "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        field = f"{label}: " if fmt == "text" else f"{key}="
+        assert captured.out == _golden_demo(fmt, {field: "{Dodgson}", status: "fail"})
+        assert captured.err == (
+            f"demo mismatch: {label}: got {{Dodgson}}, want {{Copeland,Kemeny}}\n")
+
     def test_demo_field_left_unprinted_fails(self, monkeypatch, capsys):
         # the demo reads its stages off the one cascade walk that choose runs
-        monkeypatch.setattr("critrank.cli._stages",
-                            lambda table, ranking: _stages(table, ranking)[:5])
+        monkeypatch.setattr("critrank.cli.cascade_sets",
+                            lambda table, profile: cascade_sets(table, profile)[:5])
         assert main(["demo", "--format", "lines"]) == 3
         captured = capsys.readouterr()
         assert "stage-6" not in captured.out
