@@ -51,9 +51,9 @@ class AxiomInstance(_Record):
     """One concrete test case for an axiom.
 
     ``kind`` selects the axiom; ``o2`` carries the restructured state for
-    the two-state axioms, ``permutation`` the relabeling for neutrality,
-    and ``promoted`` the subfamily (as masks) whose support was raised for
-    the non-unanimous-improvement axiom.
+    iws, ibs and inui, ``permutation`` the relabeling for neutrality (the
+    verdict relabels ``o1`` itself), and ``promoted`` the subfamily (as
+    masks) whose support was raised for the non-unanimous-improvement axiom.
     """
 
     __slots__ = _fields = ("kind", "o1", "o2", "permutation", "promoted")
@@ -103,8 +103,8 @@ def _require(condition: bool, message: str) -> None:
 def validate_instance(inst: AxiomInstance) -> None:
     """Check the structural side-conditions of an instance; raise if broken.
 
-    Apart from nt, which compares states, validity depends only on the two
-    quotients and the promoted family, and only their explicit classes are
+    Validity depends only on the quotients, the permutation and the
+    promoted family, and only the quotients' explicit classes are
     compared.  A quotient's classes, residual included, partition the
     nonempty subsets, so its last class is the complement of the others:
     two quotients over one universe with the same depth that agree on every
@@ -112,7 +112,7 @@ def validate_instance(inst: AxiomInstance) -> None:
     """
     _require(inst.kind in AXIOM_KINDS, f"unknown axiom kind {inst.kind!r}")
     u = inst.o1.universe
-    needs_second = inst.kind != "wivip"
+    needs_second = inst.kind not in ("nt", "wivip")
     _require((inst.o2 is not None) == needs_second,
              f"{inst.kind} instance carries the wrong number of states")
     if inst.o2 is not None:
@@ -126,8 +126,6 @@ def validate_instance(inst: AxiomInstance) -> None:
         pi = inst.permutation
         if not is_permutation(pi, u):
             raise InvalidInstanceError(f"{pi!r} is not a permutation of {u} alternatives")
-        _require(permute_state(inst.o1, pi) == inst.o2,
-                 "second state is not the relabeling of the first")
         return
     q1 = inst.o1.quotient
     d1 = q1.depth
@@ -221,14 +219,15 @@ def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
         broken = ((x, y) for x in veto for y in range(u)
                   if y not in veto and at1[x] >= at1[y])
         note = "veto element not ranked strictly above a non-veto one"
+    elif kind == "nt":
+        pi = inst.permutation
+        at2 = _class_indices(agg(permute_state(inst.o1, pi)), u)
+        broken = ((x, y) for x in range(u) for y in range(u)
+                  if x != y and (at1[x] <= at1[y]) != (at2[pi[x]] <= at2[pi[y]]))
+        note = "relabeling changed the pair's standing"
     else:
         at2 = _class_indices(agg(inst.o2), u)
-        if kind == "nt":
-            pi = inst.permutation
-            broken = ((x, y) for x in range(u) for y in range(u)
-                      if x != y and (at1[x] <= at1[y]) != (at2[pi[x]] <= at2[pi[y]]))
-            note = "relabeling changed the pair's standing"
-        elif kind in ("iws", "ibs"):
+        if kind in ("iws", "ibs"):
             broken = ((x, y) for x in range(u) for y in range(u)
                       if at1[x] < at1[y] and at2[x] >= at2[y])
             end = "worst" if kind == "iws" else "best"
@@ -292,8 +291,7 @@ def _gen_nt(rng: Random, universe: int) -> AxiomInstance:
     o1 = random_state(rng, universe)
     pi = list(range(universe))
     rng.shuffle(pi)
-    pi = tuple(pi)
-    return AxiomInstance("nt", o1, permute_state(o1, pi), permutation=pi)
+    return AxiomInstance("nt", o1, permutation=tuple(pi))
 
 
 def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
@@ -394,7 +392,7 @@ def generate_instances(kind: str, universe_size: int, seed: int,
     so the result may be shorter than requested."""
     if kind not in AXIOM_KINDS:
         raise ValidationError(f"unknown axiom kind {kind!r}")
-    if not 3 <= universe_size <= MAX_UNIVERSE:
+    if type(universe_size) is not int or not 3 <= universe_size <= MAX_UNIVERSE:
         raise ValidationError(
             f"instance generation needs 3 to {MAX_UNIVERSE} alternatives, got {universe_size}")
     rng = Random(f"{kind}/{universe_size}/{seed}")
@@ -449,8 +447,7 @@ def order_tiebreak_nt_witness() -> AxiomInstance:
     interior-tie variant below is the one the rule actually fails.
     """
     o1 = OpinionState.from_support(3, {0b011: 2, 0b111: 1})
-    pi = (1, 0, 2)
-    return AxiomInstance("nt", o1, permute_state(o1, pi), permutation=pi)
+    return AxiomInstance("nt", o1, permutation=(1, 0, 2))
 
 
 def order_tiebreak_nt_witness_interior() -> AxiomInstance:
@@ -460,8 +457,7 @@ def order_tiebreak_nt_witness_interior() -> AxiomInstance:
     same exogenous order while the relabeling demands the opposite pair.
     """
     o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
-    pi = (1, 0, 2)
-    return AxiomInstance("nt", o1, permute_state(o1, pi), permutation=pi)
+    return AxiomInstance("nt", o1, permutation=(1, 0, 2))
 
 
 def tau_tiebreak_inui_witness() -> AxiomInstance:

@@ -180,6 +180,8 @@ class CriterionTable(_Record):
         seen: dict[int, str] = {}
         for c in criteria:
             s = tr[c]
+            if not isinstance(s, AltSubset):
+                raise ValidationError(f"criterion {c!r} must map to an AltSubset")
             if s.universe != n:
                 raise ValidationError(f"criterion {c!r} has subset over a different universe")
             if s.mask in seen:

@@ -273,7 +273,7 @@ def differential_sweep(universe: int, trials: int, seed: int) -> SweepReport:
     At one alternative every subset contains it, so its score is the full
     depth and the ``e-bound`` check does not apply; sweeps start at two.
     """
-    if not 2 <= universe <= ORACLE_MAX_UNIVERSE:
+    if type(universe) is not int or not 2 <= universe <= ORACLE_MAX_UNIVERSE:
         raise ValidationError(
             f"oracle sweeps need 2 to {ORACLE_MAX_UNIVERSE} alternatives, got {universe!r}")
     rng = Random(f"oracle/{universe}/{seed}")

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
+from critrank import axioms
 from critrank.aggregators import (
     AXIOM_KINDS,
     RULES,
@@ -112,7 +113,7 @@ class TestInstanceValidation:
 
     # the functions that build each kind's states and quotients unchecked
     _TRUSTED_SITES = {
-        "nt": {"random_state", "permute_state"},
+        "nt": {"random_state"},
         "iws": {"random_support_state", "_state_from_class_masks", "quotient"},
         "ibs": {"random_support_state", "_state_from_class_masks", "quotient"},
         "wivip": {"_gen_wivip", "_state_from_class_masks", "quotient"},
@@ -144,6 +145,8 @@ class TestInstanceValidation:
         monkeypatch.setattr("critrank.axioms.Random", no_draws)
         with pytest.raises(ValidationError, match="3 to 64 alternatives"):
             generate_instances("nt", 65, 0, 1)
+        with pytest.raises(ValidationError, match="3 to 64 alternatives, got 4.0$"):
+            generate_instances("nt", 4.0, 0, 1)
 
     def test_an_infeasible_draw_is_skipped(self, monkeypatch):
         # the shipped draws give up too rarely to test (never in 20,000 seeds
@@ -158,24 +161,24 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError, match="^unknown axiom kind 'xx'$"):
             generate_instances("xx", 3, 0, 1)
 
-    def test_relabel_instance_rejects_a_wrong_image(self):
+    def test_relabel_instance_carries_no_second_state(self):
+        # the relabeled state is built from the first and the permutation
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
-        wrong = OpinionState.from_support(3, {0b011: 2, 0b010: 1})
-        inst = AxiomInstance("nt", o1, o2=wrong, permutation=(1, 2, 0))
-        with pytest.raises(InvalidInstanceError):
+        inst = AxiomInstance("nt", o1, permute_state(o1, (1, 2, 0)), permutation=(1, 2, 0))
+        with pytest.raises(InvalidInstanceError,
+                           match="^nt instance carries the wrong number of states$"):
             validate_instance(inst)
 
     def test_relabel_instance_rejects_a_non_permutation(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
-        inst = AxiomInstance("nt", o1, o2=o1, permutation=(0, 0, 1))
+        inst = AxiomInstance("nt", o1, permutation=(0, 0, 1))
         with pytest.raises(InvalidInstanceError,
                            match=r"^\(0, 0, 1\) is not a permutation of 3 alternatives$"):
             validate_instance(inst)
 
     def test_check_axiom_validates_before_judging(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
-        wrong = OpinionState.from_support(3, {0b011: 2, 0b010: 1})
-        for inst in (AxiomInstance("nt", o1, o2=wrong, permutation=(1, 2, 0)),
+        for inst in (AxiomInstance("nt", o1, permutation=(1, 1, 0)),
                      AxiomInstance("wivip", o1)):
             with pytest.raises(InvalidInstanceError):
                 check_axiom(iis_rank, inst)
@@ -183,7 +186,7 @@ class TestInstanceValidation:
     def test_relabel_instance_needs_a_permutation(self):
         o1 = OpinionState.from_support(3, {0b011: 2})
         with pytest.raises(InvalidInstanceError):
-            validate_instance(AxiomInstance("nt", o1, o2=o1))
+            validate_instance(AxiomInstance("nt", o1))
 
     def test_worst_split_rejects_a_touched_top_class(self):
         o1 = OpinionState.from_support(3, {0b011: 2, 0b100: 1})
@@ -243,6 +246,26 @@ class TestInstanceValidation:
                 **{m: 1 for m in range(4, 8)}})
         with pytest.raises(InvalidInstanceError, match="followed"):
             validate_instance(AxiomInstance("inui", o1, o2=o2, promoted=delta))
+
+    def test_a_sweep_relabels_each_instance_once(self, monkeypatch):
+        # the verdict builds the relabeled state; the permutation is checked
+        # by the validation and by that relabel, and by nothing else
+        calls = {"permute_state": 0, "is_permutation": 0}
+
+        def counted(name):
+            real = getattr(axioms, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(axioms, name, wrapper)
+
+        counted("permute_state")
+        counted("is_permutation")
+        result = sweep_axiom(RULES["iis"], "nt", 4, 0, 50)
+        assert result.checked == 50
+        assert calls["permute_state"] == result.checked
+        assert calls["is_permutation"] <= 2 * result.checked
 
 
 class TestBaselineRulePassesEverything:
@@ -333,8 +356,12 @@ class TestIncompleteRanking:
             check_axiom(rule, witness())
 
     def test_only_the_second_ranking_incomplete(self, monkeypatch):
-        inst = order_tiebreak_nt_witness_interior()
-        rule = self.register(monkeypatch, lambda state: state is inst.o2)
+        # the witnesses' swaps fix their states, so this relabeling moves one
+        inst = AxiomInstance("nt", OpinionState.from_support(3, {0b001: 2}),
+                             permutation=(1, 2, 0))
+        moved = permute_state(inst.o1, inst.permutation)
+        assert moved != inst.o1
+        rule = self.register(monkeypatch, lambda state: state == moved)
         with pytest.raises(ValidationError, match="label 2 not ranked"):
             check_axiom(rule, inst)
 

@@ -85,6 +85,7 @@ class TestCriterionTable:
         (("c0",), {"c0": subset(3, 0), "c1": subset(3, 1)},
          "tr must map exactly the listed criteria"),
         (("c0",), {"c0": subset(4, 0)}, "criterion 'c0' has subset over a different universe"),
+        (("c1",), {"c1": 3}, "criterion 'c1' must map to an AltSubset"),
     ))
     def test_each_fault_has_its_message(self, criteria, tr, message):
         with pytest.raises(ValidationError) as info:

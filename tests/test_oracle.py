@@ -155,6 +155,8 @@ class TestDifferentialSweep:
     def test_rejects_untestable_universe(self):
         with pytest.raises(ValidationError):
             differential_sweep(ORACLE_MAX_UNIVERSE + 1, 10, 0)
+        with pytest.raises(ValidationError, match="2 to .* alternatives, got 3.0$"):
+            differential_sweep(3.0, 10, 0)
 
     def test_rejects_a_single_alternative(self):
         # the lone alternative scores the full depth, so e-bound cannot hold
