@@ -1,7 +1,7 @@
 """Command line front end for the criteria-ranking toolkit.
 
-File formats (UTF-8, line oriented, full-line ``#`` comments, blank lines
-ignored):
+File formats (UTF-8, a leading byte-order mark skipped, line oriented,
+full-line ``#`` comments, blank lines ignored):
 
 criterion table::
 
@@ -312,38 +312,45 @@ def format_ranking(ranking: tuple[tuple, ...], names: tuple[str, ...] | None = N
     return " > ".join(_format_members(cls_, names) for cls_ in ranking)
 
 
-def _state_rows(names: tuple[str, ...], state: OpinionState, include_supports: bool
-                ) -> tuple[list[tuple[str, int]], list[tuple[str, str, int]]]:
-    """Sorted (subset, support) rows, empty unless asked for, and sorted
-    (left, right, count) opinion rows, every subset as text.
+def _state_rows(names: tuple[str, ...], state: OpinionState
+                ) -> list[tuple[int, str, list[tuple[str, int]]]]:
+    """(left mask, left text, [(right text, count), ...]) per left subset,
+    in the sorted order of the (left, right) keys.
 
     A criterion-induced state repeats each of its few masks on many rows,
-    so each distinct mask is formatted once.  The opinion keys are unique, so
-    they are sorted alone and each count looked up: comparing keys is
-    cheaper than comparing (key, count) items.
+    so each distinct mask is formatted once.  Sorting the left masks, then
+    each left mask's right masks, gives the keys' order by int comparisons.
+    Counts are positive, so the left masks are the ``support_map`` keys.
     """
-    texts: dict[int, str] = {}
-
-    def text(mask: int) -> str:
-        got = texts.get(mask)
-        if got is None:
-            got = texts[mask] = _format_members(iter_bits(mask), names)
-        return got
-
-    supports = ([(text(m), v) for m, v in sorted(state.support_map.items())]
-                if include_supports else [])
-    counts = state.counts
-    opinions = [(text(s), text(t), counts[s, t]) for s, t in sorted(counts)]
-    return supports, opinions
+    groups: dict[int, dict[int, int]] = {}
+    for (s, t), count in state.counts.items():
+        group = groups.get(s)
+        if group is None:
+            groups[s] = {t: count}
+        else:
+            group[t] = count
+    masks = set(groups)
+    for group in groups.values():
+        masks.update(group)
+    texts = {m: _format_members(iter_bits(m), names) for m in masks}
+    rows = []
+    for s in sorted(groups):
+        group = groups[s]
+        rows.append((s, texts[s], [(texts[t], group[t]) for t in sorted(group)]))
+    return rows
 
 
 def format_opinion_state(names: tuple[str, ...], state: OpinionState,
                          include_supports: bool = False) -> str:
     """Serialize a state so that parse_opinion_state reads it back."""
-    supports, opinions = _state_rows(names, state, include_supports)
+    rows = _state_rows(names, state)
     lines = ["alternatives: " + " ".join(names)]
-    lines += [f"# support {subset} = {value}" for subset, value in supports]
-    lines += [f"opinion {s} >= {t} : {count}" for s, t, count in opinions]
+    if include_supports:
+        support = state.support_map
+        lines += [f"# support {left} = {support[s]}" for s, left, _ in rows]
+    for _s, left, group in rows:
+        head = f"opinion {left} >= "
+        lines += [f"{head}{right} : {count}" for right, count in group]
     return "\n".join(lines) + "\n"
 
 
@@ -396,7 +403,7 @@ _DEMO_PUBLISHED = {
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -472,10 +479,13 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     state = induce_opinion(table, profile)
     names = table.alternatives
     if args.fmt == "lines":
-        supports, opinions = _state_rows(names, state, include_supports=True)
+        rows = _state_rows(names, state)
+        support = state.support_map
         fields = [(None, "alternatives", names)]
-        fields += [(None, f"support{subset}", value) for subset, value in supports]
-        fields += [(None, f"opinion{s}>={t}", count) for s, t, count in opinions]
+        fields += [(None, f"support{left}", support[s]) for s, left, _ in rows]
+        for _s, left, group in rows:
+            head = f"opinion{left}>="
+            fields += [(None, f"{head}{right}", count) for right, count in group]
         _emit(args, fields)
     else:
         # The text form is itself a parseable opinion file.

@@ -2,12 +2,13 @@
 
 Everything here recomputes what the library's sparse fast paths compute,
 but deliberately naively: every nonempty subset is materialized as a frozen
-set of indices, every support class is listed, and every intersection walks
-the full class unions.  The size cap keeps that instant.  The sweep then
-compares the two routes field by field on random states; the oracle is the
-authority, the sparse path is the accused.
+set of indices (once per universe size), every support class is listed, and
+every intersection walks the full class unions.  The size cap keeps that
+instant.  The sweep then compares the two routes field by field on random
+states; the oracle is the authority, the sparse path is the accused.
 """
 
+from functools import cache
 from random import Random
 
 from .aggregators import RULES
@@ -24,8 +25,12 @@ from .model import (
 ORACLE_MAX_UNIVERSE = 6
 
 
-def _indices(mask: int, universe: int) -> frozenset[int]:
-    return frozenset(i for i in range(universe) if mask >> i & 1)
+@cache
+def _subsets(universe: int) -> tuple[frozenset[int], ...]:
+    """The member set of every nonempty subset, in mask order (mask 1 first);
+    one table per universe size, so at most ``ORACLE_MAX_UNIVERSE``."""
+    return tuple(frozenset(i for i in range(universe) if mask >> i & 1)
+                 for mask in range(1, 1 << universe))
 
 
 class DenseState(_Record):
@@ -60,9 +65,8 @@ class DenseState(_Record):
     @cached_property
     def _classes(self) -> tuple[tuple[int, tuple[frozenset[int], ...]], ...]:
         by_value: dict[int, list[frozenset[int]]] = {}
-        for mask in range(1, 1 << self.universe):
-            by_value.setdefault(self.support[mask - 1], []).append(
-                _indices(mask, self.universe))
+        for value, members in zip(self.support, _subsets(self.universe)):
+            by_value.setdefault(value, []).append(members)
         return tuple((v, tuple(by_value[v])) for v in sorted(by_value, reverse=True))
 
     @cached_property
@@ -96,12 +100,9 @@ def dense_e_vector(d: DenseState) -> tuple[int, ...]:
 
 
 def dense_support_totals(d: DenseState) -> tuple[int, ...]:
-    totals = []
-    for x in range(d.universe):
-        totals.append(sum(d.support[mask - 1]
-                          for mask in range(1, 1 << d.universe)
-                          if x in _indices(mask, d.universe)))
-    return tuple(totals)
+    subsets = _subsets(d.universe)
+    return tuple(sum(value for value, members in zip(d.support, subsets) if x in members)
+                 for x in range(d.universe))
 
 
 def dense_class_counts(d: DenseState, x: int) -> tuple[int, ...]:
@@ -231,7 +232,11 @@ def _compare_state(state: OpinionState, order: tuple[int, ...]) -> list[str]:
     q = state.quotient
     dcls = dense_classes(d)
     dense_positive = [sorted(members, key=sorted) for v, members in dcls if v > 0]
-    sparse_positive = [sorted((_indices(m, u) for m in members), key=sorted)
+    subsets = _subsets(u)
+    # a sparse member out of range reads as the empty set, which no dense
+    # class holds
+    sparse_positive = [sorted((subsets[m - 1] if 0 < m < 1 << u else frozenset()
+                               for m in members), key=sorted)
                        for members in q.classes]
     if sparse_positive != dense_positive:
         problems.append("quotient-classes")

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -772,6 +773,62 @@ class TestRoundTrips:
         assert reread.entries == {}
 
 
+@st.composite
+def _written_states(draw):
+    """A state of 60 to 64 alternatives whose keys were inserted in shuffled
+    order, with some masks seen only on the right."""
+    n = draw(st.integers(60, 64))
+    mask = st.one_of(st.integers(1, 15), st.integers(1, (1 << n) - 1), st.just((1 << n) - 1))
+    pool = draw(st.lists(mask, min_size=1, max_size=8, unique=True))
+    lefts = pool[:draw(st.integers(1, len(pool)))]
+    keys = {(s, t) for s in lefts for t in draw(st.lists(st.sampled_from(pool), max_size=4))}
+    # every other mask is a right mask only, under some left mask
+    keys |= {(draw(st.sampled_from(lefts)), t) for t in pool[len(lefts):]}
+    counts = {key: draw(st.integers(1, 10**6)) for key in draw(st.permutations(sorted(keys)))}
+    return tuple(f"a{i}" for i in range(n)), OpinionState(n, counts)
+
+
+def _naive_rows(names, state):
+    """Sorted (subset, support) rows and sorted (left, right, count) rows,
+    each mask formatted where it is used."""
+    def text(mask):
+        return "{" + ",".join(name for i, name in enumerate(names) if mask >> i & 1) + "}"
+    supports = [(text(s), v) for s, v in sorted(state.support_map.items())]
+    opinions = [(text(s), text(t), state.counts[s, t]) for s, t in sorted(state.counts)]
+    return supports, opinions
+
+
+class TestWriterOrder:
+    """The state writer's rows against a writer that sorts the (left, right)
+    keys and formats each mask on the spot."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_written_states())
+    def test_rows_match_a_naive_writer(self, tmp_path_factory, drawn):
+        names, state = drawn
+        supports, opinions = _naive_rows(names, state)
+        header = "alternatives: " + " ".join(names) + "\n"
+        rows = "".join(f"opinion {s} >= {t} : {c}\n" for s, t, c in opinions)
+        assert format_opinion_state(names, state) == header + rows
+        assert format_opinion_state(names, state, include_supports=True) == (
+            header + "".join(f"# support {s} = {v}\n" for s, v in supports) + rows)
+
+        # induce --format lines writes the same rows for the state it induces
+        table = tmp_path_factory.getbasetemp() / f"writer-table-{len(names)}.txt"
+        table.write_text(f"alternatives: {' '.join(names)}\ncriterion k: a0\n")
+        profile = table.with_name("writer-profile.txt")
+        profile.write_text("voter 1: k\n")
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(critrank.cli, "induce_opinion", lambda _table, _profile: state)
+            assert main(["induce", "--table", str(table), "--profile", str(profile),
+                         "--format", "lines"]) == 0
+        assert out.getvalue() == "".join(
+            [f"seed=0\nalternatives={','.join(names)}\n"]
+            + [f"support{s}={v}\n" for s, v in supports]
+            + [f"opinion{s}>={t}={c}\n" for s, t, c in opinions])
+
+
 class TestFormatting:
     def test_subsets_keep_input_order(self):
         names = ("c", "a", "b")
@@ -943,6 +1000,27 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {bad}: ")
+
+    @pytest.mark.parametrize("reader", ("--opinions", "--table", "--profile"))
+    def test_a_byte_order_mark_is_skipped(self, reader, demo_files, tmp_path, capsys):
+        table, profile = demo_files
+        opinions = tmp_path / "ops.txt"
+        opinions.write_text("alternatives: a b c\nopinion {a,b} >= {c} : 3\n")
+        files = {"--opinions": str(opinions), "--table": table, "--profile": profile}
+        outcomes = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / f"bom-{len(bom)}.txt"
+            path.write_bytes(bom + Path(files[reader]).read_bytes())
+            given_files = dict(files, **{reader: str(path)})
+            argv = (["rank", "--rule", "iis", "--opinions", given_files["--opinions"]]
+                    if reader == "--opinions" else
+                    ["choose", "--method", "n1", "--table", given_files["--table"],
+                     "--profile", given_files["--profile"]])
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0][0] == 0 and outcomes[0][1]
+        assert outcomes[1] == outcomes[0]
 
     def test_invalid_table_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

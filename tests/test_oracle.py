@@ -225,6 +225,26 @@ class TestDifferentialSweep:
             assert not alone or problems == named, problems
             assert problem != "e-vector" or "e-bound" not in problems
 
+    def test_a_zero_member_is_a_class_mismatch(self, monkeypatch, capsys):
+        # the oracle reads each sparse member through its subset table, where
+        # a mask of 0 must not alias the last entry, the whole universe
+        cached = OpinionState.__dict__["quotient"]
+        build = cached.func
+
+        def fault(state):
+            q = build(state)
+            full = (1 << q.universe) - 1
+            return QuotientOrder(q.universe, tuple(
+                frozenset(0 if m == full else m for m in members) for members in q.classes))
+
+        monkeypatch.setattr(cached, "func", fault)
+        assert main(["selftest", "--trials", "16", "--format", "lines"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        details = [line.split(": ", 1)[1].split(", ") for line in out
+                   if line.startswith("universe-") and "-detail=" in line]
+        assert details
+        assert all(problems[0] == "quotient-classes" for problems in details), details
+
     def test_class_count_rows_are_built_once_per_state(self, monkeypatch):
         cached = OpinionState.__dict__["class_count_rows"]
         build = cached.func
