@@ -11,7 +11,9 @@ replayable counterexample.
 Instance surgery works at the support level: the quotient shape is all that
 the axioms constrain, and any support assignment is realizable, so
 generators build the second state of a pair directly from a target class
-list instead of perturbing opinion entries.
+list instead of perturbing opinion entries, through
+``OpinionState._from_classes``, which keeps that list as the state's
+quotient.
 
 The module also houses ``WITNESSES``, the named instances aimed at each
 rival rule's target axiom (the rules themselves are registered in
@@ -19,7 +21,7 @@ rival rule's target axiom (the rules themselves are registered in
 generators used to test the choice methods.
 """
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from random import Random
 
 from .aggregators import AXIOM_KINDS, Ranking
@@ -105,10 +107,13 @@ def validate_instance(inst: AxiomInstance) -> None:
 
     Validity depends only on the quotients, the permutation and the
     promoted family, and only the quotients' explicit classes are
-    compared.  A quotient's classes, residual included, partition the
-    nonempty subsets, so its last class is the complement of the others:
-    two quotients over one universe with the same depth that agree on every
-    class but the last agree on the last too.
+    compared.  A second state that a generator built from a class list
+    carries that list as its quotient; every other quotient is derived
+    from its state's supports on first read.  A quotient's classes,
+    residual included, partition the nonempty subsets, so its last class is
+    the complement of the others: two quotients over one universe with the
+    same depth that agree on every class but the last agree on the last
+    too.
     """
     _require(inst.kind in AXIOM_KINDS, f"unknown axiom kind {inst.kind!r}")
     u = inst.o1.universe
@@ -250,17 +255,6 @@ def _verdict(agg: Aggregator, inst: AxiomInstance) -> AxiomVerdict:
 # Random generation
 
 
-def _state_from_class_masks(universe: int, class_masks: Sequence[Iterable[int]]) -> OpinionState:
-    """Realize an explicit class list (strongest first) as a state; built
-    unchecked: generated masks in range, supports at least 1."""
-    blocks = [list(masks) for masks in class_masks]
-    counts: dict[tuple[int, int], int] = {}
-    for idx, masks in enumerate(blocks):
-        for m in masks:
-            counts[(m, m)] = len(blocks) - idx
-    return OpinionState._trusted(universe, counts)
-
-
 def _sample_residual_masks(rng: Random, universe: int, taken: frozenset[int],
                            want: int) -> list[int]:
     """Draw distinct zero-support subsets; enumerate only small universes."""
@@ -313,7 +307,7 @@ def _gen_iws(rng: Random, universe: int) -> AxiomInstance:
         if len(blocks) > 1 and rng.random() < 0.3:
             blocks = blocks[:-1]  # tail block drops to support zero
         new_classes = classes[:-1] + blocks
-    return AxiomInstance("iws", o1, _state_from_class_masks(universe, new_classes))
+    return AxiomInstance("iws", o1, OpinionState._from_classes(universe, new_classes))
 
 
 def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
@@ -326,7 +320,7 @@ def _gen_ibs(rng: Random, universe: int) -> AxiomInstance:
     first = sorted(classes[0])
     blocks = _chunk(rng, first, _randint(rng, 1, min(3, len(first))))
     return AxiomInstance("ibs", o1,
-                         _state_from_class_masks(universe, blocks + classes[1:]))
+                         OpinionState._from_classes(universe, blocks + classes[1:]))
 
 
 def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
@@ -338,7 +332,7 @@ def _gen_wivip(rng: Random, universe: int) -> AxiomInstance:
         rng.shuffle(masks)
         cut = _randint(rng, 1, top - 1)
         return AxiomInstance("wivip",
-                             _state_from_class_masks(universe, [masks[:cut], masks[cut:]]))
+                             OpinionState._from_classes(universe, [masks[:cut], masks[cut:]]))
     if rng.random() < 0.6:
         # bias toward a nonempty intersection so the axiom has bite
         x = _randint(rng, 0, universe - 1)
@@ -372,7 +366,7 @@ def _gen_inui(rng: Random, universe: int) -> AxiomInstance | None:
         if delta is None:
             continue
         new_classes = classes[:at] + [delta, classes[at] - delta] + classes[at + 1:]
-        return AxiomInstance("inui", o1, _state_from_class_masks(universe, new_classes),
+        return AxiomInstance("inui", o1, OpinionState._from_classes(universe, new_classes),
                              promoted=delta)
     return None
 

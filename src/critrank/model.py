@@ -279,6 +279,20 @@ class OpinionState(_Record):
         state.__post_init__()
         return state
 
+    @classmethod
+    def _from_classes(cls, universe: int,
+                      classes: Sequence[Collection[int]]) -> "OpinionState":
+        """A state of reflexive opinions realizing a class list, strongest
+        first: each mask of class ``idx`` gets support ``len(classes) - idx``.
+        The classes, nonempty disjoint masks of the universe as the axiom
+        generators draw them, are the state's quotient, so it is stored, not
+        rebuilt from the supports; nothing is checked."""
+        depth = len(classes)
+        counts = {(m, m): depth - idx for idx, masks in enumerate(classes) for m in masks}
+        state = cls._trusted(universe, counts)
+        _set(state, "quotient", QuotientOrder(universe, tuple(map(frozenset, classes))))
+        return state
+
     def __post_init__(self) -> None:
         """Drop the zero counts, the tail both constructors share; the checks
         are the public constructor's.  A method of its own so that the
@@ -360,7 +374,8 @@ class QuotientOrder(_Record):
     it is last and never materialized: construction derives whether it is
     nonempty, ``residual_present``.
     Only :attr:`OpinionState.quotient` builds one, from a valid state's score
-    groups, so nothing is checked: nonempty, disjoint classes of its masks.
+    groups, and :meth:`OpinionState._from_classes`, from the class list it
+    realizes, so nothing is checked: nonempty, disjoint classes of its masks.
     """
 
     _fields = ("universe", "classes")

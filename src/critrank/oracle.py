@@ -36,7 +36,8 @@ def _subsets(universe: int) -> tuple[frozenset[int], ...]:
 class DenseState(_Record):
     """Support of every nonempty subset, in mask order (mask 1 first).
 
-    The classes and top intersections are enumerated once per state.
+    The classes, the top intersections, the e-scores and the per-alternative
+    class counts are each enumerated once per state, on first use.
     """
 
     _fields = ("universe", "support")
@@ -78,25 +79,42 @@ class DenseState(_Record):
             out.append(frozenset(range(self.universe)).intersection(*union))
         return tuple(out)
 
+    @cached_property
+    def _e_scores(self) -> tuple[int, ...]:
+        """Per alternative, the deepest class depth whose running
+        intersection still contains it."""
+        best = [0] * self.universe
+        for k, inter in enumerate(self._top_intersections, start=1):
+            for x in inter:
+                best[x] = k
+        return tuple(best)
+
+    @cached_property
+    def _class_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per alternative, how many subsets of each class contain it."""
+        return tuple(tuple(sum(1 for subset in members if x in subset)
+                           for _value, members in self._classes)
+                     for x in range(self.universe))
+
 
 def dense_classes(d: DenseState) -> list[tuple[int, list[frozenset[int]]]]:
     """Every equal-support class, strongest first, zero-support class included."""
     return [(v, list(members)) for v, members in d._classes]
 
 
+def _check_alternative(d: DenseState, x: int) -> None:
+    if type(x) is not int or not 0 <= x < d.universe:
+        raise ValidationError(f"alternative index {x!r} out of range")
+
+
 def dense_e_score(d: DenseState, x: int) -> int:
     """Deepest class depth whose running intersection still contains x."""
-    if not 0 <= x < d.universe:
-        raise ValidationError(f"alternative index {x!r} out of range")
-    best = 0
-    for k, inter in enumerate(d._top_intersections, start=1):
-        if x in inter:
-            best = k
-    return best
+    _check_alternative(d, x)
+    return d._e_scores[x]
 
 
 def dense_e_vector(d: DenseState) -> tuple[int, ...]:
-    return tuple(dense_e_score(d, x) for x in range(d.universe))
+    return d._e_scores
 
 
 def dense_support_totals(d: DenseState) -> tuple[int, ...]:
@@ -106,8 +124,8 @@ def dense_support_totals(d: DenseState) -> tuple[int, ...]:
 
 
 def dense_class_counts(d: DenseState, x: int) -> tuple[int, ...]:
-    return tuple(sum(1 for subset in members if x in subset)
-                 for _value, members in d._classes)
+    _check_alternative(d, x)
+    return d._class_counts[x]
 
 
 def _partition_desc(scores: dict[int, object]) -> tuple[tuple[int, ...], ...]:
@@ -116,7 +134,7 @@ def _partition_desc(scores: dict[int, object]) -> tuple[tuple[int, ...], ...]:
 
 
 def dense_iis(d: DenseState) -> tuple[tuple[int, ...], ...]:
-    return _partition_desc({x: dense_e_score(d, x) for x in range(d.universe)})
+    return _partition_desc(dict(enumerate(d._e_scores)))
 
 
 def dense_support_ranking(d: DenseState) -> tuple[tuple[int, ...], ...]:
@@ -125,15 +143,13 @@ def dense_support_ranking(d: DenseState) -> tuple[tuple[int, ...], ...]:
 
 
 def dense_lexcel(d: DenseState) -> tuple[tuple[int, ...], ...]:
-    return _partition_desc({x: dense_class_counts(d, x) for x in range(d.universe)})
+    return _partition_desc(dict(enumerate(d._class_counts)))
 
 
 def dense_tiebreak_tau(d: DenseState) -> tuple[tuple[int, ...], ...]:
-    e = dense_e_vector(d)
-    taus = {}
-    for x in range(d.universe):
-        row = dense_class_counts(d, x)
-        taus[x] = tuple(sum(row[: i + 1]) for i in range(len(row)))
+    e = d._e_scores
+    taus = {x: tuple(sum(row[: i + 1]) for i in range(len(row)))
+            for x, row in enumerate(d._class_counts)}
     classes: list[tuple[int, ...]] = []
     for value in sorted(set(e), reverse=True):
         members = [x for x in range(d.universe) if e[x] == value]
@@ -147,7 +163,7 @@ def dense_tiebreak_tau(d: DenseState) -> tuple[tuple[int, ...], ...]:
 
 def dense_tiebreak_order(d: DenseState, order: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     e = dense_e_vector(d)
-    ceiling = len(dense_classes(d)) - 1
+    ceiling = len(d._classes) - 1
     position = {x: i for i, x in enumerate(order)}
     classes: list[tuple[int, ...]] = []
     for value in sorted(set(e), reverse=True):
@@ -170,7 +186,7 @@ def dense_f1(d: DenseState) -> tuple[tuple[int, ...], ...]:
 
 def dense_f2(d: DenseState) -> tuple[tuple[int, ...], ...]:
     e = dense_e_vector(d)
-    ceiling = len(dense_classes(d)) - 1
+    ceiling = len(d._classes) - 1
     bands = (tuple(x for x in range(d.universe) if e[x] == ceiling),
              tuple(x for x in range(d.universe) if e[x] != ceiling))
     return tuple(b for b in bands if b)

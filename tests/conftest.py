@@ -103,13 +103,17 @@ def trusted_calls():
     """Within the block, every call of ``OpinionState._trusted`` or
     ``PreferenceProfile._trusted`` also builds its record through the public
     constructor and asserts that the two are equal (for states, counts in
-    the same order too), and every ``QuotientOrder`` built must pass
-    :func:`assert_valid_quotient`.  Yields a list that gets (name of the
-    calling function, record) per call."""
+    the same order too), every ``QuotientOrder`` built must pass
+    :func:`assert_valid_quotient`, and every state that
+    ``OpinionState._from_classes`` builds must carry the quotient that the
+    public constructor's state rebuilds from its counts.  Yields a list that
+    gets (name of the calling function, record) per ``_trusted`` call and
+    per quotient built."""
     calls = []
     originals = {cls: cls.__dict__["_trusted"] for cls in (OpinionState, PreferenceProfile)}
     make_state = originals[OpinionState].__func__
     make_profile = originals[PreferenceProfile].__func__
+    from_classes = OpinionState.__dict__["_from_classes"]
     init_quotient = QuotientOrder.__init__
 
     def state(cls, universe, counts):
@@ -117,6 +121,11 @@ def trusted_calls():
         made = make_state(cls, universe, counts)
         assert made == public and list(made.counts) == list(public.counts)
         calls.append((sys._getframe(1).f_code.co_name, made))
+        return made
+
+    def state_from_classes(cls, universe, classes):
+        made = from_classes.__func__(cls, universe, classes)
+        assert made.quotient == OpinionState(universe, dict(made.counts)).quotient
         return made
 
     def quotient(self, universe, classes):
@@ -132,6 +141,7 @@ def trusted_calls():
         return made
 
     OpinionState._trusted = classmethod(state)
+    OpinionState._from_classes = classmethod(state_from_classes)
     PreferenceProfile._trusted = classmethod(profile)
     QuotientOrder.__init__ = quotient
     try:
@@ -139,6 +149,7 @@ def trusted_calls():
     finally:
         for cls, original in originals.items():
             cls._trusted = original
+        OpinionState._from_classes = from_classes
         QuotientOrder.__init__ = init_quotient
 
 

@@ -40,7 +40,7 @@ from critrank.axioms import (
     validate_instance,
 )
 from critrank.cli import parse_opinion_state
-from critrank.model import OpinionState, ValidationError, iter_bits, random_state
+from critrank.model import OpinionState, QuotientOrder, ValidationError, iter_bits, random_state
 
 from conftest import (
     bits,
@@ -114,10 +114,10 @@ class TestInstanceValidation:
     # the functions that build each kind's states and quotients unchecked
     _TRUSTED_SITES = {
         "nt": {"random_state"},
-        "iws": {"random_support_state", "_state_from_class_masks", "quotient"},
-        "ibs": {"random_support_state", "_state_from_class_masks", "quotient"},
-        "wivip": {"_gen_wivip", "_state_from_class_masks", "quotient"},
-        "inui": {"random_support_state", "_state_from_class_masks", "quotient"},
+        "iws": {"random_support_state", "_from_classes", "quotient"},
+        "ibs": {"random_support_state", "_from_classes", "quotient"},
+        "wivip": {"_gen_wivip", "_from_classes", "quotient"},
+        "inui": {"random_support_state", "_from_classes", "quotient"},
     }
 
     @pytest.mark.parametrize("kind", AXIOM_KINDS)
@@ -129,7 +129,8 @@ class TestInstanceValidation:
         assert {name for name, _record in calls} == self._TRUSTED_SITES[kind]
         if kind == "wivip":
             # the dense flavor covers every subset: no residual class
-            assert any(not q.residual_present for name, q in calls if name == "quotient")
+            assert any(not q.residual_present for name, q in calls
+                       if name == "_from_classes" and isinstance(q, QuotientOrder))
 
     def test_generation_is_deterministic(self):
         a = generate_instances("iws", 4, seed=5, count=30)

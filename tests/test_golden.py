@@ -11,7 +11,9 @@ After an intended output change, rewrite the expected files with
 
 ``golden/digest_runs.txt`` pins the exit code, stdout and stderr of every
 run of ``scripts/output_digest.py``, ``check`` included, each by its
-sha256; ``python3 scripts/output_digest.py --write`` rewrites it.
+sha256; ``python3 scripts/output_digest.py --write`` rewrites it.  The
+test that reruns them computes each ``check`` sweep once and serves both of
+its runs, text and lines, from that one result.
 """
 
 import importlib.util
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from critrank import axioms
 from critrank.aggregators import RULES
 from critrank.cli import DEMO_PROFILE_TEXT, DEMO_TABLE_TEXT, main
 
@@ -88,18 +91,41 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted([*CASES, "digest_runs"])
 
 
-def test_every_digest_run_gives_its_pinned_output(tmp_path):
+def test_every_digest_run_gives_its_pinned_output(tmp_path, monkeypatch):
     script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", script)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     pinned = digest.PIN_FILE.read_text(encoding="utf-8").splitlines()
     argvs = digest.runs(str(tmp_path))
+
+    # every check run still goes through cli.main, but the text and lines
+    # runs of one sweep share its result: it is computed once, not twice
+    sweep = axioms.sweep_axiom
+    results: dict[tuple, object] = {}
+    served: list[tuple] = []
+
+    def memoized(*key):
+        served.append(key)
+        if key not in results:
+            results[key] = sweep(*key)
+        return results[key]
+
+    monkeypatch.setattr(axioms, "sweep_axiom", memoized)
     lines = digest.pin_lines(argvs, str(tmp_path))
     moved = next((new.rpartition(" ")[0] for new, old in zip(lines, pinned) if new != old),
                  None)
     assert moved is None, f"first run whose output moved: {moved}"
     assert len(lines) == len(pinned)
+
+    # each key served exactly its own text run and its lines run
+    checks = [dict(zip(argv[1::2], argv[2::2])) for argv in argvs if argv[0] == "check"]
+    assert served == [(RULES[a["--rule"]], a["--axiom"], int(a["--alternatives"]),
+                       int(a["--seed"]), int(a["--trials"])) for a in checks]
+    formats: dict[tuple, list[str]] = {}
+    for key, a in zip(served, checks):
+        formats.setdefault(key, []).append(a["--format"])
+    assert all(sorted(fmts) == ["lines", "text"] for fmts in formats.values())
 
 
 if __name__ == "__main__":

@@ -75,12 +75,17 @@ class TestDenseState:
                            match="^support values must be nonnegative integers$"):
             DenseState(2, (1, -1, 0))
 
-    @pytest.mark.parametrize("x", (-1, 2))
+    @pytest.mark.parametrize("x", (-1, 2, 5, True, 1.0))
     def test_an_alternative_out_of_range_has_no_score(self, x):
-        dense = DenseState(2, (1, 0, 0))
-        assert dense_e_vector(dense) == (1, 0)
-        with pytest.raises(ValidationError, match=f"^alternative index {x} out of range$"):
-            dense_e_score(dense, x)
+        # the scores and rows are cached per state: -1 must not read the last
+        # row, nor True the second
+        dense = DenseState(2, (1, 0, 2))
+        assert dense_e_vector(dense) == (2, 1)
+        assert [dense_class_counts(dense, y) for y in (0, 1)] == [(1, 1, 0), (1, 0, 1)]
+        for score in (dense_e_score, dense_class_counts):
+            with pytest.raises(ValidationError,
+                               match=f"^alternative index {x!r} out of range$"):
+                score(dense, x)
 
 
 class TestDenseRecomputation:

@@ -16,6 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     ("src/critrank/model.py", "OpinionState.quotient"):
         "the score groups of a valid state's support map",
+    ("src/critrank/model.py", "OpinionState._from_classes"):
+        "the class list the state realizes: the axiom generators' nonempty, "
+        "disjoint masks of the universe",
 }
 
 
