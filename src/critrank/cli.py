@@ -223,7 +223,8 @@ def _order_fault(lineno: int, voter: str, body: str, order: tuple[str, ...],
 
 
 def _new_mask(bits: dict[str, int], masks: dict[str, int], inner: str, lineno: int) -> int:
-    """Parse a subset text not seen before and cache its mask."""
+    """Parse a subset text not seen before and cache its mask; only
+    :func:`parse_opinion_state`'s fallback for odd spellings calls it."""
     mask = _members_mask(bits, inner.split(","), "line {}:", lineno)
     if not mask:
         raise ValidationError(f"line {lineno}: empty subset in opinion")
@@ -243,6 +244,11 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
     ``_SLICE`` characters, each cut just after a ``\\n``, so every error keeps
     its line number.  The state is built unchecked but for the universe:
     masks are nonzero unions of known bits, counts ``isdecimal`` digits.
+
+    A new subset text of distinct known names joined by bare commas is read
+    in the line loop; any other spelling (an empty subset, a blank, padded,
+    repeated or unknown name) takes the fallback, :func:`_new_mask`.  Both
+    cache the text's mask.
     """
     names: tuple[str, ...] | None = None
     bits: dict[str, int] = {}
@@ -273,9 +279,31 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                         and "{" not in left and "{" not in right):
                     raise ParseError(
                         f"line {lineno}: expected 'opinion {{a,b}} >= {{c}} : N'")
-                # masks are never 0, so `or` falls through only on a miss
-                key = (masks.get(left) or _new_mask(bits, masks, left, lineno),
-                       masks.get(right) or _new_mask(bits, masks, right, lineno))
+                # masks are never 0, so `not` holds only on a miss; a sum of
+                # distinct bits has one set bit per part, else _new_mask reads it
+                lmask = masks.get(left)
+                if not lmask:
+                    parts = left.split(",")
+                    try:
+                        lmask = sum(map(getbit, parts))
+                    except KeyError:
+                        lmask = 0
+                    if lmask.bit_count() == len(parts):
+                        masks[left] = lmask
+                    else:
+                        lmask = _new_mask(bits, masks, left, lineno)
+                rmask = masks.get(right)
+                if not rmask:
+                    parts = right.split(",")
+                    try:
+                        rmask = sum(map(getbit, parts))
+                    except KeyError:
+                        rmask = 0
+                    if rmask.bit_count() == len(parts):
+                        masks[right] = rmask
+                    else:
+                        rmask = _new_mask(bits, masks, right, lineno)
+                key = (lmask, rmask)
                 try:
                     count = int(digits)
                 except ValueError:  # more digits than int() converts
@@ -286,6 +314,7 @@ def parse_opinion_state(text: str) -> tuple[tuple[str, ...], OpinionState]:
                     _split_directive(lineno, line)[0] == ["alternatives"]):
                 names, bits = _alternatives_header(
                     lineno, line.partition(":")[2].strip(), names)
+                getbit = bits.__getitem__
             elif line and line[0] != "#":
                 raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
         start = stop

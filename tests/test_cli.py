@@ -458,6 +458,32 @@ class TestOpinionParsing:
         _, state = parse_opinion_state(text)
         assert state.counts == {(mask, 0b100): 2}
 
+    def test_only_odd_spellings_reach_the_fallback(self, monkeypatch, demo_state):
+        calls = []
+        fallback = critrank.cli._new_mask
+        monkeypatch.setattr(critrank.cli, "_new_mask",
+                            lambda *args: calls.append(args[2]) or fallback(*args))
+        names = parse_criterion_table(DEMO_TABLE_TEXT).alternatives
+        assert parse_opinion_state(format_opinion_state(names, demo_state)) == (
+            names, demo_state)
+        assert calls == []
+        # 64 alternatives, each left subset repeated over two lines
+        rng = Random(5)
+        wide = tuple(f"x{i}" for i in range(64))
+        masks = [rng.getrandbits(64) | 1 << 63 for _ in range(20)]
+        lines = [f"opinion {format_subset(AltSubset(s, 64), wide)} >= "
+                 f"{format_subset(AltSubset(t, 64), wide)} : 1"
+                 for s in masks for t in (rng.getrandbits(64) or 1, 1 << rng.randrange(64))]
+        _, state = parse_opinion_state("\n".join(["alternatives: " + " ".join(wide), *lines]))
+        assert calls == []
+        assert sum(state.counts.values()) == 40 and {s for s, _ in state.counts} == set(masks)
+        # a padded spelling is read once by the fallback, then looked up
+        _, state = parse_opinion_state("alternatives: a b\n"
+                                       "opinion {b, a} >= {a} : 2\n"
+                                       "opinion {b, a} >= {a} : 3\n")
+        assert calls == ["b, a"]
+        assert state.counts == {(0b11, 0b01): 5}
+
     def test_repeats_sum_and_zero_lines_drop_across_spellings(self):
         text = ("alternatives: a b c\n"
                 "opinion {a,b} >= {c} : 2\n"
